@@ -2,7 +2,7 @@
 with Bohr-van Leeuwen consistency checks of the classical limit."""
 
 from .bvl import BvLReport, SlabPoint, Verdict, bvl_verdict
-from .fresnel import ReflectionSet, WaveKinematics, reflection, reflection_static
+from .fresnel import ReflectionSet, reflection, reflection_static
 from .lifshitz import (CavityConfig, PressureResult, StressSplit,
                        classical_transverse_pressure, pressure_matsubara,
                        pressure_real_frequency)
@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BvLReport", "CavityConfig", "Extrapolation", "Kind", "MaterialModel",
     "Oscillator", "PressureResult", "ReflectionSet", "SlabPoint",
-    "StressSplit", "Verdict", "WaveKinematics", "ZeroFreqClass",
+    "StressSplit", "Verdict", "ZeroFreqClass",
     "bvl_verdict", "classical_transverse_pressure", "drude", "eval_epsilon",
     "generalized_plasma", "ideal_metal", "insulator", "plasma",
     "pressure_matsubara", "pressure_real_frequency", "reflection",

@@ -12,7 +12,6 @@ import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,10 +208,7 @@ def run_sweep(config):
                              for s in config.materials]
         return _compute_pressure(sub)
 
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        results = list(pool.map(at, values))
-
-    rows = [(float(v), r) for v, r in zip(values, results)]
+    rows = [(float(v), at(v)) for v in values]
     fmt = (config.output or {}).get("format", "csv")
     if fmt == "json":
         doc = {"config": config.to_dict(),

@@ -1,4 +1,9 @@
-"""Wavevector kinematics and Fresnel reflection coefficients.
+"""Fresnel reflection coefficients of a planar half-space.
+
+One kernel holds the formulas: :func:`coefficients` gives (r_te, r_tm) from
+the vacuum and medium normal wavevectors and :func:`scalar_coefficient`
+gives r_bar.  eps None, which :func:`epsilon` returns for the ideal metal,
+stands for (r_te, r_tm, r_bar) = (-1, 1, 1).  Every caller uses the kernel.
 
 Branch convention: every square root of a complex radicand is taken with
 non-negative imaginary part, so that evanescent waves decay away from the
@@ -7,29 +12,18 @@ interface.  On the imaginary frequency axis all coefficients are real.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import materials
 from .constants import C
-from .materials import (IdealMetalHasNoEpsilon, Kind, ZeroFreqClass,
-                        effective_omega_p, static_epsilon, zero_freq_class)
-from .quadrature import DegenerateSweep, fit_power_law
+from .materials import (Kind, ZeroFreqClass, effective_omega_p,
+                        static_epsilon, zero_freq_class)
 
 
 class ZeroFrequency(Exception):
     """reflection() is undefined at omega = 0; use reflection_static()."""
-
-
-@dataclass(frozen=True)
-class WaveKinematics:
-    omega: complex   # rad/s
-    k_perp: float    # 1/m
-    k0: complex      # omega/c, 1/m
-    k_z: complex     # normal wavevector in vacuum, 1/m
-    s: complex       # normal wavevector inside the medium, 1/m
 
 
 @dataclass(frozen=True)
@@ -60,34 +54,44 @@ def branch_sqrt(z):
     return r
 
 
-def kinematics(omega, k_perp, eps):
-    """Wavevector components at frequency omega and transverse wavenumber k_perp.
+def epsilon(model, omega):
+    """eps(omega), real on the imaginary axis; None for the ideal metal."""
+    if model.kind is Kind.IDEAL_METAL:
+        return None
+    eps = materials.eval_epsilon(model, omega)
+    return eps.real if complex(omega).real == 0.0 else eps
 
-    eps is the medium permittivity; vacuum values use eps = 1.
+
+def coefficients(eps, k_z, s):
+    """(r_te, r_tm) from the vacuum and medium normal wavevectors k_z and s.
+
+    eps None is the ideal metal, (-1, 1) at every frequency.  On the
+    imaginary axis k_z = i*q and s = i*kappa may be passed as q and kappa,
+    since the common factor i cancels.  Arrays broadcast.
     """
-    if k_perp < 0:
-        raise ValueError("k_perp must be non-negative")
-    omega = complex(omega)
-    k0 = omega / C
-    if omega == 0 and k_perp == 0:
-        return WaveKinematics(omega, k_perp, k0, 0j, 0j)
-    k0sq = k0 * k0
-    k_z = branch_sqrt(k0sq - k_perp * k_perp)
-    s = branch_sqrt(eps * k0sq - k_perp * k_perp)
-    return WaveKinematics(omega, k_perp, k0, k_z, s)
+    if eps is None:
+        return -1.0, 1.0
+    return (k_z - s) / (k_z + s), (eps * k_z - s) / (eps * k_z + s)
+
+
+def scalar_coefficient(eps):
+    """Scalar-cavity coefficient r_bar = (eps - 1)/(eps + 1); 1 for eps None."""
+    if eps is None:
+        return 1.0
+    return (eps - 1.0) / (eps + 1.0)
 
 
 def imag_axis_coefficients(eps, xi, k_perp):
-    """TE/TM coefficients at omega = i*xi for a real eps(i xi).
+    """TE/TM coefficients at omega = i*xi for a real eps(i xi) or eps None.
 
-    Pure real arithmetic: both normal wavevectors are i*q and i*kappa, and
-    the common factor i cancels.  k_perp may be an ndarray.
+    Pure real arithmetic: the kernel gets q and kappa for the normal
+    wavevectors i*q and i*kappa.  k_perp may be an ndarray.
     """
+    if eps is None:  # the ideal metal needs no wavevectors
+        return coefficients(None, None, None)
     q = np.sqrt(k_perp * k_perp + (xi / C) ** 2)
     kappa = np.sqrt(k_perp * k_perp + eps * (xi / C) ** 2)
-    r_te = (q - kappa) / (q + kappa)
-    r_tm = (eps * q - kappa) / (eps * q + kappa)
-    return r_te, r_tm
+    return coefficients(eps, q, kappa)
 
 
 def reflection(model, omega, k_perp):
@@ -99,18 +103,19 @@ def reflection(model, omega, k_perp):
     omega = complex(omega)
     if omega == 0:
         raise ZeroFrequency("use reflection_static for the omega -> 0 limit")
-    if model.kind is Kind.IDEAL_METAL:
-        return IDEAL_REFLECTION
-    eps = materials.eval_epsilon(model, omega)
-    if omega.real == 0.0:
-        r_te, r_tm = imag_axis_coefficients(eps.real, omega.imag, k_perp)
-        r_bar = (eps.real - 1.0) / (eps.real + 1.0)
-        return ReflectionSet(complex(r_te), complex(r_tm), complex(r_bar))
-    kin = kinematics(omega, k_perp, eps)
-    r_te = (kin.k_z - kin.s) / (kin.k_z + kin.s)
-    r_tm = (eps * kin.k_z - kin.s) / (eps * kin.k_z + kin.s)
-    r_bar = (eps - 1.0) / (eps + 1.0)
-    return ReflectionSet(r_te, r_tm, r_bar)
+    if k_perp < 0:
+        raise ValueError("k_perp must be non-negative")
+    eps = epsilon(model, omega)
+    if eps is None:  # the ideal metal needs no wavevectors
+        r_te, r_tm = coefficients(None, None, None)
+    elif omega.real == 0.0:
+        r_te, r_tm = imag_axis_coefficients(eps, omega.imag, k_perp)
+    else:
+        k0sq = (omega / C) * (omega / C)
+        r_te, r_tm = coefficients(eps, branch_sqrt(k0sq - k_perp * k_perp),
+                                  branch_sqrt(eps * k0sq - k_perp * k_perp))
+    return ReflectionSet(complex(r_te), complex(r_tm),
+                         complex(scalar_coefficient(eps)))
 
 
 def static_rte(model, k_perp):
@@ -142,26 +147,6 @@ def reflection_static(model, k_perp):
         return IDEAL_REFLECTION
     r_te = complex(static_rte(model, k_perp))
     if cls is ZeroFreqClass.FINITE:
-        eps0 = static_epsilon(model)
-        r_bar = (eps0 - 1.0) / (eps0 + 1.0)
-        return ReflectionSet(r_te, complex(r_bar), complex(r_bar))
+        r_bar = complex(scalar_coefficient(static_epsilon(model)))
+        return ReflectionSet(r_te, r_bar, r_bar)
     return ReflectionSet(r_te, complex(1.0), complex(1.0))
-
-
-def tm_scalar_gap(model, k_perp, omega_sweep):
-    """Fitted power-law exponent of |r_tm(omega) - r_bar(omega)| as omega -> 0.
-
-    A positive exponent certifies that the TM coefficient approaches the
-    scalar-cavity coefficient at zero frequency.
-    """
-    if model.kind is Kind.IDEAL_METAL:
-        raise IdealMetalHasNoEpsilon(
-            "r_tm - r_bar is identically zero for the ideal metal")
-    if len(omega_sweep) < 3:
-        raise DegenerateSweep("need at least 3 sweep frequencies")
-    pts = []
-    for w in omega_sweep:
-        refl = reflection(model, w, k_perp)
-        pts.append((w, abs(refl.r_tm - refl.r_bar)))
-    exponent, _ = fit_power_law(pts)
-    return exponent

@@ -9,7 +9,7 @@ values meaning attraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,18 +117,6 @@ def classical_transverse_pressure(config):
     return n0_term(config, "te")
 
 
-def _eps_imag(model, xi):
-    if model.kind is Kind.IDEAL_METAL:
-        return None
-    return materials.eval_epsilon(model, 1j * xi).real
-
-
-def _rte_rtm(model, eps, xi, k):
-    if eps is None:
-        return -1.0, 1.0
-    return fresnel.imag_axis_coefficients(eps, xi, k)
-
-
 def pressure_matsubara(config):
     """Casimir pressure from the Matsubara representation.
 
@@ -148,22 +136,20 @@ def pressure_matsubara(config):
             breakdown[0] = (te, tm)
             return 2.0 * (te + tm)
         xi = n * xi1
-        eps1, eps2 = _eps_imag(m1, xi), _eps_imag(m2, xi)
+        eps1, eps2 = fresnel.epsilon(m1, 1j * xi), fresnel.epsilon(m2, 1j * xi)
 
-        def f_te(k):
-            q = np.sqrt(k * k + (xi / C) ** 2)
-            r1, _ = _rte_rtm(m1, eps1, xi, k)
-            r2, _ = _rte_rtm(m2, eps2, xi, k)
-            return k * q * _round_trip(r1, r2, np.exp(-2.0 * q * d))
+        def integrand(pol):
+            def f(k):
+                q = np.sqrt(k * k + (xi / C) ** 2)
+                r1 = fresnel.imag_axis_coefficients(eps1, xi, k)[pol]
+                r2 = fresnel.imag_axis_coefficients(eps2, xi, k)[pol]
+                return k * q * _round_trip(r1, r2, np.exp(-2.0 * q * d))
+            return f
 
-        def f_tm(k):
-            q = np.sqrt(k * k + (xi / C) ** 2)
-            _, r1 = _rte_rtm(m1, eps1, xi, k)
-            _, r2 = _rte_rtm(m2, eps2, xi, k)
-            return k * q * _round_trip(r1, r2, np.exp(-2.0 * q * d))
-
-        res_te = quadrature.integrate_semi_infinite(f_te, 0.5 / d, KPERP_REL_TOL)
-        res_tm = quadrature.integrate_semi_infinite(f_tm, 0.5 / d, KPERP_REL_TOL)
+        res_te, res_tm = (
+            quadrature.integrate_semi_infinite(integrand(pol), 0.5 / d,
+                                               KPERP_REL_TOL)
+            for pol in (0, 1))
         te, tm = pref * res_te.value, pref * res_tm.value
         breakdown[n] = (te, tm)
         quad_err[0] += abs(pref) * (res_te.error_estimate + res_tm.error_estimate)
@@ -180,63 +166,28 @@ def pressure_matsubara(config):
         per_n=per_n, n_max=summed.n_max)
 
 
-def _real_axis_im_sum(eps1, eps2, omega, d, k, which="both"):
-    """k * Im{q * sum_alpha [exp(-2 i k_z d)/(r1 r2) - 1]^(-1)} at real omega."""
-    k0sq = (omega / C) ** 2 + 0j
-    kk = np.asarray(k, dtype=float)
-    kz = fresnel.branch_sqrt(k0sq - kk * kk)
-    q = -1j * kz
+def _im_round_trip(eps1, eps2, omega, d, kz, pols=(0, 1)):
+    """Im{q * sum_pol [exp(-2 i k_z d)/(r1 r2) - 1]^(-1)} at real omega, q = -i k_z.
+
+    kz is the vacuum normal wavevector: real in [0, omega/c] for propagating
+    waves, positive imaginary for evanescent ones.  Both sectors have
+    k_z^2 = (omega/c)^2 - k_perp^2, so the medium wavevector is
+    s = sqrt((eps - 1)(omega/c)^2 + k_z^2).  pols indexes (TE, TM).
+    """
+    k0sq = (omega / C) ** 2
+    kz = np.asarray(kz, dtype=complex)
+    r1, r2 = (fresnel.coefficients(eps, kz, None if eps is None else
+                                   fresnel.branch_sqrt((eps - 1.0) * k0sq + kz * kz))
+              for eps in (eps1, eps2))
     phase = np.exp(2j * kz * d)
-    total = np.zeros_like(kz)
-    for pol in ("te", "tm"):
-        rs = []
-        for eps in (eps1, eps2):
-            if eps is None:
-                rs.append(-1.0 if pol == "te" else 1.0)
-                continue
-            s = fresnel.branch_sqrt(eps * k0sq - kk * kk)
-            if pol == "te":
-                rs.append((kz - s) / (kz + s))
-            else:
-                rs.append((eps * kz - s) / (eps * kz + s))
-        if which in ("both", pol):
-            total = total + q * _round_trip(rs[0], rs[1], phase)
-    return kk * np.imag(total)
+    total = sum(_round_trip(r1[pol], r2[pol], phase) for pol in pols)
+    return np.imag(-1j * kz * total)
 
 
 def _energy_per_omega(omega, T):
     """E_beta(omega)/omega = (hbar/2) coth(hbar omega / 2 k_B T)."""
     x = HBAR * omega / (2.0 * K_B * T)
     return 0.5 * HBAR / math.tanh(x)
-
-
-def _prop_integrand_kz(eps1, eps2, omega, d, kz):
-    """Propagating-sector integrand after substituting k_z for k_perp.
-
-    With k_perp^2 = (omega/c)^2 - k_z^2 the measure k_perp dk_perp becomes
-    -k_z dk_z, which absorbs the grazing-incidence blow-up of the cavity
-    bracket at k_perp -> omega/c and makes the round-trip phase uniform in
-    the integration variable.  kz is a real ndarray in [0, omega/c].
-    """
-    k0sq = (omega / C) ** 2
-    kz = np.asarray(kz, dtype=float)
-    kzc = kz.astype(complex)
-    q = -1j * kzc
-    phase = np.exp(2j * kzc * d)
-    total = np.zeros_like(kzc)
-    for pol in ("te", "tm"):
-        rs = []
-        for eps in (eps1, eps2):
-            if eps is None:
-                rs.append(-1.0 if pol == "te" else 1.0)
-                continue
-            s = fresnel.branch_sqrt((eps - 1.0) * k0sq + kz * kz)
-            if pol == "te":
-                rs.append((kzc - s) / (kzc + s))
-            else:
-                rs.append((eps * kzc - s) / (eps * kzc + s))
-        total = total + q * _round_trip(rs[0], rs[1], phase)
-    return kz * np.imag(total)
 
 
 def _material_frequency_scale(model):
@@ -276,25 +227,26 @@ def pressure_real_frequency(config, rel_tol=REALFREQ_REL_TOL,
         omega_cap = max(OMEGA_CAP_FACTOR * C / (2.0 * d), 1.5 * scale)
     omega_total = 2.0 * omega_cap
 
-    def eps_at(model, w):
-        if model.kind is Kind.IDEAL_METAL:
-            return None
-        return materials.eval_epsilon(model, w)
-
     def inner(omega, region):
-        eps1, eps2 = eps_at(m1, omega), eps_at(m2, omega)
+        eps1, eps2 = fresnel.epsilon(m1, omega), fresnel.epsilon(m2, omega)
         kc = omega / C
         total = 0.0
         if region in ("both", "propagating"):
+            # k_perp dk_perp = -k_z dk_z absorbs the grazing-incidence
+            # blow-up at k_perp -> omega/c and makes the round-trip phase
+            # uniform in the integration variable
             n_seed = max(4, math.ceil(2.0 * d * omega / (math.pi * C) * 4))
             res = quadrature.composite_gk(
-                lambda kz: _prop_integrand_kz(eps1, eps2, omega, d, kz),
+                lambda kz: kz * _im_round_trip(eps1, eps2, omega, d, kz),
                 np.linspace(0.0, kc, n_seed + 1), _INNER_REL_TOL)
             total += res.value
         if region in ("both", "evanescent"):
+            def evanescent(u):
+                k = kc + u
+                kz = fresnel.branch_sqrt(kc * kc - k * k)
+                return k * _im_round_trip(eps1, eps2, omega, d, kz)
             res = quadrature.integrate_semi_infinite(
-                lambda u: _real_axis_im_sum(eps1, eps2, omega, d, kc + u),
-                0.5 / d, _INNER_REL_TOL)
+                evanescent, 0.5 / d, _INNER_REL_TOL)
             total += res.value
         return total
 
@@ -342,19 +294,14 @@ def stress_split_integrands(config, omega, k_perp):
     m1, m2, d, T = config.material_1, config.material_2, config.d, config.T
     ebw = _energy_per_omega(omega, T) / math.pi ** 2
 
-    def rbar(model):
-        if model.kind is Kind.IDEAL_METAL:
-            return 1.0 + 0j
-        eps = materials.eval_epsilon(model, omega)
-        return (eps - 1.0) / (eps + 1.0)
-
-    ybar = rbar(m1) * rbar(m2) * math.exp(-2.0 * k_perp * d)
+    eps1, eps2 = fresnel.epsilon(m1, omega), fresnel.epsilon(m2, omega)
+    ybar = (fresnel.scalar_coefficient(eps1) * fresnel.scalar_coefficient(eps2)
+            * math.exp(-2.0 * k_perp * d))
     scalar_bracket = ybar / (1.0 - ybar)
     longitudinal = ebw * k_perp ** 2 * (-scalar_bracket).imag
     transverse_scalar = ebw * k_perp ** 2 * scalar_bracket.imag
 
-    eps1 = None if m1.kind is Kind.IDEAL_METAL else materials.eval_epsilon(m1, omega)
-    eps2 = None if m2.kind is Kind.IDEAL_METAL else materials.eval_epsilon(m2, omega)
-    te = -ebw * float(_real_axis_im_sum(eps1, eps2, omega, d, k_perp, "te"))
-    tm = -ebw * float(_real_axis_im_sum(eps1, eps2, omega, d, k_perp, "tm"))
+    kz = fresnel.branch_sqrt((omega / C) ** 2 - k_perp * k_perp)
+    te, tm = (-ebw * k_perp * float(_im_round_trip(eps1, eps2, omega, d, kz, (pol,)))
+              for pol in (0, 1))
     return StressSplit(longitudinal, transverse_scalar, te, tm)

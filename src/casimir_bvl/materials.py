@@ -181,7 +181,7 @@ def eval_epsilon(model, w):
     if w.real == 0.0 and w.imag > 0.0:
         return complex(_eval_imag_axis(model, w.imag), 0.0)
     if w.imag == 0.0:
-        return _eval_real_axis(model, w.real)
+        return complex(_eval_real_axis(model, w.real))
     raise ValueError("frequency must lie on the real or positive imaginary axis")
 
 

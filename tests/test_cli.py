@@ -85,6 +85,12 @@ def test_reflect_at_zero_frequency_is_config_error():
     assert proc.returncode == 2
 
 
+def test_reflect_negative_kperp_is_config_error():
+    proc = run_cli("reflect", "--mat", "drude:1.37e16,5.32e13",
+                   "--xi", "1e14", "--kperp=-1e6")
+    assert proc.returncode == 2
+
+
 # ---------------------------------------------------------------- pressure
 
 def test_pressure_json_drude_n0_te_zero():

@@ -1,4 +1,4 @@
-"""Branch rules, kinematics and reflection coefficients."""
+"""Branch rules, the Fresnel kernel and reflection coefficients."""
 
 import cmath
 import math
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from casimir_bvl import fresnel as F
 from casimir_bvl import materials as M
 from casimir_bvl.constants import C
-from casimir_bvl.quadrature import DegenerateSweep
 
 CATALOG = [M.insulator(3.0), M.drude(1.37e16, 5.32e13), M.plasma(1.37e16),
            M.generalized_plasma(1.37e16, [M.Oscillator(2e31, 3e15, 1e14)])]
@@ -43,30 +42,39 @@ def test_branch_sqrt_squares_back_with_nonnegative_imag(z):
     assert cmath.isclose(r * r, z, rel_tol=1e-12)
 
 
+def _medium_kz_forms_agree(omega, k_perp, k_z):
+    """s from k_z, as the real-frequency integrands build it, against s from k_perp."""
+    k0sq = (omega / C) ** 2
+    for model in CATALOG:
+        eps = M.eval_epsilon(model, omega)
+        s = F.branch_sqrt((eps - 1.0) * k0sq + k_z * k_z)
+        assert s == pytest.approx(F.branch_sqrt(eps * k0sq - k_perp**2),
+                                  rel=1e-12)
+
+
 def test_evanescent_vacuum_kz_is_positive_imaginary():
     omega, k_perp = 3e14, 1e7  # k_perp > omega/c
-    kin = F.kinematics(omega, k_perp, 1.0)
+    k_z = F.branch_sqrt((omega / C) ** 2 - k_perp**2)
     expected = math.sqrt(k_perp**2 - (omega / C) ** 2)
-    assert kin.k_z == pytest.approx(1j * expected)
-    assert kin.k_z.real == 0.0
+    assert k_z == pytest.approx(1j * expected)
+    assert k_z.real == 0.0
+    _medium_kz_forms_agree(omega, k_perp, k_z)
 
 
 def test_propagating_vacuum_kz_is_real():
     omega, k_perp = 3e15, 1e6
-    kin = F.kinematics(omega, k_perp, 1.0)
-    assert kin.k_z.imag == 0.0
-    assert kin.k_z.real == pytest.approx(
+    k_z = F.branch_sqrt((omega / C) ** 2 - k_perp**2)
+    assert k_z.imag == 0.0
+    assert k_z.real == pytest.approx(
         math.sqrt((omega / C) ** 2 - k_perp**2))
+    _medium_kz_forms_agree(omega, k_perp, k_z)
 
 
-def test_kinematics_degenerate_origin():
-    kin = F.kinematics(0.0, 0.0, 1.0)
-    assert kin.k_z == 0.0 and kin.s == 0.0
-
-
-def test_kinematics_rejects_negative_kperp():
-    with pytest.raises(ValueError):
-        F.kinematics(1e15, -1.0, 1.0)
+def test_reflection_rejects_negative_kperp():
+    for model in (M.drude(1e16, 1e13), M.ideal_metal()):
+        for w in (1e15, 1j * 1e14):
+            with pytest.raises(ValueError):
+                F.reflection(model, w, -1.0)
 
 
 def test_reflection_at_zero_frequency_raises():
@@ -78,6 +86,7 @@ def test_ideal_metal_reflection_everywhere():
     for w in (1e12, 1e15, 1j * 1e14):
         r = F.reflection(M.ideal_metal(), w, 1e6)
         assert (r.r_te, r.r_tm, r.r_bar) == (-1.0, 1.0, 1.0)
+    assert F.imag_axis_coefficients(None, 1e14, 1e6) == (-1.0, 1.0)
     assert F.reflection_static(M.ideal_metal(), 1e6) == F.IDEAL_REFLECTION
 
 
@@ -159,15 +168,3 @@ def test_imag_axis_coefficients_match_complex_path():
     assert full.r_te.real == pytest.approx(r_te, rel=1e-14)
     assert full.r_tm.real == pytest.approx(r_tm, rel=1e-14)
 
-
-def test_tm_scalar_gap_positive_exponents():
-    sweep = list(np.geomspace(3e13, 3e10, 9))
-    for model in CATALOG:
-        assert F.tm_scalar_gap(model, 1e7, sweep) > 0.0
-
-
-def test_tm_scalar_gap_guards():
-    with pytest.raises(M.IdealMetalHasNoEpsilon):
-        F.tm_scalar_gap(M.ideal_metal(), 1e7, [1e12, 1e11, 1e10])
-    with pytest.raises(DegenerateSweep):
-        F.tm_scalar_gap(M.plasma(1e16), 1e7, [1e12, 1e11])

@@ -14,6 +14,7 @@ def test_insulator_is_constant_everywhere():
     model = M.insulator(3.0)
     for w in (0.0, 1.0, 1e12, 1e16, 1j * 1e10, 1j * 1e15):
         assert M.eval_epsilon(model, w) == 3.0
+        assert isinstance(M.eval_epsilon(model, w), complex)
 
 
 def test_insulator_rejects_eps0_below_one():
