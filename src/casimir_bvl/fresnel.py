@@ -55,11 +55,17 @@ def branch_sqrt(z):
 
 
 def epsilon(model, omega):
-    """eps(omega), real on the imaginary axis; None for the ideal metal."""
+    """eps(omega), real on the imaginary axis; None for the ideal metal.
+
+    omega may be an ndarray on the positive imaginary axis, evaluated in
+    one call of the material model.
+    """
     if model.kind is Kind.IDEAL_METAL:
         return None
     eps = materials.eval_epsilon(model, omega)
-    return eps.real if complex(omega).real == 0.0 else eps
+    if isinstance(omega, np.ndarray) or complex(omega).real == 0.0:
+        return eps.real
+    return eps
 
 
 def coefficients(eps, k_z, s):

@@ -15,10 +15,14 @@ import numpy as np
 
 from . import fresnel, materials, quadrature
 from .constants import C, HBAR, K_B
-from .materials import Kind, TabulatedOutOfRange, ZeroFreqClass, zero_freq_class
+from .materials import (Kind, MaterialError, TabulatedOutOfRange,
+                        ZeroFreqClass, zero_freq_class)
 
 #: Default relative tolerance of the transverse-wavenumber integrals.
 KPERP_REL_TOL = 1e-8
+#: Most (n, polarization) rows of the Matsubara kernel per array pass.  It
+#: bounds the arrays of a pass and the rows computed past the last summed n.
+ROWS_PER_PASS = 16
 #: Default relative tolerance of the real-frequency diagnostic route.
 REALFREQ_REL_TOL = 5e-2
 #: Default frequency cap of the real-frequency route, in units of c/(2 d).
@@ -84,12 +88,22 @@ def n0_term(config, polarization):
     whenever either material has a finite or 1/omega permittivity at zero
     frequency.
     """
+    return _n0_integral(config, polarization)[0]
+
+
+def _n0_integral(config, polarization):
+    """(:func:`n0_term`, its error estimate), Pa.
+
+    The error adds the quadrature.ROUNDING_FLOOR of the integral to its GK
+    estimate.  Static r1 r2 is never negative, so the integrand keeps one
+    sign and |I| is its Int|f|.
+    """
     m1, m2, d = config.material_1, config.material_2, config.d
     te = str(polarization).lower().endswith("te")
     if te:
         classes = {zero_freq_class(m1), zero_freq_class(m2)}
         if classes & {ZeroFreqClass.FINITE, ZeroFreqClass.INVERSE_OMEGA}:
-            return 0.0
+            return 0.0, 0.0
 
         def f(k):
             y = _round_trip(fresnel.static_rte(m1, k),
@@ -103,7 +117,9 @@ def n0_term(config, polarization):
             return k * k * _round_trip(r1, r2, np.exp(-2.0 * k * d))
 
     res = quadrature.integrate_semi_infinite(f, 0.5 / d, KPERP_REL_TOL)
-    return -K_B * config.T / (2.0 * math.pi) * res.value
+    pref = K_B * config.T / (2.0 * math.pi)
+    return -pref * res.value, pref * (
+        res.error_estimate + quadrature.ROUNDING_FLOOR * abs(res.value))
 
 
 def classical_transverse_pressure(config):
@@ -117,53 +133,95 @@ def classical_transverse_pressure(config):
     return n0_term(config, "te")
 
 
+def _matsubara_rows(m1, m2, d, xi):
+    """k_perp integrals of the Matsubara rows at the frequencies xi, at once.
+
+    Row i < len(xi) is TE at xi[i], row len(xi) + i is TM there.  Each row
+    integrates k * q * [exp(2 q d)/(r1 r2) - 1]^(-1), q = sqrt(k^2 + xi^2/c^2),
+    to KPERP_REL_TOL; eps comes from one array call per material.
+    """
+    eps1 = fresnel.epsilon(m1, 1j * xi)
+    eps2 = eps1 if m2 == m1 else fresnel.epsilon(m2, 1j * xi)
+    half = xi.size
+
+    def integrand(rows, k):
+        at = rows % half
+        x = xi[at]
+        te = rows < half
+
+        def coefficient(eps):
+            r_te, r_tm = fresnel.imag_axis_coefficients(
+                None if eps is None else eps[at], x, k)
+            return np.where(te, r_te, r_tm)
+
+        r1 = coefficient(eps1)
+        r2 = r1 if eps2 is eps1 else coefficient(eps2)
+        q = np.sqrt(k * k + (x / C) ** 2)
+        return k * q * _round_trip(r1, r2, np.exp(-2.0 * q * d))
+
+    return quadrature.integrate_rows(integrand, 2 * half, 0.5 / d,
+                                     KPERP_REL_TOL)
+
+
 def pressure_matsubara(config):
     """Casimir pressure from the Matsubara representation.
 
     Returns a :class:`PressureResult` whose ``per_n`` list carries the
-    as-summed (half-weighted for n = 0) TE and TM contributions.
+    as-summed (half-weighted for n = 0) TE and TM contributions.  The n >= 1
+    terms are computed a chunk of indices at a time by
+    :func:`_matsubara_rows`, in chunks of at most ROWS_PER_PASS/2 indices
+    sized from the expected index count; a row's failed k_perp integral
+    raises only if the sum consumes that row.  ``error_estimate`` adds the
+    tail bound and the error estimates of every summed k_perp integral.
     """
     m1, m2, d, T = config.material_1, config.material_2, config.d, config.T
     xi1 = 2.0 * math.pi * K_B * T / HBAR
     pref = -K_B * T / math.pi
+    ceiling = quadrature.matsubara_ceiling(d, T)
+    # terms fall like exp(-n/nu); about nu*ln(1/rel_tol) + 3 are summed
+    nu = C / (2.0 * d * xi1)
+    step = min(ROWS_PER_PASS // 2,
+               math.ceil(nu * math.log(1.0 / config.rel_tol)) + 3)
+    chunk = {}
     breakdown = {}
     quad_err = [0.0]
 
     def term(n):
         if n == 0:
-            te = n0_term(config, "te")
-            tm = n0_term(config, "tm")
+            te, te_err = _n0_integral(config, "te")
+            tm, tm_err = _n0_integral(config, "tm")
             breakdown[0] = (te, tm)
+            quad_err[0] += te_err + tm_err
             return 2.0 * (te + tm)
-        xi = n * xi1
-        eps1, eps2 = fresnel.epsilon(m1, 1j * xi), fresnel.epsilon(m2, 1j * xi)
-
-        def integrand(pol):
-            def f(k):
-                q = np.sqrt(k * k + (xi / C) ** 2)
-                r1 = fresnel.imag_axis_coefficients(eps1, xi, k)[pol]
-                r2 = fresnel.imag_axis_coefficients(eps2, xi, k)[pol]
-                return k * q * _round_trip(r1, r2, np.exp(-2.0 * q * d))
-            return f
-
-        res_te, res_tm = (
-            quadrature.integrate_semi_infinite(integrand(pol), 0.5 / d,
-                                               KPERP_REL_TOL)
-            for pol in (0, 1))
-        te, tm = pref * res_te.value, pref * res_tm.value
+        if n not in chunk:
+            ns = np.arange(n, min(n + step, ceiling + 1))
+            res = _matsubara_rows(m1, m2, d, ns * xi1)
+            chunk.update((m, (res, i, ns.size)) for i, m in enumerate(ns))
+        res, i, half = chunk.pop(n)
+        te, te_err = _row(res, i, n, "TE")
+        tm, tm_err = _row(res, half + i, n, "TM")
+        te, tm = pref * te, pref * tm
         breakdown[n] = (te, tm)
-        quad_err[0] += abs(pref) * (res_te.error_estimate + res_tm.error_estimate)
+        quad_err[0] += abs(pref) * (te_err + tm_err)
         return te + tm
 
     summed = quadrature.matsubara_sum(term, d, T, config.rel_tol)
-    per_n = [(n, te, tm) for n, (te, tm) in sorted(breakdown.items())
-             if n <= summed.n_max]
     n0_te, n0_tm = breakdown[0]
     return PressureResult(
         pressure=summed.value,
         error_estimate=summed.tail_bound + quad_err[0],
         n0_te=n0_te, n0_tm=n0_tm,
-        per_n=per_n, n_max=summed.n_max)
+        per_n=[(n, te, tm) for n, (te, tm) in breakdown.items()],
+        n_max=summed.n_max)
+
+
+def _row(res, j, n, pol):
+    """(value, error) of row j of a RowsResult, named (n, pol) on failure."""
+    try:
+        return res.row(j)
+    except quadrature.NoConvergence as exc:
+        raise quadrature.NoConvergence(
+            f"k_perp integral of Matsubara row (n={n}, {pol}): {exc}") from exc
 
 
 def _im_round_trip(eps1, eps2, omega, d, kz, pols=(0, 1)):
@@ -190,14 +248,17 @@ def _energy_per_omega(omega, T):
     return 0.5 * HBAR / math.tanh(x)
 
 
-def _material_frequency_scale(model):
-    """Largest frequency over which eps(omega) - 1 has structure, rad/s."""
-    scale = 0.0
-    if model.kind in (Kind.DRUDE, Kind.PLASMA, Kind.GENERALIZED_PLASMA):
-        scale = model.omega_p
-    for osc in model.oscillators:
-        scale = max(scale, osc.center + osc.width)
-    return scale
+def _check_real_axis_model(model):
+    """Reject a model the real-frequency route cannot integrate."""
+    if model.kind is Kind.TABULATED:
+        raise TabulatedOutOfRange(
+            "real-frequency route needs real-axis permittivities")
+    vacuum = (model.kind is Kind.INSULATOR and model.eps0 == 1.0
+              and not model.oscillators)
+    if model.kind is not Kind.DRUDE and not vacuum:
+        raise MaterialError(
+            f"real-frequency route accepts only Drude media and vacuum; the "
+            f"{model.kind.value} model is lossless as omega -> 0")
 
 
 def pressure_real_frequency(config, rel_tol=REALFREQ_REL_TOL,
@@ -211,20 +272,26 @@ def pressure_real_frequency(config, rel_tol=REALFREQ_REL_TOL,
     amplitude; instead the integrand is rolled off smoothly (cosine taper
     over [omega_cap, 2*omega_cap]) after the slab reflectivities have
     decayed.  The default ``omega_cap`` is the larger of
-    ``OMEGA_CAP_FACTOR * c/(2 d)`` and 1.5x the material frequency scale.
-    Tabulated materials carry no real-axis information and are rejected.
+    ``OMEGA_CAP_FACTOR * c/(2 d)`` and 1.5x the larger plasma frequency.
     The breakdown reports the evanescent/propagating split instead of
     per-index terms.
+
+    Each material must be a Drude model or vacuum; others raise a
+    MaterialError before any integration.  Tabulated models carry no
+    real-axis information.  Every other model is lossless as omega -> 0
+    (Im eps vanishes or is zero), so the integrand near the cavity modes
+    is (nearly) singular on the real axis: plasma-like models and the
+    ideal metal fail or come out orders of magnitude off, a Lorentz
+    insulator with eps(inf) = 1 comes out some ten percent off, beyond its
+    error estimate, and an insulator with eps0 != 1 also never stops
+    reflecting, so the frequency integral has no cutoff.
     """
     m1, m2, d, T = config.material_1, config.material_2, config.d, config.T
     for m in (m1, m2):
-        if m.kind is Kind.TABULATED:
-            raise TabulatedOutOfRange(
-                "real-frequency route needs real-axis permittivities")
+        _check_real_axis_model(m)
     if omega_cap is None:
-        scale = max(_material_frequency_scale(m1),
-                    _material_frequency_scale(m2))
-        omega_cap = max(OMEGA_CAP_FACTOR * C / (2.0 * d), 1.5 * scale)
+        omega_cap = max(OMEGA_CAP_FACTOR * C / (2.0 * d),
+                        1.5 * max(m1.omega_p, m2.omega_p))
     omega_total = 2.0 * omega_cap
 
     def inner(omega, region):

@@ -10,6 +10,7 @@ which is the form consumed by Matsubara evaluation.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -115,6 +116,11 @@ class MaterialModel:
                 raise ValueError(
                     "singular extrapolation needs eps decreasing at the low end")
 
+    @functools.cached_property
+    def _log_table(self):
+        """(log xi, log eps) of the table nodes, built once per model."""
+        return tuple(np.log(np.array(self.table).T))
+
 
 def insulator(eps0, oscillators=()):
     return MaterialModel(Kind.INSULATOR, eps0=float(eps0),
@@ -166,17 +172,25 @@ def eval_epsilon(model, w):
     Parameters
     ----------
     model : MaterialModel
-    w : complex
+    w : complex or ndarray
         Frequency in rad/s.  Either purely real (nonzero for singular
-        models) or purely imaginary with positive imaginary part.
+        models) or purely imaginary with positive imaginary part.  An
+        ndarray must lie on the positive imaginary axis; it is evaluated
+        in one pass.
 
     Returns
     -------
-    complex
+    complex, or a complex ndarray for an ndarray w
         On the imaginary axis the result has exactly zero imaginary part.
     """
     if model.kind is Kind.IDEAL_METAL:
         raise IdealMetalHasNoEpsilon("ideal metal has no permittivity")
+    if isinstance(w, np.ndarray):
+        if not np.all((w.real == 0.0) & (w.imag > 0.0)):
+            raise ValueError(
+                "frequency arrays must lie on the positive imaginary axis")
+        xi = w.imag.astype(float)
+        return np.full(xi.shape, _eval_imag_axis(model, xi), dtype=complex)
     w = complex(w)
     if w.real == 0.0 and w.imag > 0.0:
         return complex(_eval_imag_axis(model, w.imag), 0.0)
@@ -186,27 +200,22 @@ def eval_epsilon(model, w):
 
 
 def _eval_imag_axis(model, xi):
+    """eps(i xi) for a float xi >= 0 or an ndarray of positive xi."""
     k = model.kind
     if k is Kind.INSULATOR:
         return model.eps0 + _osc_sum_imag(model.oscillators, xi)
+    if not isinstance(xi, np.ndarray) and xi == 0.0:
+        if k is Kind.TABULATED and model.extrapolation is Extrapolation.FINITE:
+            return model.table[0][1]
+        raise EvalAtZero(f"{k.value} model is singular at zero frequency")
     if k is Kind.DRUDE:
-        if xi == 0.0:
-            raise EvalAtZero("Drude model is singular at zero frequency")
         return 1.0 + model.omega_p ** 2 / (xi * (xi + model.gamma))
     if k is Kind.PLASMA:
-        if xi == 0.0:
-            raise EvalAtZero("plasma model is singular at zero frequency")
         return 1.0 + (model.omega_p / xi) ** 2
     if k is Kind.GENERALIZED_PLASMA:
-        if xi == 0.0:
-            raise EvalAtZero("plasma model is singular at zero frequency")
         return (1.0 + (model.omega_p / xi) ** 2
                 + _osc_sum_imag(model.oscillators, xi))
     if k is Kind.TABULATED:
-        if xi == 0.0:
-            if model.extrapolation is Extrapolation.FINITE:
-                return model.table[0][1]
-            raise EvalAtZero("tabulated extrapolation is singular at zero")
         return eval_epsilon_tabulated(model, xi)
     raise AssertionError(k)
 
@@ -230,7 +239,7 @@ def _eval_real_axis(model, w):
 
 
 def eval_epsilon_tabulated(model, xi):
-    """Interpolate a tabulated eps(i xi).
+    """Interpolate a tabulated eps(i xi); xi is a float or an ndarray.
 
     Log-log linear inside the table range; below the lowest node the
     continuation follows the extrapolation tag (A/xi, B/xi^2 or constant,
@@ -241,26 +250,23 @@ def eval_epsilon_tabulated(model, xi):
         raise ValueError("eval_epsilon_tabulated requires a tabulated model")
     if len(model.table) < 2:
         raise EmptyTable("tabulated model needs >= 2 points")
-    if xi <= 0:
+    x = np.asarray(xi, dtype=float)
+    if not np.all(x > 0):
         raise ValueError("xi must be positive")
-    xs = np.array([p[0] for p in model.table])
-    es = np.array([p[1] for p in model.table])
-    if xi < xs[0]:
-        e1, e2 = es[0], es[1]
-        x1, x2 = xs[0], xs[1]
-        tag = model.extrapolation
-        if tag is Extrapolation.DRUDE_LIKE:
-            a = (e1 - e2) / (1.0 / x1 - 1.0 / x2)
-            return e1 + a * (1.0 / xi - 1.0 / x1)
-        if tag is Extrapolation.PLASMA_LIKE:
-            b = (e1 - e2) / (1.0 / x1 ** 2 - 1.0 / x2 ** 2)
-            return e1 + b * (1.0 / xi ** 2 - 1.0 / x1 ** 2)
-        return float(e1)
-    if xi > xs[-1]:
-        c = (es[-1] - 1.0) * xs[-1] ** 2
-        return 1.0 + c / xi ** 2
-    lny = np.interp(math.log(xi), np.log(xs), np.log(es))
-    return float(math.exp(lny))
+    (x1, e1), (x2, e2), (xn, en) = (model.table[i] for i in (0, 1, -1))
+    tag = model.extrapolation
+    if tag is Extrapolation.DRUDE_LIKE:
+        a = (e1 - e2) / (1.0 / x1 - 1.0 / x2)
+        below = e1 + a * (1.0 / x - 1.0 / x1)
+    elif tag is Extrapolation.PLASMA_LIKE:
+        b = (e1 - e2) / (1.0 / x1 ** 2 - 1.0 / x2 ** 2)
+        below = e1 + b * (1.0 / x ** 2 - 1.0 / x1 ** 2)
+    else:
+        below = e1
+    above = 1.0 + (en - 1.0) * xn ** 2 / x ** 2
+    inside = np.exp(np.interp(np.log(x), *model._log_table))
+    eps = np.where(x < x1, below, np.where(x > xn, above, inside))
+    return eps if isinstance(xi, np.ndarray) else float(eps)
 
 
 def zero_freq_class(model):

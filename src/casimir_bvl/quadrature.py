@@ -4,6 +4,8 @@ power-law fitting.
 The adaptive engine is a Gauss-Kronrod 7/15 rule with interval bisection.
 All Kronrod nodes are interior, so integrand endpoints are never evaluated.
 Integrand callables must be vectorized (ndarray in, ndarray out).
+:func:`integrate_rows` runs the same rule on many semi-infinite integrals
+at once, each held to its own target.
 """
 
 from __future__ import annotations
@@ -52,6 +54,22 @@ class SumResult:
     tail_bound: float
 
 
+@dataclass
+class RowsResult:
+    """Per-row outcome of :func:`integrate_rows`."""
+
+    values: np.ndarray
+    errors: np.ndarray
+    panels: np.ndarray     # GK 7/15 panels each row ended with
+    failures: dict         # row -> NoConvergence, for rows out of budget
+
+    def row(self, i):
+        """(value, error_estimate) of row i; raises the row's NoConvergence."""
+        if i in self.failures:
+            raise self.failures[i]
+        return float(self.values[i]), float(self.errors[i])
+
+
 # Gauss-Kronrod 7/15 nodes and weights on [-1, 1].
 _XGK = np.array([
     -0.991455371120813, -0.949107912342759, -0.864864423359769,
@@ -77,6 +95,24 @@ _WG = np.array([
 ])
 
 DEFAULT_INTERVAL_BUDGET = 2000
+#: Rounding floor of a reported error estimate, relative to the integral of
+#: |f|: 50 machine epsilons, as in QUADPACK.  The GK 7/15 tables carry 15
+#: digits, so a Kronrod-minus-Gauss estimate can fall below the rounding.
+ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
+#: Equal panels each row of :func:`integrate_rows` starts from; fewer cost
+#: more refinement rounds, each a fixed overhead for all rows.
+ROW_PANELS = 16
+
+
+def _gk_panels(y, h):
+    """(Kronrod value, |Kronrod - Gauss|, Kronrod of |y|) of each panel.
+
+    y holds the integrand at the 15 nodes of each panel, shape (m, 15);
+    h holds the panels' half-widths.
+    """
+    kron = h * (y @ _WGK)
+    gauss = h * (y[:, _IG] @ _WG)
+    return kron, np.abs(kron - gauss), h * (np.abs(y) @ _WGK)
 
 
 def _panel(f, a, b):
@@ -153,39 +189,133 @@ def integrate_semi_infinite(f, scale, rel_tol, abs_tol=0.0,
     return IntegralResult(val, err, nvals)
 
 
+def integrate_rows(f, n_rows, scale, rel_tol):
+    """Integrate n_rows integrands over [0, inf) at once, each to its target.
+
+    Each row is mapped as in :func:`integrate_semi_infinite`, onto t in
+    [0, 1] with k = scale*t/(1-t), and starts from ROW_PANELS equal GK 7/15
+    panels.  The panels of all rows live in one flat list; every
+    round evaluates the 15 nodes of every new panel in a single call
+    ``f(rows, k)``, where ``rows`` (shape (m, 1)) names each panel's row
+    and k has shape (m, 15).  A row meets its target when its summed
+    Kronrod-minus-Gauss error is within ``max(rel_tol*|I|,
+    0.01*rel_tol*Int|f|)``, the target of :func:`adaptive_gk`.  Only rows
+    that miss it are refined: their panels whose error exceeds half their
+    even share of the target are bisected.  A row's reported error adds
+    ROUNDING_FLOOR times its Int|f| to that estimate.  A row that would need
+    more than DEFAULT_INTERVAL_BUDGET panels stops, and its NoConvergence is
+    kept in ``failures`` rather than raised, so that the caller decides
+    whether the row is needed.
+    """
+    if scale <= 0:
+        raise ValueError("scale must be positive")
+    if not 1e-14 < rel_tol < 1e-2:
+        raise ValueError("rel_tol must lie in (1e-14, 1e-2)")
+
+    def evaluate(rows, lo, hi):
+        h = 0.5 * (hi - lo)
+        t = (0.5 * (lo + hi))[:, None] + h[:, None] * _XGK
+        u = 1.0 - t
+        return _gk_panels(
+            f(rows[:, None], scale * t / u) * (scale / (u * u)), h)
+
+    edges = np.linspace(0.0, 1.0, ROW_PANELS + 1)
+    rows = np.repeat(np.arange(n_rows), ROW_PANELS)
+    lo = np.tile(edges[:-1], n_rows)
+    hi = np.tile(edges[1:], n_rows)
+    val, err, resabs = evaluate(rows, lo, hi)
+    budget = DEFAULT_INTERVAL_BUDGET
+    failures = {}
+    while True:
+        total = np.bincount(rows, val, n_rows)
+        total_err = np.bincount(rows, err, n_rows)
+        total_abs = np.bincount(rows, resabs, n_rows)
+        target = np.maximum(rel_tol * np.abs(total),
+                            0.01 * rel_tol * total_abs)
+        count = np.bincount(rows, minlength=n_rows)
+        refine = ~(total_err <= target)      # NaN errors refine too
+        refine[list(failures)] = False
+        if not refine.any():
+            return RowsResult(total, total_err + ROUNDING_FLOOR * total_abs,
+                              count, failures)
+        split = refine[rows] & (err > target[rows] / (2.0 * count[rows]))
+        room = budget - count
+        wanted = np.bincount(rows[split], minlength=n_rows)
+        for i in np.flatnonzero(refine & ((wanted == 0) | (wanted > room))):
+            mine = rows == i
+            if wanted[i] == 0 or room[i] <= 0:
+                why = (f"quadrature budget of {budget} panels exhausted"
+                       if wanted[i] else "non-finite integrand")
+                failures[i] = NoConvergence(
+                    f"{why}: {count[i]} panels, error {total_err[i]:.3e} "
+                    f"against target {target[i]:.3e}")
+                split &= ~mine
+            else:   # bisect only the largest errors that still fit
+                split &= ~mine | (err >= np.sort(err[split & mine])[-room[i]])
+        if not split.any():
+            continue
+        sr, sa, sb = rows[split], lo[split], hi[split]
+        mid = 0.5 * (sa + sb)
+        nval, nerr, nabs = evaluate(np.concatenate([sr, sr]),
+                                    np.concatenate([sa, mid]),
+                                    np.concatenate([mid, sb]))
+        keep = ~split
+        rows = np.concatenate([rows[keep], sr, sr])
+        lo = np.concatenate([lo[keep], sa, mid])
+        hi = np.concatenate([hi[keep], mid, sb])
+        val = np.concatenate([val[keep], nval])
+        err = np.concatenate([err[keep], nerr])
+        resabs = np.concatenate([resabs[keep], nabs])
+
+
+def matsubara_ceiling(d, T):
+    """Index ceiling of :func:`matsubara_sum`, max(50, ceil(10*nu)).
+
+    nu = c/(2 d xi_1) with xi_1 = 2 pi k_B T / hbar; terms fall like
+    exp(-n/nu).
+    """
+    xi1 = 2.0 * math.pi * K_B * T / HBAR
+    return max(50, math.ceil(10.0 * C / (2.0 * d * xi1)))
+
+
 def matsubara_sum(term, d, T, rel_tol):
     """Sum term(n) over Matsubara indices with half-weighted n = 0.
 
     Accumulates until three consecutive terms fall below
     ``rel_tol * |partial sum|`` and the geometric tail bound is within
-    tolerance.  The index ceiling is ``max(50, ceil(10*c/(2*d*xi_1)))``
-    with xi_1 = 2 pi k_B T / hbar.
+    tolerance.  The index ceiling is :func:`matsubara_ceiling`.  At the
+    ceiling, NoConvergence reports the last |term|/|sum|, the decay ratio
+    of the last two terms and the tolerance the stopping rule did meet.
     """
     if d <= 0 or T <= 0:
         raise ValueError("d and T must be positive")
-    xi1 = 2.0 * math.pi * K_B * T / HBAR
-    ceiling = max(50, math.ceil(10.0 * C / (2.0 * d * xi1)))
+    ceiling = matsubara_ceiling(d, T)
     total = 0.5 * term(0)
     streak = 0
     prev = None
+    recent = []     # |term|/|sum| of the last three terms
     n = 0
     while n < ceiling:
         n += 1
         t = term(n)
         total += t
         streak = streak + 1 if abs(t) <= rel_tol * abs(total) else 0
-        if streak >= 3:
-            if prev and abs(t) < abs(prev):
-                ratio = abs(t) / abs(prev)
-                tail = abs(t) * ratio / (1.0 - ratio)
-            else:
-                tail = abs(t)
-            if tail <= rel_tol * abs(total):
-                return SumResult(total, n, tail)
+        recent = recent[-2:] + [abs(t) / abs(total) if total else math.inf]
+        if prev and abs(t) < abs(prev):
+            ratio = abs(t) / abs(prev)
+            tail = abs(t) * ratio / (1.0 - ratio)
+        else:
+            ratio = None
+            tail = abs(t)
+        if streak >= 3 and tail <= rel_tol * abs(total):
+            return SumResult(total, n, tail)
         prev = t
+    met = max(recent + [tail / abs(total) if total else math.inf])
+    decay = "no decay" if ratio is None else f"decay ratio {ratio:.4g}"
     raise NoConvergence(
-        f"Matsubara sum hit the index ceiling {ceiling} before the "
-        f"tail bound met rel_tol={rel_tol:g}")
+        f"Matsubara sum reached n = {n} of the index ceiling {ceiling} "
+        f"before the tail bound met rel_tol={rel_tol:g}: last |term|/|sum| "
+        f"{recent[-1]:.3e}, {decay}, tolerance met {met:.3e}")
 
 
 def fit_power_law(points):
@@ -241,10 +371,8 @@ def composite_gk(f, edges, rel_tol, abs_tol=0.0, max_panels=20000,
         h = 0.5 * (hi - lo)
         mid = 0.5 * (lo + hi)
         x = (mid[:, None] + h[:, None] * _XGK[None, :]).ravel()
-        y = np.asarray(f(x), dtype=float).reshape(lo.size, _XGK.size)
-        kron = h * (y @ _WGK)
-        gauss = h * (y[:, _IG] @ _WG)
-        return kron, np.abs(kron - gauss), h * (np.abs(y) @ _WGK)
+        return _gk_panels(
+            np.asarray(f(x), dtype=float).reshape(lo.size, _XGK.size), h)
 
     val, err, resabs = evaluate(a, b)
     nvals = a.size * _XGK.size

@@ -134,6 +134,14 @@ def test_pressure_malformed_material_exits_2():
     assert proc.returncode == 2
 
 
+def test_realfreq_lossless_material_exits_2():
+    proc = run_cli("pressure", "--mat1", "plasma:1.37e16",
+                   "--mat2", "insulator:3.0", "--d", "1e-6", "--T", "300",
+                   "--method", "realfreq")
+    assert proc.returncode == 2
+    assert "lossless" in proc.stderr
+
+
 # ---------------------------------------------------------------- sweep
 
 def test_sweep_two_points_two_rows_and_determinism():

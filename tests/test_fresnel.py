@@ -168,3 +168,12 @@ def test_imag_axis_coefficients_match_complex_path():
     assert full.r_te.real == pytest.approx(r_te, rel=1e-14)
     assert full.r_tm.real == pytest.approx(r_tm, rel=1e-14)
 
+
+
+def test_epsilon_array_on_imaginary_axis_is_real():
+    xi = np.geomspace(1e12, 1e17, 9)
+    for model in CATALOG:
+        got = F.epsilon(model, 1j * xi)
+        assert got.dtype == float
+        assert list(got) == [F.epsilon(model, 1j * x) for x in xi]
+    assert F.epsilon(M.ideal_metal(), 1j * xi) is None

@@ -2,9 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from casimir_bvl import fresnel, lifshitz as L, materials as M
+from casimir_bvl import fresnel, lifshitz as L, materials as M, quadrature as Q
 from casimir_bvl.constants import C, HBAR, K_B
 
 ZETA3 = 1.2020569031595943
@@ -68,6 +69,18 @@ def test_ideal_metal_against_independent_series():
                                              rel=1e-7)
 
 
+@pytest.mark.parametrize("d, T", [
+    # without the n = 0 integrals' error estimates the estimate misses the
+    # series at 9.16 um, 300 K; without them and the rounding floors it
+    # missed by 7.9 times at 3.72 um, 77 K
+    (1e-6, 300.0), (9.16e-6, 300.0), (3.7222701713006957e-06, 77.0)])
+def test_ideal_metal_series_within_error_estimate(d, T):
+    ideal = M.ideal_metal()
+    res = L.pressure_matsubara(L.CavityConfig(ideal, ideal, d, T))
+    assert abs(res.pressure - ideal_pressure_series(d, T)) \
+        <= res.error_estimate
+
+
 def test_n0_closed_form_ideal():
     ideal = M.ideal_metal()
     cfg = L.CavityConfig(ideal, ideal, 1e-6, 300.0)
@@ -129,6 +142,83 @@ def test_low_temperature_distance_scaling():
     assert vals[1] == pytest.approx(vals[2], rel=2e-2)
 
 
+def _drude_table():
+    src = M.drude(1.37e16, 5.32e13)
+    table = [(float(x), float(M.eval_epsilon(src, 1j * x).real))
+             for x in np.geomspace(1e12, 1e18, 200)]
+    return M.tabulated(table, M.Extrapolation.DRUDE_LIKE)
+
+
+def _scalar_row(cfg, n, pol):
+    """One Matsubara row from a scalar k_perp integral, as summed, Pa."""
+    xi = n * 2.0 * math.pi * K_B * cfg.T / HBAR
+    eps1, eps2 = (fresnel.epsilon(m, 1j * xi)
+                  for m in (cfg.material_1, cfg.material_2))
+
+    def f(k):
+        q = np.sqrt(k * k + (xi / C) ** 2)
+        r1 = fresnel.imag_axis_coefficients(eps1, xi, k)[pol]
+        r2 = fresnel.imag_axis_coefficients(eps2, xi, k)[pol]
+        y = r1 * r2 * np.exp(-2.0 * q * cfg.d)
+        return k * q * y / (1.0 - y)
+
+    res = Q.integrate_semi_infinite(f, 0.5 / cfg.d, L.KPERP_REL_TOL)
+    return -K_B * cfg.T / math.pi * res.value
+
+
+@pytest.mark.parametrize("pair", [
+    ("drude", "drude"), ("plasma", "plasma"), ("table", "table"),
+    ("ideal", "ideal"), ("insulator", "drude")])
+def test_batched_rows_match_scalar_integrals(pair):
+    models = {"drude": M.drude(1.37e16, 5.32e13), "plasma": M.plasma(1.37e16),
+              "table": _drude_table(), "ideal": M.ideal_metal(),
+              "insulator": M.insulator(3.0)}
+    cfg = L.CavityConfig(models[pair[0]], models[pair[1]], 1e-6, 300.0)
+    res = L.pressure_matsubara(cfg)
+    assert [n for n, _, _ in res.per_n] == list(range(res.n_max + 1))
+    for n, te, tm in res.per_n[1:]:
+        assert te == pytest.approx(_scalar_row(cfg, n, 0), rel=1e-8)
+        assert tm == pytest.approx(_scalar_row(cfg, n, 1), rel=1e-8)
+
+
+def _inject_failures(monkeypatch, cfg, fails):
+    """Make the k_perp rows of the indices n with fails(n) fail; returns
+    the list of indices the kernel computed."""
+    xi1 = 2.0 * math.pi * K_B * cfg.T / HBAR
+    seen = []
+    original = L._matsubara_rows
+
+    def rows(m1, m2, d, xi):
+        res = original(m1, m2, d, xi)
+        for i, n in enumerate(np.rint(xi / xi1).astype(int)):
+            seen.append(n)
+            if fails(n):
+                res.failures[i] = Q.NoConvergence("injected")
+        return res
+
+    monkeypatch.setattr(L, "_matsubara_rows", rows)
+    return seen
+
+
+def test_failed_row_beyond_n_max_does_not_fail_pressure(monkeypatch):
+    dr = M.drude(1.37e16, 5.32e13)
+    cfg = L.CavityConfig(dr, dr, 1e-6, 300.0)
+    want = L.pressure_matsubara(cfg)
+    seen = _inject_failures(monkeypatch, cfg, lambda n: n > want.n_max)
+    got = L.pressure_matsubara(cfg)
+    assert max(seen) > want.n_max          # rows past n_max were computed
+    assert (got.pressure, got.n_max, got.error_estimate) == \
+        (want.pressure, want.n_max, want.error_estimate)
+
+
+def test_failed_consumed_row_names_itself(monkeypatch):
+    dr = M.drude(1.37e16, 5.32e13)
+    cfg = L.CavityConfig(dr, dr, 1e-6, 300.0)
+    _inject_failures(monkeypatch, cfg, lambda n: n == 3)
+    with pytest.raises(Q.NoConvergence, match=r"\(n=3, TE\): injected"):
+        L.pressure_matsubara(cfg)
+
+
 # -------------------------------------------------------- real frequency
 
 def test_real_frequency_rejects_tabulated():
@@ -136,6 +226,17 @@ def test_real_frequency_rejects_tabulated():
     cfg = L.CavityConfig(tab, tab, 1e-6, 300.0)
     with pytest.raises(M.TabulatedOutOfRange):
         L.pressure_real_frequency(cfg)
+
+
+@pytest.mark.parametrize("model", [
+    M.plasma(1.37e16), M.ideal_metal(), M.insulator(3.0),
+    M.generalized_plasma(1.37e16, (M.Oscillator(2e31, 3e15, 1e14),)),
+    M.insulator(1.0, (M.Oscillator(2e31, 3e15, 1e14),))])
+def test_real_frequency_rejects_lossless_models_up_front(model):
+    dr = M.drude(1.37e16, 5.32e13)
+    for pair in ((model, model), (dr, model), (model, dr)):
+        with pytest.raises(M.MaterialError):
+            L.pressure_real_frequency(L.CavityConfig(*pair, 1e-6, 300.0))
 
 
 def test_real_frequency_vacuum_is_zero():

@@ -245,3 +245,33 @@ def test_load_table(tmp_path):
     empty.write_text("# nothing\n")
     with pytest.raises(M.EmptyTable):
         M.load_table(empty)
+
+
+def test_imaginary_axis_array_matches_scalar_evaluation():
+    xi = np.geomspace(1e10, 1e19, 41)
+    table = [(x, 1.0 + 1e32 / (x * (x + 5e13)))
+             for x in np.geomspace(1e12, 1e17, 30)]
+    osc = [M.Oscillator(2e31, 3e15, 1e14)]
+    models = [M.insulator(3.0), M.insulator(1.0, osc),
+              M.drude(1.37e16, 5.32e13), M.plasma(1.37e16),
+              M.generalized_plasma(1.37e16, osc),
+              M.tabulated(table, M.Extrapolation.DRUDE_LIKE),
+              M.tabulated(table, M.Extrapolation.PLASMA_LIKE),
+              M.tabulated(table, M.Extrapolation.FINITE)]
+    for model in models:
+        got = M.eval_epsilon(model, 1j * xi)
+        assert got.shape == xi.shape and got.dtype == complex
+        assert np.all(got.imag == 0.0)
+        want = [M.eval_epsilon(model, 1j * x) for x in xi]
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+def test_array_frequencies_must_lie_on_positive_imaginary_axis():
+    dr = M.drude(1.37e16, 5.32e13)
+    for w in (np.array([1e14, 1e15]), 1j * np.array([1e14, 0.0]),
+              1j * np.array([1e14, -1e15])):
+        with pytest.raises(ValueError):
+            M.eval_epsilon(dr, w)
+    table = M.tabulated([(1e14, 5.0), (1e15, 3.0)], M.Extrapolation.FINITE)
+    with pytest.raises(ValueError):
+        M.eval_epsilon_tabulated(table, np.array([1e14, 0.0]))

@@ -199,3 +199,93 @@ def test_composite_gk_budget():
     f = lambda x: w / ((x - x0) ** 2 + w**2)
     with pytest.raises(Q.NoConvergence):
         Q.composite_gk(f, np.linspace(0.0, 1.0, 3), 1e-12, max_panels=6)
+
+
+# ------------------------------------------------------------ rows kernel
+
+def _gamma_rows(p, a):
+    """Rows k^p[r] exp(-a[r] k) with exact integrals p! / a^(p+1)."""
+    p, a = np.asarray(p), np.asarray(a, dtype=float)
+
+    def f(rows, k):
+        return k ** p[rows] * np.exp(-a[rows] * k)
+
+    exact = [math.factorial(int(pi)) / ai ** (pi + 1) for pi, ai in zip(p, a)]
+    return f, exact
+
+
+def test_integrate_rows_meets_each_row_target():
+    f, exact = _gamma_rows([0, 1, 2, 5], [1.0, 3.0, 0.2, 7.0])
+    res = Q.integrate_rows(f, 4, 1.0, 1e-10)
+    assert not res.failures
+    for i, want in enumerate(exact):
+        value, err = res.row(i)
+        assert value == pytest.approx(want, rel=1e-10)
+        # positive rows: Int|f| is the value, so the rounding floor shows
+        assert Q.ROUNDING_FLOOR * value <= err <= 1e-10 * value
+
+
+def test_integrate_rows_refines_only_failing_rows():
+    # row 0 is 1 on the mapped variable, exact on the initial panels; row 1
+    # decays smoothly; row 2 is a narrow peak at k = 30
+    w = 1e-3
+
+    def smooth(rows, k):
+        return np.exp(-k)
+
+    def f(rows, k):
+        peak = w / ((k - 30.0) ** 2 + w * w)
+        return np.where(rows == 0, 1.0 / (1.0 + k) ** 2,
+                        np.where(rows == 1, smooth(rows, k), peak))
+
+    res = Q.integrate_rows(f, 3, 1.0, 1e-8)
+    alone = Q.integrate_rows(smooth, 1, 1.0, 1e-8)
+    assert res.panels[0] == Q.ROW_PANELS
+    assert res.row(0)[0] == pytest.approx(1.0, rel=1e-14)
+    assert res.panels[1] == alone.panels[0] < 2 * Q.ROW_PANELS
+    assert res.row(1)[0] == pytest.approx(alone.row(0)[0], rel=1e-15)
+    assert res.panels[2] > 30
+    assert res.row(2)[0] == pytest.approx(
+        math.pi / 2.0 + math.atan(30.0 / w), rel=1e-8)
+
+
+def test_integrate_rows_budget_fails_only_its_row():
+    w = 1e-9
+
+    def f(rows, k):
+        return np.where(rows == 1, w / ((k - 1.0 / 3.0) ** 2 + w * w),
+                        np.exp(-k))
+
+    res = Q.integrate_rows(f, 2, 1.0, 1e-12)
+    budget = Q.DEFAULT_INTERVAL_BUDGET
+    assert list(res.failures) == [1]
+    assert res.row(0)[0] == pytest.approx(1.0, rel=1e-12)
+    with pytest.raises(Q.NoConvergence, match=f"exhausted: {budget} panels"):
+        res.row(1)
+    assert res.panels[1] == budget
+
+
+def test_integrate_rows_non_finite_row_fails():
+    res = Q.integrate_rows(
+        lambda rows, k: np.where(rows == 0, np.nan, np.exp(-k)), 2, 1.0, 1e-8)
+    assert list(res.failures) == [0]
+    with pytest.raises(Q.NoConvergence, match="non-finite"):
+        res.row(0)
+    assert res.row(1)[0] == pytest.approx(1.0, rel=1e-8)
+
+
+def test_integrate_rows_validation():
+    with pytest.raises(ValueError):
+        Q.integrate_rows(lambda rows, k: k, 1, -1.0, 1e-8)
+    with pytest.raises(ValueError):
+        Q.integrate_rows(lambda rows, k: k, 1, 1.0, 0.5)
+
+
+def test_matsubara_sum_ceiling_message_reports_progress():
+    ceiling = Q.matsubara_ceiling(1e-4, 300.0)
+    with pytest.raises(Q.NoConvergence) as info:
+        Q.matsubara_sum(lambda n: 0.99 ** n, 1e-4, 300.0, 1e-10)
+    msg = str(info.value)
+    assert f"n = {ceiling} of the index ceiling {ceiling}" in msg
+    assert "decay ratio 0.99" in msg
+    assert "last |term|/|sum|" in msg and "tolerance met" in msg
