@@ -148,7 +148,7 @@ def _compute_pressure(config):
     m2 = parse_material(config.materials[1])
     cavity = lifshitz.CavityConfig(
         m1, m2, config.d, config.T,
-        rel_tol=config.rel_tol if config.rel_tol else 1e-9)
+        rel_tol=1e-9 if config.rel_tol is None else config.rel_tol)
     if config.method == "realfreq":
         return lifshitz.pressure_real_frequency(cavity)
     return lifshitz.pressure_matsubara(cavity)

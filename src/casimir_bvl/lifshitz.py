@@ -50,6 +50,9 @@ class CavityConfig:
             raise ValueError("gap width outside sanity bounds [1e-9, 1e-3] m")
         if not 0.0 < self.T <= 1e4:
             raise ValueError("temperature outside sanity bounds (0, 1e4] K")
+        if not 0.0 < self.rel_tol < 1.0:    # also rejects nan
+            raise ValueError(f"rel_tol must be a finite number in (0, 1), "
+                             f"got {self.rel_tol!r}")
 
 
 @dataclass
@@ -181,7 +184,7 @@ def pressure_matsubara(config):
     # terms fall like exp(-n/nu); about nu*ln(1/rel_tol) + 3 are summed
     nu = C / (2.0 * d * xi1)
     step = min(ROWS_PER_PASS // 2,
-               math.ceil(nu * math.log(1.0 / config.rel_tol)) + 3)
+               math.ceil(-nu * math.log(config.rel_tol)) + 3)
     chunk = {}
     breakdown = {}
     quad_err = [0.0]
@@ -294,11 +297,12 @@ def pressure_real_frequency(config, rel_tol=REALFREQ_REL_TOL,
                         1.5 * max(m1.omega_p, m2.omega_p))
     omega_total = 2.0 * omega_cap
 
-    def inner(omega, region):
+    def inner(omega, propagating):
+        """k_perp integral at omega: evanescent, plus propagating if asked."""
         eps1, eps2 = fresnel.epsilon(m1, omega), fresnel.epsilon(m2, omega)
         kc = omega / C
         total = 0.0
-        if region in ("both", "propagating"):
+        if propagating:
             # k_perp dk_perp = -k_z dk_z absorbs the grazing-incidence
             # blow-up at k_perp -> omega/c and makes the round-trip phase
             # uniform in the integration variable
@@ -307,17 +311,16 @@ def pressure_real_frequency(config, rel_tol=REALFREQ_REL_TOL,
                 lambda kz: kz * _im_round_trip(eps1, eps2, omega, d, kz),
                 np.linspace(0.0, kc, n_seed + 1), _INNER_REL_TOL)
             total += res.value
-        if region in ("both", "evanescent"):
-            def evanescent(u):
-                k = kc + u
-                kz = fresnel.branch_sqrt(kc * kc - k * k)
-                return k * _im_round_trip(eps1, eps2, omega, d, kz)
-            res = quadrature.integrate_semi_infinite(
-                evanescent, 0.5 / d, _INNER_REL_TOL)
-            total += res.value
-        return total
 
-    def g(region):
+        def evanescent(u):
+            k = kc + u
+            kz = fresnel.branch_sqrt(kc * kc - k * k)
+            return k * _im_round_trip(eps1, eps2, omega, d, kz)
+        res = quadrature.integrate_semi_infinite(
+            evanescent, 0.5 / d, _INNER_REL_TOL)
+        return total + res.value
+
+    def g(propagating):
         def fn(w):
             if w <= omega_cap:
                 taper = 1.0
@@ -326,18 +329,16 @@ def pressure_real_frequency(config, rel_tol=REALFREQ_REL_TOL,
                     math.pi * (w - omega_cap) / (omega_total - omega_cap)))
                 if taper == 0.0:
                     return 0.0
-            return taper * _energy_per_omega(w, T) * inner(w, region)
+            return taper * _energy_per_omega(w, T) * inner(w, propagating)
         return fn
 
     # one seed panel per half oscillation of the cavity round-trip phase
     n_seed = max(16, math.ceil(omega_total * 2.0 * d / (math.pi * C) * 2))
     omega_rel = min(_OMEGA_REL_TOL, rel_tol)
     res_total = quadrature.integrate_real_frequency(
-        g("both"), omega_total, omega_rel,
-        seed_panels=n_seed, floor_frac=1e-4)
+        g(True), omega_total, omega_rel, seed_panels=n_seed)
     res_evan = quadrature.integrate_real_frequency(
-        g("evanescent"), omega_total, omega_rel,
-        seed_panels=n_seed, floor_frac=1e-4)
+        g(False), omega_total, omega_rel, seed_panels=n_seed)
     pref = -1.0 / math.pi ** 2
     total = pref * res_total.value
     evan = pref * res_evan.value

@@ -1,11 +1,13 @@
 """Shared numerical machinery: adaptive quadrature, Matsubara summation,
 power-law fitting.
 
-The adaptive engine is a Gauss-Kronrod 7/15 rule with interval bisection.
+Every integral uses the Gauss-Kronrod 7/15 rule with interval bisection.
 All Kronrod nodes are interior, so integrand endpoints are never evaluated.
 Integrand callables must be vectorized (ndarray in, ndarray out).
-:func:`integrate_rows` runs the same rule on many semi-infinite integrals
-at once, each held to its own target.
+:func:`adaptive_gk` bisects one interval at a time from a heap;
+:func:`integrate_rows` and :func:`composite_gk` share one batched loop
+that refines a flat panel list of many integrals, each held to its own
+target.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ class SumResult:
 
 @dataclass
 class RowsResult:
-    """Per-row outcome of :func:`integrate_rows`."""
+    """Per-row outcome of :func:`integrate_rows` and :func:`_refine`."""
 
     values: np.ndarray
     errors: np.ndarray
@@ -102,57 +104,59 @@ ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
 #: Equal panels each row of :func:`integrate_rows` starts from; fewer cost
 #: more refinement rounds, each a fixed overhead for all rows.
 ROW_PANELS = 16
+#: Most panels of one :func:`composite_gk` integral.
+COMPOSITE_PANEL_BUDGET = 20000
+#: Weight of the integral of |g| in the tolerance floor of
+#: :func:`integrate_real_frequency` and of its negligible-strip test.  The
+#: frequency integrand cancels over many oscillations, so the floor sits
+#: far below the 0.01 of the other integrals.
+FREQUENCY_FLOOR_FRAC = 1e-4
 
 
 def _gk_panels(y, h):
     """(Kronrod value, |Kronrod - Gauss|, Kronrod of |y|) of each panel.
 
-    y holds the integrand at the 15 nodes of each panel, shape (m, 15);
-    h holds the panels' half-widths.
+    y holds the integrand at the 15 nodes of each panel, shape (m, 15), or
+    of one panel, shape (15,); h holds the panels' half-widths.
     """
     kron = h * (y @ _WGK)
-    gauss = h * (y[:, _IG] @ _WG)
-    return kron, np.abs(kron - gauss), h * (np.abs(y) @ _WGK)
+    gauss = h * ((y[:, _IG] if y.ndim == 2 else y[_IG]) @ _WG)
+    return kron, abs(kron - gauss), h * (abs(y) @ _WGK)
 
 
-def _panel(f, a, b):
-    h = 0.5 * (b - a)
-    x = 0.5 * (a + b) + h * _XGK
-    y = np.asarray(f(x), dtype=float)
-    k = h * float(_WGK @ y)
-    g = h * float(_WG @ y[_IG])
-    resabs = h * float(_WGK @ np.abs(y))
-    return k, abs(k - g), resabs
-
-
-def adaptive_gk(f, a, b, rel_tol, abs_tol=0.0,
-                max_intervals=DEFAULT_INTERVAL_BUDGET):
+def adaptive_gk(f, a, b, rel_tol):
     """Adaptive Gauss-Kronrod integration of a vectorized f over [a, b].
 
     Bisects the interval with the largest local error estimate until the
-    accumulated estimate meets ``max(rel_tol*|I|, abs_tol)`` plus a small
-    floor proportional to the integral of |f| (guards against demanding
-    impossible relative accuracy on strongly cancelling integrands).
+    accumulated estimate meets ``rel_tol*|I|`` or a small floor
+    proportional to the integral of |f| (guards against demanding
+    impossible relative accuracy on strongly cancelling integrands).  At
+    most DEFAULT_INTERVAL_BUDGET intervals are used.  Returns (value,
+    error_estimate, evaluations).
     """
+    def panel(lo, hi):
+        h = 0.5 * (hi - lo)
+        y = np.asarray(f(0.5 * (lo + hi) + h * _XGK), dtype=float)
+        return map(float, _gk_panels(y, h))
+
     counter = itertools.count()
-    val, err, resabs = _panel(f, a, b)
+    val, err, resabs = panel(a, b)
     heap = [(-err, next(counter), a, b, val, err, resabs)]
     total_val, total_err, total_abs = val, err, resabs
     nvals = 15
     n_intervals = 1
     while True:
-        target = max(rel_tol * abs(total_val), abs_tol,
-                     0.01 * rel_tol * total_abs)
+        target = max(rel_tol * abs(total_val), 0.01 * rel_tol * total_abs)
         if total_err <= target:
             return total_val, total_err, nvals
-        if n_intervals >= max_intervals:
+        if n_intervals >= DEFAULT_INTERVAL_BUDGET:
             raise NoConvergence(
-                f"quadrature budget of {max_intervals} intervals exhausted "
-                f"(error {total_err:.3e}, target {target:.3e})")
+                f"quadrature budget of {DEFAULT_INTERVAL_BUDGET} intervals "
+                f"exhausted (error {total_err:.3e}, target {target:.3e})")
         _, _, pa, pb, pval, perr, pabs = heapq.heappop(heap)
         mid = 0.5 * (pa + pb)
-        lval, lerr, labs = _panel(f, pa, mid)
-        rval, rerr, rabs = _panel(f, mid, pb)
+        lval, lerr, labs = panel(pa, mid)
+        rval, rerr, rabs = panel(mid, pb)
         nvals += 30
         n_intervals += 1
         total_val += lval + rval - pval
@@ -162,8 +166,15 @@ def adaptive_gk(f, a, b, rel_tol, abs_tol=0.0,
         heapq.heappush(heap, (-rerr, next(counter), mid, pb, rval, rerr, rabs))
 
 
-def integrate_semi_infinite(f, scale, rel_tol, abs_tol=0.0,
-                            max_intervals=DEFAULT_INTERVAL_BUDGET):
+def _check_mapping(scale, rel_tol):
+    """Validate the arguments of the semi-infinite integrals."""
+    if scale <= 0:
+        raise ValueError("scale must be positive")
+    if not 1e-14 < rel_tol < 1e-2:
+        raise ValueError("rel_tol must lie in (1e-14, 1e-2)")
+
+
+def integrate_semi_infinite(f, scale, rel_tol):
     """Integrate f over [0, inf) via the substitution k = scale*t/(1-t).
 
     Parameters
@@ -175,63 +186,43 @@ def integrate_semi_infinite(f, scale, rel_tol, abs_tol=0.0,
     rel_tol : float
         Relative tolerance, within (1e-14, 1e-2).
     """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    if not 1e-14 < rel_tol < 1e-2:
-        raise ValueError("rel_tol must lie in (1e-14, 1e-2)")
+    _check_mapping(scale, rel_tol)
 
     def g(t):
         u = 1.0 - t
         k = scale * t / u
         return f(k) * scale / (u * u)
 
-    val, err, nvals = adaptive_gk(g, 0.0, 1.0, rel_tol, abs_tol, max_intervals)
-    return IntegralResult(val, err, nvals)
+    return IntegralResult(*adaptive_gk(g, 0.0, 1.0, rel_tol))
 
 
-def integrate_rows(f, n_rows, scale, rel_tol):
-    """Integrate n_rows integrands over [0, inf) at once, each to its target.
+def _refine(sample, n_rows, rows, lo, hi, rel_tol, floor_frac, budget):
+    """Bisect the flat panel list (rows, lo, hi) until every row is done.
 
-    Each row is mapped as in :func:`integrate_semi_infinite`, onto t in
-    [0, 1] with k = scale*t/(1-t), and starts from ROW_PANELS equal GK 7/15
-    panels.  The panels of all rows live in one flat list; every
-    round evaluates the 15 nodes of every new panel in a single call
-    ``f(rows, k)``, where ``rows`` (shape (m, 1)) names each panel's row
-    and k has shape (m, 15).  A row meets its target when its summed
-    Kronrod-minus-Gauss error is within ``max(rel_tol*|I|,
-    0.01*rel_tol*Int|f|)``, the target of :func:`adaptive_gk`.  Only rows
-    that miss it are refined: their panels whose error exceeds half their
-    even share of the target are bisected.  A row's reported error adds
-    ROUNDING_FLOOR times its Int|f| to that estimate.  A row that would need
-    more than DEFAULT_INTERVAL_BUDGET panels stops, and its NoConvergence is
-    kept in ``failures`` rather than raised, so that the caller decides
-    whether the row is needed.
+    ``sample(rows, x)`` returns the integrand at the GK 7/15 nodes x
+    (shape (m, 15)) of panels belonging to ``rows`` (shape (m, 1)); every
+    round calls it once, on all new panels.  A row meets its target when
+    its summed Kronrod-minus-Gauss error is within ``max(rel_tol*|I|,
+    floor_frac*rel_tol*Int|f|)``.  Only rows that miss it are refined:
+    their panels whose error exceeds half their even share of the target
+    are bisected.  A row's reported error adds ROUNDING_FLOOR times its
+    Int|f| to that estimate.  A row that would need more than ``budget``
+    panels, or whose error is not finite, stops; its NoConvergence is kept
+    in the result's ``failures``.
     """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    if not 1e-14 < rel_tol < 1e-2:
-        raise ValueError("rel_tol must lie in (1e-14, 1e-2)")
-
     def evaluate(rows, lo, hi):
         h = 0.5 * (hi - lo)
-        t = (0.5 * (lo + hi))[:, None] + h[:, None] * _XGK
-        u = 1.0 - t
-        return _gk_panels(
-            f(rows[:, None], scale * t / u) * (scale / (u * u)), h)
+        x = (0.5 * (lo + hi))[:, None] + h[:, None] * _XGK
+        return _gk_panels(sample(rows[:, None], x), h)
 
-    edges = np.linspace(0.0, 1.0, ROW_PANELS + 1)
-    rows = np.repeat(np.arange(n_rows), ROW_PANELS)
-    lo = np.tile(edges[:-1], n_rows)
-    hi = np.tile(edges[1:], n_rows)
     val, err, resabs = evaluate(rows, lo, hi)
-    budget = DEFAULT_INTERVAL_BUDGET
     failures = {}
     while True:
         total = np.bincount(rows, val, n_rows)
         total_err = np.bincount(rows, err, n_rows)
         total_abs = np.bincount(rows, resabs, n_rows)
         target = np.maximum(rel_tol * np.abs(total),
-                            0.01 * rel_tol * total_abs)
+                            floor_frac * rel_tol * total_abs)
         count = np.bincount(rows, minlength=n_rows)
         refine = ~(total_err <= target)      # NaN errors refine too
         refine[list(failures)] = False
@@ -250,8 +241,9 @@ def integrate_rows(f, n_rows, scale, rel_tol):
                     f"{why}: {count[i]} panels, error {total_err[i]:.3e} "
                     f"against target {target[i]:.3e}")
                 split &= ~mine
-            else:   # bisect only the largest errors that still fit
-                split &= ~mine | (err >= np.sort(err[split & mine])[-room[i]])
+            else:   # bisect only the room[i] largest errors, ties or not
+                cand = np.flatnonzero(split & mine)
+                split[cand[np.argsort(err[cand])[:-room[i]]]] = False
         if not split.any():
             continue
         sr, sa, sb = rows[split], lo[split], hi[split]
@@ -266,6 +258,71 @@ def integrate_rows(f, n_rows, scale, rel_tol):
         val = np.concatenate([val[keep], nval])
         err = np.concatenate([err[keep], nerr])
         resabs = np.concatenate([resabs[keep], nabs])
+
+
+def integrate_rows(f, n_rows, scale, rel_tol):
+    """Integrate n_rows integrands over [0, inf) at once, each to its target.
+
+    Each row is mapped as in :func:`integrate_semi_infinite`, onto t in
+    [0, 1] with k = scale*t/(1-t), and starts from ROW_PANELS equal GK 7/15
+    panels.  The panels of all rows are refined together by
+    :func:`_refine`, which calls ``f(rows, k)`` once per round, where
+    ``rows`` (shape (m, 1)) names each panel's row and k has shape (m, 15).
+    Each row is held to the target of :func:`adaptive_gk` on its own
+    Kronrod-minus-Gauss estimate, within DEFAULT_INTERVAL_BUDGET panels.
+    A row that fails keeps its NoConvergence in ``failures`` rather than
+    raising it, so that the caller decides whether the row is needed.
+    """
+    _check_mapping(scale, rel_tol)
+
+    def sample(rows, t):
+        u = 1.0 - t
+        return f(rows, scale * t / u) * (scale / (u * u))
+
+    edges = np.linspace(0.0, 1.0, ROW_PANELS + 1)
+    return _refine(sample, n_rows, np.repeat(np.arange(n_rows), ROW_PANELS),
+                   np.tile(edges[:-1], n_rows), np.tile(edges[1:], n_rows),
+                   rel_tol, 0.01, DEFAULT_INTERVAL_BUDGET)
+
+
+def composite_gk(f, edges, rel_tol, floor_frac=0.01):
+    """Composite Gauss-Kronrod integration over a seeded panel list.
+
+    The panels are refined by :func:`_refine` as one row: a single
+    vectorized call per refinement round, and every panel whose local
+    error exceeds half its fair share of the target is bisected.  Seeding
+    the panels on the natural oscillation scale of the integrand makes
+    this efficient for strongly oscillatory integrands where a
+    single-root bisection tree would be wasteful.  At most
+    COMPOSITE_PANEL_BUDGET panels are used; a non-finite integrand or an
+    exhausted budget raises NoConvergence.
+
+    Parameters
+    ----------
+    f : callable
+        Vectorized integrand (ndarray in, ndarray out).
+    edges : array_like
+        Strictly increasing panel edges; the integral runs over
+        [edges[0], edges[-1]].
+    rel_tol : float
+        Relative tolerance.
+    floor_frac : float
+        Weight of the integral-of-|f| term in the tolerance floor.
+    """
+    a = np.asarray(edges[:-1], dtype=float)
+    b = np.asarray(edges[1:], dtype=float)
+    if a.size < 1 or np.any(b <= a):
+        raise ValueError("edges must be strictly increasing with >= 2 entries")
+
+    def sample(rows, x):
+        return np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+
+    res = _refine(sample, 1, np.zeros(a.size, dtype=int), a, b, rel_tol,
+                  floor_frac, COMPOSITE_PANEL_BUDGET)
+    value, error = res.row(0)
+    # every bisection adds one panel and evaluates two
+    return IntegralResult(value, error,
+                          _XGK.size * (2 * int(res.panels[0]) - a.size))
 
 
 def matsubara_ceiling(d, T):
@@ -340,72 +397,7 @@ def fit_power_law(points):
     return float(slope), r2
 
 
-def composite_gk(f, edges, rel_tol, abs_tol=0.0, max_panels=20000,
-                 floor_frac=0.01):
-    """Composite Gauss-Kronrod integration over a seeded panel list.
-
-    All panels are evaluated with a single vectorized call per refinement
-    round; every panel whose local error exceeds its fair share of the
-    target is bisected.  Seeding the panels on the natural oscillation
-    scale of the integrand makes this efficient for strongly oscillatory
-    integrands where a single-root bisection tree would be wasteful.
-
-    Parameters
-    ----------
-    f : callable
-        Vectorized integrand (ndarray in, ndarray out).
-    edges : array_like
-        Strictly increasing panel edges; the integral runs over
-        [edges[0], edges[-1]].
-    rel_tol, abs_tol : float
-        Tolerance targets, combined as in :func:`adaptive_gk`.
-    floor_frac : float
-        Weight of the integral-of-|f| term in the tolerance floor.
-    """
-    a = np.asarray(edges[:-1], dtype=float)
-    b = np.asarray(edges[1:], dtype=float)
-    if a.size < 1 or np.any(b <= a):
-        raise ValueError("edges must be strictly increasing with >= 2 entries")
-
-    def evaluate(lo, hi):
-        h = 0.5 * (hi - lo)
-        mid = 0.5 * (lo + hi)
-        x = (mid[:, None] + h[:, None] * _XGK[None, :]).ravel()
-        return _gk_panels(
-            np.asarray(f(x), dtype=float).reshape(lo.size, _XGK.size), h)
-
-    val, err, resabs = evaluate(a, b)
-    nvals = a.size * _XGK.size
-    while True:
-        total_val, total_err = val.sum(), err.sum()
-        target = max(rel_tol * abs(total_val), abs_tol,
-                     floor_frac * rel_tol * resabs.sum())
-        if total_err <= target:
-            return IntegralResult(float(total_val), float(total_err), nvals)
-        room = max_panels - a.size
-        if room <= 0:
-            raise NoConvergence(
-                f"composite quadrature budget of {max_panels} panels "
-                f"exhausted (error {total_err:.3e}, target {target:.3e})")
-        split = err > target / (2.0 * a.size)
-        if not split.any():
-            split = err == err.max()
-        if split.sum() > room:
-            split = err >= np.sort(err[split])[-room]
-        sa, sb = a[split], b[split]
-        mid = 0.5 * (sa + sb)
-        nval, nerr, nabs = evaluate(np.concatenate([sa, mid]),
-                                    np.concatenate([mid, sb]))
-        nvals += 2 * sa.size * _XGK.size
-        a = np.concatenate([a[~split], sa, mid])
-        b = np.concatenate([b[~split], mid, sb])
-        val = np.concatenate([val[~split], nval])
-        err = np.concatenate([err[~split], nerr])
-        resabs = np.concatenate([resabs[~split], nabs])
-
-
-def integrate_real_frequency(g, omega_cap, rel_tol, seed_panels=16,
-                             max_panels=20000, floor_frac=0.01):
+def integrate_real_frequency(g, omega_cap, rel_tol, seed_panels=16):
     """Integrate a scalar g over [0, omega_cap] with plateau handling at 0.
 
     g must be bounded toward omega -> 0; the lower panel edge omega_min is
@@ -417,20 +409,21 @@ def integrate_real_frequency(g, omega_cap, rel_tol, seed_panels=16,
     g(omega_min)*omega_min.  The panel-wise integration over
     [omega_min, omega_cap] is seeded with ``seed_panels`` uniform panels
     (choose one per half-oscillation for oscillatory integrands) plus a
-    logarithmic ramp covering the small-omega decades.
+    logarithmic ramp covering the small-omega decades, and integrated by
+    :func:`composite_gk` with floor weight FREQUENCY_FLOOR_FRAC.
     """
     if omega_cap <= 0:
         raise ValueError("omega_cap must be positive")
     if seed_panels < 1:
         raise ValueError("seed_panels must be >= 1")
-    nvals = 0
 
+    def close(p, q):
+        return abs(p - q) <= rel_tol * 0.5 * (abs(p) + abs(q)) + 1e-300
+
+    nvals = 0
     w = omega_cap / 16.0
     floor = omega_cap * 1e-12
-    g_lo = g_hi = 0.0
     scale = None
-    plateau_err = 0.0
-    settled = False
     while w > floor:
         g_lo, g_hi, g_hi2 = g(w), g(2.0 * w), g(4.0 * w)
         nvals += 3
@@ -438,21 +431,15 @@ def integrate_real_frequency(g, omega_cap, rel_tol, seed_panels=16,
             # magnitude reference for the negligible-strip test, frozen at
             # the first probe so a divergent integrand cannot inflate it
             scale = max(abs(g_lo), abs(g_hi), abs(g_hi2))
-        close = (abs(g_lo - g_hi) <= rel_tol * 0.5 * (abs(g_lo) + abs(g_hi))
-                 + 1e-300)
-        close2 = (abs(g_hi - g_hi2) <= rel_tol * 0.5 * (abs(g_hi) + abs(g_hi2))
-                  + 1e-300)
-        if close and close2:
+        if close(g_lo, g_hi) and close(g_hi, g_hi2):
             plateau_err = abs(g_lo - g_hi) * w
-            settled = True
             break
         strip_bound = (abs(g_lo) + abs(g_hi)) * w
-        if strip_bound <= rel_tol * floor_frac * scale * omega_cap:
+        if strip_bound <= rel_tol * FREQUENCY_FLOOR_FRAC * scale * omega_cap:
             plateau_err = strip_bound
-            settled = True
             break
         w *= 0.5
-    if not settled:
+    else:
         raise NoPlateau("integrand does not settle toward omega = 0; "
                         "the model may be singular there")
 
@@ -466,8 +453,7 @@ def integrate_real_frequency(g, omega_cap, rel_tol, seed_panels=16,
                                 np.linspace(first, omega_cap, seed_panels + 1)])
     else:
         edges = np.linspace(w, omega_cap, seed_panels + 1)
-    res = composite_gk(gv, edges, rel_tol, max_panels=max_panels,
-                       floor_frac=floor_frac)
+    res = composite_gk(gv, edges, rel_tol, FREQUENCY_FLOOR_FRAC)
     plateau = g_lo * w
     return IntegralResult(res.value + plateau,
                           res.error_estimate + plateau_err,

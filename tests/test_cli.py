@@ -119,6 +119,14 @@ def test_pressure_unreachable_tolerance_is_numerical_failure():
     assert "NoConvergence" in proc.stderr
 
 
+@pytest.mark.parametrize("rel_tol", ["0", "-1", "2", "nan", "inf"])
+def test_pressure_rel_tol_outside_unit_interval_exits_2(rel_tol):
+    proc = run_cli("pressure", "--mat1", "ideal", "--mat2", "ideal",
+                   "--d", "1e-6", "--T", "1", f"--rel-tol={rel_tol}")
+    assert proc.returncode == 2
+    assert "rel_tol" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_pressure_csv_format():
     proc = run_cli("pressure", "--mat1", "ideal", "--mat2", "ideal",
                    "--d", "1e-6", "--T", "300", "--format", "csv")

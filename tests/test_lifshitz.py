@@ -51,6 +51,17 @@ def test_config_bounds():
         L.CavityConfig(ideal, ideal, 1e-6, 0.0)
     with pytest.raises(ValueError):
         L.CavityConfig(ideal, ideal, 1e-6, 2e4)
+    for rel_tol in (0.0, -1.0, 1.0, 2.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="rel_tol"):
+            L.CavityConfig(ideal, ideal, 1e-6, 300.0, rel_tol=rel_tol)
+
+
+def test_config_tiny_rel_tol_reaches_the_sum():
+    # the smallest positive float is a valid tolerance the sum cannot meet
+    ideal = M.ideal_metal()
+    cfg = L.CavityConfig(ideal, ideal, 1e-6, 300.0, rel_tol=5e-324)
+    with pytest.raises(Q.NoConvergence):
+        L.pressure_matsubara(cfg)
 
 
 # ------------------------------------------------------------- matsubara

@@ -22,11 +22,19 @@ def test_adaptive_gk_polynomial_is_exact():
     assert val == pytest.approx(64.0 / 6.0, rel=1e-14)
 
 
+def _reported_error(exc):
+    """The error estimate a NoConvergence message reports."""
+    return float(str(exc).split("error ")[1].split()[0].rstrip(","))
+
+
 def test_adaptive_gk_budget_exhaustion():
-    # near-singular integrand with an absurd tolerance and a tiny budget
-    with pytest.raises(Q.NoConvergence):
-        Q.adaptive_gk(lambda x: np.abs(x - 1.0 / 3.0) ** -0.9,
-                      0.0, 1.0, 1e-14, max_intervals=8)
+    # some 16000 oscillations need far more than the default budget of
+    # intervals; the integrand stays finite, and so does the error
+    budget = Q.DEFAULT_INTERVAL_BUDGET
+    with pytest.raises(Q.NoConvergence,
+                       match=f"budget of {budget} intervals exhausted") as info:
+        Q.adaptive_gk(lambda x: np.cos(1e5 * x), 0.0, 1.0, 1e-10)
+    assert math.isfinite(_reported_error(info.value))
 
 
 def test_semi_infinite_gamma_integral():
@@ -64,7 +72,7 @@ def test_linearity(a, b):
     fa = Q.integrate_semi_infinite(f, 1.0, 1e-10)
     gb = Q.integrate_semi_infinite(g, 0.5, 1e-10)
     combo = Q.integrate_semi_infinite(lambda x: a * f(x) + b * g(x),
-                                      1.0, 1e-10, abs_tol=1e-13)
+                                      1.0, 1e-10)
     budget = abs(a) * fa.error_estimate + abs(b) * gb.error_estimate \
         + combo.error_estimate + 1e-12
     assert abs(combo.value - (a * fa.value + b * gb.value)) <= budget
@@ -165,6 +173,14 @@ def test_integrate_real_frequency_no_plateau():
                                    1e3, 1e-6)
 
 
+def test_integrate_real_frequency_non_finite_integrand():
+    def g(w):
+        return math.nan if 0.4 < w < 0.5 else math.exp(-w)
+
+    with pytest.raises(Q.NoConvergence, match="non-finite"):
+        Q.integrate_real_frequency(g, 1.0, 1e-6)
+
+
 def test_integrate_real_frequency_validation():
     with pytest.raises(ValueError):
         Q.integrate_real_frequency(lambda w: 1.0, -1.0, 1e-6)
@@ -183,10 +199,23 @@ def test_composite_gk_oscillatory():
 def test_composite_gk_refines_narrow_feature():
     # Lorentzian spike far narrower than the seed panels
     w, x0 = 1e-5, 0.3141
-    f = lambda x: w / ((x - x0) ** 2 + w**2)
+    points = []
+
+    def f(x):
+        points.append(x.size)
+        return w / ((x - x0) ** 2 + w**2)
+
     res = Q.composite_gk(f, np.linspace(0.0, 1.0, 5), 1e-8)
     exact = math.atan((1.0 - x0) / w) + math.atan(x0 / w)
     assert res.value == pytest.approx(exact, rel=1e-7)
+    assert res.evaluations == sum(points) > 4 * 15
+
+
+def test_composite_gk_polynomial_is_exact():
+    # GK 7/15 integrates x^5 exactly: the seed panels are never bisected
+    res = Q.composite_gk(lambda x: x**5, np.linspace(0.0, 2.0, 5), 1e-12)
+    assert res.value == pytest.approx(64.0 / 6.0, rel=1e-14)
+    assert res.evaluations == 4 * 15
 
 
 def test_composite_gk_bad_edges():
@@ -195,10 +224,21 @@ def test_composite_gk_bad_edges():
 
 
 def test_composite_gk_budget():
-    w, x0 = 1e-9, 1.0 / 3.0
-    f = lambda x: w / ((x - x0) ** 2 + w**2)
-    with pytest.raises(Q.NoConvergence):
-        Q.composite_gk(f, np.linspace(0.0, 1.0, 3), 1e-12, max_panels=6)
+    # near-singular integrand with an absurd tolerance: the panel budget
+    # runs out, exactly, before the error can meet the target
+    budget = Q.COMPOSITE_PANEL_BUDGET
+    with pytest.raises(Q.NoConvergence,
+                       match=f"budget of {budget} panels exhausted: "
+                             f"{budget} panels") as info:
+        Q.composite_gk(lambda x: np.abs(x - 1.0 / 3.0) ** -0.9,
+                       np.linspace(0.0, 1.0, 3), 1e-14)
+    assert math.isfinite(_reported_error(info.value))
+
+
+def test_composite_gk_non_finite_integrand():
+    f = lambda x: np.where(x < 0.3, np.nan, np.exp(-x))
+    with pytest.raises(Q.NoConvergence, match="non-finite"):
+        Q.composite_gk(f, np.linspace(0.0, 1.0, 5), 1e-8)
 
 
 # ------------------------------------------------------------ rows kernel
