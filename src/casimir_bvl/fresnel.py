@@ -68,16 +68,27 @@ def epsilon(model, omega):
     return eps
 
 
-def coefficients(eps, k_z, s):
+def _quotient(a_kz, s):
+    """(a k_z - s)/(a k_z + s) from a*k_z: r_te at a = 1, r_tm at a = eps."""
+    return (a_kz - s) / (a_kz + s)
+
+
+def coefficients(eps, k_z, s, tm=None):
     """(r_te, r_tm) from the vacuum and medium normal wavevectors k_z and s.
 
     eps None is the ideal metal, (-1, 1) at every frequency.  On the
     imaginary axis k_z = i*q and s = i*kappa may be passed as q and kappa,
-    since the common factor i cancels.  Arrays broadcast.
+    since the common factor i cancels.  Arrays broadcast.  Given a boolean
+    array ``tm``, returns one coefficient per point instead, r_tm where tm
+    holds and r_te elsewhere; on real arrays each equals its value in the
+    pair bit for bit.
     """
     if eps is None:
-        return -1.0, 1.0
-    return (k_z - s) / (k_z + s), (eps * k_z - s) / (eps * k_z + s)
+        r_te, r_tm = -1.0, 1.0
+        return (r_te, r_tm) if tm is None else np.where(tm, r_tm, r_te)
+    if tm is not None:
+        return _quotient(np.where(tm, eps, 1.0) * k_z, s)
+    return _quotient(k_z, s), _quotient(eps * k_z, s)
 
 
 def scalar_coefficient(eps):
@@ -87,17 +98,21 @@ def scalar_coefficient(eps):
     return (eps - 1.0) / (eps + 1.0)
 
 
-def imag_axis_coefficients(eps, xi, k_perp):
+def imag_axis_coefficients(eps, xi, k_perp, tm=None, q=None):
     """TE/TM coefficients at omega = i*xi for a real eps(i xi) or eps None.
 
     Pure real arithmetic: the kernel gets q and kappa for the normal
-    wavevectors i*q and i*kappa.  k_perp may be an ndarray.
+    wavevectors i*q and i*kappa.  k_perp may be an ndarray.  With a boolean
+    ``tm`` the kernel returns one coefficient per point (see
+    :func:`coefficients`).  A caller that already holds
+    q = sqrt(k_perp^2 + (xi/c)^2) may pass it in.
     """
     if eps is None:  # the ideal metal needs no wavevectors
-        return coefficients(None, None, None)
-    q = np.sqrt(k_perp * k_perp + (xi / C) ** 2)
+        return coefficients(None, None, None, tm)
+    if q is None:
+        q = np.sqrt(k_perp * k_perp + (xi / C) ** 2)
     kappa = np.sqrt(k_perp * k_perp + eps * (xi / C) ** 2)
-    return coefficients(eps, q, kappa)
+    return coefficients(eps, q, kappa, tm)
 
 
 def reflection(model, omega, k_perp):

@@ -21,8 +21,16 @@ from .materials import (Kind, MaterialError, TabulatedOutOfRange,
 #: Default relative tolerance of the transverse-wavenumber integrals.
 KPERP_REL_TOL = 1e-8
 #: Most (n, polarization) rows of the Matsubara kernel per array pass.  It
-#: bounds the arrays of a pass and the rows computed past the last summed n.
-ROWS_PER_PASS = 16
+#: bounds the arrays of a pass and, on sums longer than a pass, the rows
+#: computed past the last summed n.  Each pass costs a few refinement rounds
+#: of fixed overhead, and with quadrature.ROW_PANELS = 8 it takes more rounds
+#: than with 16, so large passes pay: on the benchmark's Matsubara grid (two
+#: seeds, 2-vCPU x86-64) 64 rows ran 1.29x as fast as 16 and 128 rows 1.15x.
+ROWS_PER_PASS = 64
+#: Indices a chunk adds to the predicted count ceil(nu*ln(1/rel_tol)) + 3.
+#: On the benchmark's 300 K and 77 K pressures n_max lies 1 below to 4 above
+#: the prediction, so one pass computes them all.
+CHUNK_MARGIN = 4
 #: Default relative tolerance of the real-frequency diagnostic route.
 REALFREQ_REL_TOL = 5e-2
 #: Default frequency cap of the real-frequency route, in units of c/(2 d).
@@ -141,28 +149,30 @@ def _matsubara_rows(m1, m2, d, xi):
 
     Row i < len(xi) is TE at xi[i], row len(xi) + i is TM there.  Each row
     integrates k * q * [exp(2 q d)/(r1 r2) - 1]^(-1), q = sqrt(k^2 + xi^2/c^2),
-    to KPERP_REL_TOL; eps comes from one array call per material.
+    to KPERP_REL_TOL; eps comes from one array call per material, and each
+    point gets q once and one coefficient per material.
     """
     eps1 = fresnel.epsilon(m1, 1j * xi)
     eps2 = eps1 if m2 == m1 else fresnel.epsilon(m2, 1j * xi)
-    half = xi.size
+    # per-row tables, read through the (m, 1) row index of each panel
+    xi_row = np.concatenate((xi, xi))
+    tm_row = np.arange(2 * xi.size) >= xi.size
+    eps1_row, eps2_row = (None if eps is None else np.concatenate((eps, eps))
+                          for eps in (eps1, eps2))
 
     def integrand(rows, k):
-        at = rows % half
-        x = xi[at]
-        te = rows < half
+        x, tm = xi_row[rows], tm_row[rows]
+        q = np.sqrt(k * k + (x / C) ** 2)
 
         def coefficient(eps):
-            r_te, r_tm = fresnel.imag_axis_coefficients(
-                None if eps is None else eps[at], x, k)
-            return np.where(te, r_te, r_tm)
+            return fresnel.imag_axis_coefficients(
+                None if eps is None else eps[rows], x, k, tm, q)
 
-        r1 = coefficient(eps1)
-        r2 = r1 if eps2 is eps1 else coefficient(eps2)
-        q = np.sqrt(k * k + (x / C) ** 2)
+        r1 = coefficient(eps1_row)
+        r2 = r1 if eps2 is eps1 else coefficient(eps2_row)
         return k * q * _round_trip(r1, r2, np.exp(-2.0 * q * d))
 
-    return quadrature.integrate_rows(integrand, 2 * half, 0.5 / d,
+    return quadrature.integrate_rows(integrand, 2 * xi.size, 0.5 / d,
                                      KPERP_REL_TOL)
 
 
@@ -173,9 +183,10 @@ def pressure_matsubara(config):
     as-summed (half-weighted for n = 0) TE and TM contributions.  The n >= 1
     terms are computed a chunk of indices at a time by
     :func:`_matsubara_rows`, in chunks of at most ROWS_PER_PASS/2 indices
-    sized from the expected index count; a row's failed k_perp integral
-    raises only if the sum consumes that row.  ``error_estimate`` adds the
-    tail bound and the error estimates of every summed k_perp integral.
+    sized from the predicted index count plus CHUNK_MARGIN; a row's failed
+    k_perp integral raises only if the sum consumes that row.
+    ``error_estimate`` adds the tail bound and the error estimates of every
+    summed k_perp integral.
     """
     m1, m2, d, T = config.material_1, config.material_2, config.d, config.T
     xi1 = 2.0 * math.pi * K_B * T / HBAR
@@ -184,10 +195,10 @@ def pressure_matsubara(config):
     # terms fall like exp(-n/nu); about nu*ln(1/rel_tol) + 3 are summed
     nu = C / (2.0 * d * xi1)
     step = min(ROWS_PER_PASS // 2,
-               math.ceil(-nu * math.log(config.rel_tol)) + 3)
-    chunk = {}
+               math.ceil(-nu * math.log(config.rel_tol)) + 3 + CHUNK_MARGIN)
     breakdown = {}
     quad_err = [0.0]
+    chunk = {"stop": 1}
 
     def term(n):
         if n == 0:
@@ -196,16 +207,24 @@ def pressure_matsubara(config):
             breakdown[0] = (te, tm)
             quad_err[0] += te_err + tm_err
             return 2.0 * (te + tm)
-        if n not in chunk:
+        if n >= chunk["stop"]:
             ns = np.arange(n, min(n + step, ceiling + 1))
             res = _matsubara_rows(m1, m2, d, ns * xi1)
-            chunk.update((m, (res, i, ns.size)) for i, m in enumerate(ns))
-        res, i, half = chunk.pop(n)
-        te, te_err = _row(res, i, n, "TE")
-        tm, tm_err = _row(res, half + i, n, "TM")
-        te, tm = pref * te, pref * tm
+            chunk.update(
+                start=n, stop=n + ns.size, failures=res.failures,
+                terms=(pref * res.values).reshape(2, -1).T.tolist(),
+                errors=(abs(pref) * res.errors.reshape(2, -1).sum(axis=0))
+                .tolist())
+        i = n - chunk["start"]
+        for j, pol in ((i, "TE"), (len(chunk["terms"]) + i, "TM")):
+            if j in chunk["failures"]:
+                exc = chunk["failures"][j]
+                raise quadrature.NoConvergence(
+                    f"k_perp integral of Matsubara row (n={n}, {pol}): "
+                    f"{exc}") from exc
+        te, tm = chunk["terms"][i]
         breakdown[n] = (te, tm)
-        quad_err[0] += abs(pref) * (te_err + tm_err)
+        quad_err[0] += chunk["errors"][i]
         return te + tm
 
     summed = quadrature.matsubara_sum(term, d, T, config.rel_tol)
@@ -216,15 +235,6 @@ def pressure_matsubara(config):
         n0_te=n0_te, n0_tm=n0_tm,
         per_n=[(n, te, tm) for n, (te, tm) in breakdown.items()],
         n_max=summed.n_max)
-
-
-def _row(res, j, n, pol):
-    """(value, error) of row j of a RowsResult, named (n, pol) on failure."""
-    try:
-        return res.row(j)
-    except quadrature.NoConvergence as exc:
-        raise quadrature.NoConvergence(
-            f"k_perp integral of Matsubara row (n={n}, {pol}): {exc}") from exc
 
 
 def _im_round_trip(eps1, eps2, omega, d, kz, pols=(0, 1)):

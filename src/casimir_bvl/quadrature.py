@@ -101,9 +101,13 @@ DEFAULT_INTERVAL_BUDGET = 2000
 #: |f|: 50 machine epsilons, as in QUADPACK.  The GK 7/15 tables carry 15
 #: digits, so a Kronrod-minus-Gauss estimate can fall below the rounding.
 ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
-#: Equal panels each row of :func:`integrate_rows` starts from; fewer cost
-#: more refinement rounds, each a fixed overhead for all rows.
-ROW_PANELS = 16
+#: Equal panels each row of :func:`integrate_rows` starts from.  Matsubara
+#: rows end with about 11 panels from 8 against 18 from 16, but take more
+#: refinement rounds, each a fixed overhead for all rows of a call; so 8
+#: pays only on calls of many rows.  On the benchmark's Matsubara grid
+#: (2-vCPU x86-64) 8 panels ran 1.21x as fast as 16 at 64 rows per call
+#: (lifshitz.ROWS_PER_PASS) and 0.87x at 16.
+ROW_PANELS = 8
 #: Most panels of one :func:`composite_gk` integral.
 COMPOSITE_PANEL_BUDGET = 20000
 #: Weight of the integral of |g| in the tolerance floor of
@@ -131,7 +135,8 @@ def adaptive_gk(f, a, b, rel_tol):
     accumulated estimate meets ``rel_tol*|I|`` or a small floor
     proportional to the integral of |f| (guards against demanding
     impossible relative accuracy on strongly cancelling integrands).  At
-    most DEFAULT_INTERVAL_BUDGET intervals are used.  Returns (value,
+    most DEFAULT_INTERVAL_BUDGET intervals are used; a non-finite error
+    estimate raises NoConvergence at once.  Returns (value,
     error_estimate, evaluations).
     """
     def panel(lo, hi):
@@ -149,6 +154,10 @@ def adaptive_gk(f, a, b, rel_tol):
         target = max(rel_tol * abs(total_val), 0.01 * rel_tol * total_abs)
         if total_err <= target:
             return total_val, total_err, nvals
+        if not math.isfinite(total_err):   # a NaN or inf never leaves the sum
+            raise NoConvergence(
+                f"non-finite integrand: {n_intervals} intervals, error "
+                f"{total_err:.3e} against target {target:.3e}")
         if n_intervals >= DEFAULT_INTERVAL_BUDGET:
             raise NoConvergence(
                 f"quadrature budget of {DEFAULT_INTERVAL_BUDGET} intervals "

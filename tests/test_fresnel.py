@@ -169,6 +169,27 @@ def test_imag_axis_coefficients_match_complex_path():
     assert full.r_tm.real == pytest.approx(r_tm, rel=1e-14)
 
 
+def test_per_row_coefficient_is_the_kernel_pair_exactly():
+    # one coefficient per point, as the Matsubara rows use it: TE rows must
+    # equal the kernel's r_te and TM rows its r_tm to the last bit
+    rng = np.random.default_rng(7)
+    xi = np.geomspace(1e11, 1e17, 24)[:, None]
+    k = np.geomspace(1e2, 1e10, 15) * rng.uniform(0.5, 2.0, (24, 15))
+    tm = (rng.random(24) < 0.5)[:, None]
+    for eps in (1.0 + rng.uniform(1e-12, 1e-6, (24, 1)),
+                rng.uniform(1.0, 10.0, (24, 1)),
+                10.0 ** rng.uniform(3.0, 12.0, (24, 1))):
+        got = F.imag_axis_coefficients(eps, xi, k, tm)
+        q = np.sqrt(k * k + (xi / C) ** 2)
+        kappa = np.sqrt(k * k + eps * (xi / C) ** 2)
+        r_te, r_tm = F.coefficients(eps, q, kappa)
+        assert np.array_equal(got[~tm[:, 0]], r_te[~tm[:, 0]])
+        assert np.array_equal(got[tm[:, 0]], r_tm[tm[:, 0]])
+        assert np.array_equal(F.imag_axis_coefficients(eps, xi, k, tm, q), got)
+    ideal = F.imag_axis_coefficients(None, xi, k, tm)
+    assert np.array_equal(np.broadcast_to(ideal, tm.shape),
+                          np.where(tm, 1.0, -1.0))
+
 
 def test_epsilon_array_on_imaginary_axis_is_real():
     xi = np.geomspace(1e12, 1e17, 9)

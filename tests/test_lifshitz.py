@@ -211,6 +211,37 @@ def _inject_failures(monkeypatch, cfg, fails):
     return seen
 
 
+def _count_row_passes(monkeypatch):
+    """Record the index count of every integrate_rows call."""
+    passes = []
+    original = Q.integrate_rows
+
+    def counted(f, n_rows, scale, rel_tol):
+        passes.append(n_rows // 2)
+        return original(f, n_rows, scale, rel_tol)
+
+    monkeypatch.setattr(Q, "integrate_rows", counted)
+    return passes
+
+
+def test_chunk_schedule_follows_predicted_index_count(monkeypatch):
+    # the first chunk covers the predicted count, so a 300 K pressure takes
+    # one pass and computes few rows past n_max
+    dr = M.drude(1.37e16, 5.32e13)
+    passes = _count_row_passes(monkeypatch)
+    res = L.pressure_matsubara(L.CavityConfig(dr, dr, 1e-6, 300.0))
+    assert len(passes) == 1
+    assert res.n_max <= sum(passes) <= res.n_max + 8
+    # a long sum runs in chunks of ROWS_PER_PASS/2 indices
+    ideal = M.ideal_metal()
+    passes.clear()
+    res = L.pressure_matsubara(
+        L.CavityConfig(ideal, ideal, 1.5e-6, 5.0, rel_tol=2e-3))
+    half = L.ROWS_PER_PASS // 2
+    assert len(passes) <= math.ceil(res.n_max / half) + 2
+    assert max(passes) == half
+
+
 def test_failed_row_beyond_n_max_does_not_fail_pressure(monkeypatch):
     dr = M.drude(1.37e16, 5.32e13)
     cfg = L.CavityConfig(dr, dr, 1e-6, 300.0)

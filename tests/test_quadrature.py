@@ -37,6 +37,21 @@ def test_adaptive_gk_budget_exhaustion():
     assert math.isfinite(_reported_error(info.value))
 
 
+def test_adaptive_gk_non_finite_integrand_stops_at_once():
+    # bisection of [0, 1] reaches the singular point 1/3 exactly as a node
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        with np.errstate(divide="ignore"):
+            return abs(x - 1.0 / 3.0) ** -0.9
+
+    with np.errstate(invalid="ignore"), pytest.raises(
+            Q.NoConvergence, match=r"non-finite integrand: \d+ intervals"):
+        Q.adaptive_gk(f, 0.0, 1.0, 1e-14)
+    assert len(calls) < Q.DEFAULT_INTERVAL_BUDGET // 10
+
+
 def test_semi_infinite_gamma_integral():
     a = 4.0e6
     res = Q.integrate_semi_infinite(lambda k: k**2 * np.exp(-a * k),
