@@ -39,10 +39,6 @@ class ConfigParse(Exception):
     """Malformed CLI or config-file input."""
 
 
-class NumericalFailure(Exception):
-    """A numerical routine failed to converge."""
-
-
 @dataclass
 class RunConfig:
     subcommand: str

@@ -22,10 +22,10 @@ from .materials import (Kind, MaterialError, TabulatedOutOfRange,
 KPERP_REL_TOL = 1e-8
 #: Most (n, polarization) rows of the Matsubara kernel per array pass.  It
 #: bounds the arrays of a pass and, on sums longer than a pass, the rows
-#: computed past the last summed n.  Each pass costs a few refinement rounds
-#: of fixed overhead, and with quadrature.ROW_PANELS = 8 it takes more rounds
-#: than with 16, so large passes pay: on the benchmark's Matsubara grid (two
-#: seeds, 2-vCPU x86-64) 64 rows ran 1.29x as fast as 16 and 128 rows 1.15x.
+#: computed past the last summed n.  A pass is one refinement round of fixed
+#: overhead plus work in proportion to its rows; on the benchmark's Matsubara
+#: ops (two seeds, 2-vCPU x86-64) 32, 64 and 128 rows ran within 3% of each
+#: other in total, 128 rows 1.05x slower than 64 on long sums.
 ROWS_PER_PASS = 64
 #: Indices a chunk adds to the predicted count ceil(nu*ln(1/rel_tol)) + 3.
 #: On the benchmark's 300 K and 77 K pressures n_max lies 1 below to 4 above
@@ -149,8 +149,13 @@ def _matsubara_rows(m1, m2, d, xi):
 
     Row i < len(xi) is TE at xi[i], row len(xi) + i is TM there.  Each row
     integrates k * q * [exp(2 q d)/(r1 r2) - 1]^(-1), q = sqrt(k^2 + xi^2/c^2),
-    to KPERP_REL_TOL; eps comes from one array call per material, and each
-    point gets q once and one coefficient per material.
+    to KPERP_REL_TOL, written over u = q - xi/c in [0, inf) with
+    k dk = q dq: the integrand q^2 * y/(1 - y), y = r1 r2 exp(-2 q d), has
+    the envelope exp(-2 u d) on every row, so all rows share the mapping
+    scale 1/d.  Each point forms k = sqrt(u (u + 2 xi/c)) and q from k as
+    the coefficients do, which keeps r = 0 exact for eps = 1.  eps comes
+    from one array call per material, and each point gets one coefficient
+    per material.
     """
     eps1 = fresnel.epsilon(m1, 1j * xi)
     eps2 = eps1 if m2 == m1 else fresnel.epsilon(m2, 1j * xi)
@@ -160,9 +165,11 @@ def _matsubara_rows(m1, m2, d, xi):
     eps1_row, eps2_row = (None if eps is None else np.concatenate((eps, eps))
                           for eps in (eps1, eps2))
 
-    def integrand(rows, k):
+    def integrand(rows, u):
         x, tm = xi_row[rows], tm_row[rows]
-        q = np.sqrt(k * k + (x / C) ** 2)
+        a = x / C
+        k = np.sqrt(u * (u + 2.0 * a))
+        q = np.sqrt(k * k + a ** 2)
 
         def coefficient(eps):
             return fresnel.imag_axis_coefficients(
@@ -170,9 +177,9 @@ def _matsubara_rows(m1, m2, d, xi):
 
         r1 = coefficient(eps1_row)
         r2 = r1 if eps2 is eps1 else coefficient(eps2_row)
-        return k * q * _round_trip(r1, r2, np.exp(-2.0 * q * d))
+        return q * q * _round_trip(r1, r2, np.exp(-2.0 * q * d))
 
-    return quadrature.integrate_rows(integrand, 2 * xi.size, 0.5 / d,
+    return quadrature.integrate_rows(integrand, 2 * xi.size, 1.0 / d,
                                      KPERP_REL_TOL)
 
 

@@ -84,7 +84,11 @@ def test_ideal_metal_against_independent_series():
     # without the n = 0 integrals' error estimates the estimate misses the
     # series at 9.16 um, 300 K; without them and the rounding floors it
     # missed by 7.9 times at 3.72 um, 77 K
-    (1e-6, 300.0), (9.16e-6, 300.0), (3.7222701713006957e-06, 77.0)])
+    (1e-6, 300.0), (9.16e-6, 300.0), (3.7222701713006957e-06, 77.0),
+    # rows integrated over u = q - xi/c report smaller estimates than over
+    # k_perp (a median 0.56 of them); they must still cover the error
+    *((float(d), 300.0) for d in np.geomspace(5e-7, 1e-5, 12)),
+    *((float(d), 77.0) for d in np.geomspace(2e-6, 1e-5, 8))])
 def test_ideal_metal_series_within_error_estimate(d, T):
     ideal = M.ideal_metal()
     res = L.pressure_matsubara(L.CavityConfig(ideal, ideal, d, T))
@@ -240,6 +244,39 @@ def test_chunk_schedule_follows_predicted_index_count(monkeypatch):
     half = L.ROWS_PER_PASS // 2
     assert len(passes) <= math.ceil(res.n_max / half) + 2
     assert max(passes) == half
+
+
+@pytest.mark.parametrize("pair", [
+    ("drude", "drude"), ("ideal", "ideal"), ("insulator", "ideal"),
+    ("table", "drude")], ids="/".join)
+@pytest.mark.parametrize("d, T", [(1e-6, 300.0), (5e-6, 77.0)])
+def test_matsubara_rows_converge_on_seed_panels(monkeypatch, pair, d, T):
+    # every row shares the envelope exp(-2 u d) at mapping scale 1/d, so
+    # each integrate_rows call meets all its targets on the seed panels
+    # and samples the integrand once
+    models = {"drude": M.drude(1.37e16, 5.32e13), "table": _drude_table(),
+              "ideal": M.ideal_metal(), "insulator": M.insulator(3.0)}
+    calls = []
+    original = Q.integrate_rows
+
+    def counted(f, n_rows, scale, rel_tol):
+        samples = [0]
+
+        def g(rows, u):
+            samples[0] += 1
+            return f(rows, u)
+
+        res = original(g, n_rows, scale, rel_tol)
+        calls.append((samples[0], res.panels))
+        return res
+
+    monkeypatch.setattr(Q, "integrate_rows", counted)
+    L.pressure_matsubara(
+        L.CavityConfig(models[pair[0]], models[pair[1]], d, T))
+    assert calls
+    for samples, panels in calls:
+        assert samples == 1
+        assert np.all(panels == Q.ROW_PANELS)
 
 
 def test_failed_row_beyond_n_max_does_not_fail_pressure(monkeypatch):
