@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""SHA-256 digest of the production route's outputs over a fixed matrix.
+
+Runs ``pressure_matsubara`` on every unordered pair of six models (21
+pairs) x 7 gaps from 0.3 to 20 um x T in {30, 77, 300} K x rel_tol in
+{1e-9, 1e-6}, and ``bvl_verdict`` on the six models at four geometries.
+For each case it prints the SHA-256 of ``repr`` of the result, or of the
+exception's type and message, then one total over all cases.  Two
+checkouts that print the same total give bit-identical results on every
+case: every ``PressureResult`` field, ``error_estimate`` and ``per_n``
+included, every failure message and every verdict.
+
+Usage:
+    python3 scripts/route_digest.py [--src DIR] | tail -n 1
+
+``--src`` names the ``src`` directory to import the package from; by
+default it is the one of this checkout, so the script can be pointed at
+another checkout to compare the two.
+"""
+
+import argparse
+import hashlib
+import itertools
+import sys
+from pathlib import Path
+
+import numpy as np
+
+GAPS = np.geomspace(0.3e-6, 20e-6, 7)
+TEMPERATURES = (30.0, 77.0, 300.0)
+REL_TOLS = (1e-9, 1e-6)
+#: (d [m], T [K], z_probe [m]) of the verdicts.
+VERDICT_GEOMETRIES = [(1e-6, 300.0, 1e-7), (1e-7, 300.0, 1e-8),
+                      (1e-5, 77.0, 1e-6), (1e-4, 30.0, 1e-5)]
+OMEGA_P, GAMMA = 1.37e16, 5.32e13
+
+
+def models(M):
+    """The six model kinds of the regression pin, by name."""
+    src = M.drude(OMEGA_P, GAMMA)
+    table = [(float(x), float(M.eval_epsilon(src, 1j * x).real))
+             for x in np.geomspace(1e12, 1e18, 200)]
+    return {
+        "insulator": M.insulator(3.0),
+        "drude": M.drude(OMEGA_P, GAMMA),
+        "plasma": M.plasma(OMEGA_P),
+        "gplasma": M.generalized_plasma(
+            OMEGA_P, (M.Oscillator(2e31, 3e15, 1e14),)),
+        "ideal": M.ideal_metal(),
+        "table": M.tabulated(table, M.Extrapolation.DRUDE_LIKE),
+    }
+
+
+def cases(L, M, bvl):
+    """(label, thunk) of every case, in a fixed order."""
+    mods = models(M)
+    for (n1, m1), (n2, m2) in itertools.combinations_with_replacement(
+            mods.items(), 2):
+        for d, T, tol in itertools.product(GAPS, TEMPERATURES, REL_TOLS):
+            cfg = L.CavityConfig(m1, m2, float(d), T, tol)
+            yield (f"pressure {n1}/{n2} d={d:.4g} T={T:g} rel_tol={tol:g}",
+                   lambda cfg=cfg: L.pressure_matsubara(cfg))
+    for name, m in mods.items():
+        for d, T, z in VERDICT_GEOMETRIES:
+            yield (f"bvl {name} d={d:g} T={T:g} z={z:g}",
+                   lambda m=m, d=d, T=T, z=z: bvl.bvl_verdict(m, d, T, z))
+
+
+def digest(thunk):
+    """SHA-256 hex of repr(result), or of the exception's type and text."""
+    try:
+        text = repr(thunk())
+    except Exception as exc:   # a failure is an output too
+        text = f"{type(exc).__name__}: {exc}"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--src", type=Path,
+                    default=Path(__file__).resolve().parents[1] / "src",
+                    help="directory holding the casimir_bvl package")
+    args = ap.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve()))
+    from casimir_bvl import bvl, lifshitz, materials
+
+    total = hashlib.sha256()
+    n = 0
+    for label, thunk in cases(lifshitz, materials, bvl):
+        h = digest(thunk)
+        total.update(h.encode())
+        n += 1
+        print(f"{h[:16]}  {label}")
+    print(f"total {total.hexdigest()}  ({n} cases, package at "
+          f"{Path(lifshitz.__file__).parent})")
+
+
+if __name__ == "__main__":
+    main()

@@ -1,5 +1,7 @@
 """Adaptive quadrature, summation and fitting machinery."""
 
+import heapq
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from casimir_bvl import bvl as B, lifshitz as L, materials as M
 from casimir_bvl import quadrature as Q
 from casimir_bvl.constants import C, HBAR, K_B
 
@@ -20,6 +23,163 @@ def test_adaptive_gk_exponential():
 def test_adaptive_gk_polynomial_is_exact():
     val, _, _ = Q.adaptive_gk(lambda x: x**5, 0.0, 2.0, 1e-12)
     assert val == pytest.approx(64.0 / 6.0, rel=1e-14)
+
+
+# ------------------------------------------- heap against the dyadic tree
+
+def _reference_adaptive_gk(f, a, b, rel_tol):
+    """adaptive_gk with every panel sampled alone, one bisection at a time."""
+    def panel(lo, hi):
+        h = 0.5 * (hi - lo)
+        y = np.asarray(f(0.5 * (lo + hi) + h * Q._XGK), dtype=float)
+        return map(float, Q._gk_panels(y, h))
+
+    counter = itertools.count()
+    val, err, resabs = panel(a, b)
+    heap = [(-err, next(counter), a, b, val, err, resabs)]
+    total_val, total_err, total_abs = val, err, resabs
+    nvals = 15
+    n_intervals = 1
+    while True:
+        target = max(rel_tol * abs(total_val), 0.01 * rel_tol * total_abs)
+        if total_err <= target:
+            return total_val, total_err, nvals
+        if not math.isfinite(total_err):
+            raise Q.NoConvergence(
+                f"non-finite integrand: {n_intervals} intervals, error "
+                f"{total_err:.3e} against target {target:.3e}")
+        if n_intervals >= Q.DEFAULT_INTERVAL_BUDGET:
+            raise Q.NoConvergence(
+                f"quadrature budget of {Q.DEFAULT_INTERVAL_BUDGET} intervals "
+                f"exhausted (error {total_err:.3e}, target {target:.3e})")
+        _, _, pa, pb, pval, perr, pabs = heapq.heappop(heap)
+        mid = 0.5 * (pa + pb)
+        lval, lerr, labs = panel(pa, mid)
+        rval, rerr, rabs = panel(mid, pb)
+        nvals += 30
+        n_intervals += 1
+        total_val += lval + rval - pval
+        total_err += lerr + rerr - perr
+        total_abs += labs + rabs - pabs
+        heapq.heappush(heap, (-lerr, next(counter), pa, mid, lval, lerr, labs))
+        heapq.heappush(heap, (-rerr, next(counter), mid, pb, rval, rerr, rabs))
+
+
+#: Points of the dyadic tree adaptive_gk samples in its first call.
+TREE_POINTS = (2 ** (Q.TREE_DEPTH + 1) - 1) * Q._XGK.size
+
+
+def _counting(f):
+    """f, and the list of the point counts it is called on."""
+    sizes = []
+
+    def g(x):
+        sizes.append(np.size(x))
+        return f(x)
+
+    return g, sizes
+
+
+def _assert_same_as_reference(f, a, b, rel_tol):
+    """adaptive_gk equals the reference bit for bit; returns its f calls."""
+    g, sizes = _counting(f)
+    val, err, nev = Q.adaptive_gk(g, a, b, rel_tol)
+    ref_val, ref_err, _ = _reference_adaptive_gk(f, a, b, rel_tol)
+    assert (val, err) == (ref_val, ref_err)
+    # one call on the tree, then one call per half below it
+    assert sizes[0] == TREE_POINTS and set(sizes[1:]) <= {Q._XGK.size}
+    assert nev == sum(sizes)
+    return sizes
+
+
+def _captured_heaps(monkeypatch, run):
+    """(f, a, b, rel_tol) of every adaptive_gk call made by run()."""
+    calls = []
+    inner = Q.adaptive_gk
+
+    def spy(f, a, b, rel_tol):
+        calls.append((f, a, b, rel_tol))
+        return inner(f, a, b, rel_tol)
+
+    monkeypatch.setattr(Q, "adaptive_gk", spy)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def _six_kinds():
+    src = M.drude(1.37e16, 5.32e13)
+    table = [(float(x), float(M.eval_epsilon(src, 1j * x).real))
+             for x in np.geomspace(1e12, 1e18, 200)]
+    return [M.insulator(3.0), src, M.plasma(1.37e16),
+            M.generalized_plasma(1.37e16, (M.Oscillator(2e31, 3e15, 1e14),)),
+            M.ideal_metal(), M.tabulated(table, M.Extrapolation.DRUDE_LIKE)]
+
+
+@pytest.mark.parametrize("model", _six_kinds(), ids=lambda m: m.kind.value)
+def test_adaptive_gk_is_the_single_panel_heap_on_n0_integrands(
+        monkeypatch, model):
+    gaps = np.geomspace(1e-8, 1e-3, 16)
+
+    def run():
+        for d in gaps:
+            cfg = L.CavityConfig(model, model, float(d), 300.0)
+            L.n0_term(cfg, "te")
+            L.n0_term(cfg, "tm")
+
+    heaps = _captured_heaps(monkeypatch, run)
+    te = model.kind in (M.Kind.PLASMA, M.Kind.GENERALIZED_PLASMA,
+                        M.Kind.IDEAL_METAL)
+    assert len(heaps) == gaps.size * (2 if te else 1)
+    for heap in heaps:
+        # every n = 0 heap ends inside the tree: one integrand call
+        assert _assert_same_as_reference(*heap) == [TREE_POINTS]
+
+
+@pytest.mark.parametrize("model", _six_kinds(), ids=lambda m: m.kind.value)
+def test_adaptive_gk_is_the_single_panel_heap_on_bvl_correlator(
+        monkeypatch, model):
+    def run():
+        for z in (1e-9, 1e-7, 1e-5, 1e-3):
+            B.b_correlator_classical(model, B.SlabPoint(z, 2.0 * z))
+
+    for heap in _captured_heaps(monkeypatch, run):
+        _assert_same_as_reference(*heap)
+
+
+@pytest.mark.parametrize("f, a, b, rel_tol", [
+    (lambda x: np.exp(-x), 0.0, 50.0, 1e-10),
+    (lambda x: x**5, 0.0, 2.0, 1e-12),
+    (lambda x: np.cos(200.0 * x), 0.0, 1.0, 1e-10),
+], ids=["exp", "x^5", "cos200x"])
+def test_adaptive_gk_is_the_single_panel_heap(f, a, b, rel_tol):
+    _assert_same_as_reference(f, a, b, rel_tol)
+
+
+def test_adaptive_gk_counts_every_point_it_samples():
+    # x^5 is exact on [0, 2]: the heap stops at the root, yet f was called
+    # on the whole tree
+    g, sizes = _counting(lambda x: x**5)
+    assert Q.adaptive_gk(g, 0.0, 2.0, 1e-12)[2] == TREE_POINTS == sum(sizes)
+    # cos(200 x) bisects below the tree: 30 more points per bisection
+    g, sizes = _counting(lambda x: np.cos(200.0 * x))
+    nev = Q.adaptive_gk(g, 0.0, 1.0, 1e-10)[2]
+    assert sizes[0] == TREE_POINTS and set(sizes[1:]) == {Q._XGK.size}
+    assert nev == sum(sizes) == TREE_POINTS + 15 * (len(sizes) - 1)
+
+
+def test_batched_gk_sums_are_the_single_panel_sums():
+    # np.vecdot on contiguous rows must repeat the 1-D dot of one panel;
+    # a numpy or BLAS upgrade that breaks this breaks adaptive_gk's exactness
+    rng = np.random.default_rng(7)
+    m = 5000
+    y = rng.standard_normal((m, Q._XGK.size)) \
+        * 10.0 ** rng.uniform(-30, 30, (m, 1))
+    y[::3] = np.exp(-rng.uniform(0, 50, (y[::3].shape[0], 1)) * Q._XGK)
+    h = 10.0 ** rng.uniform(-10, 10, m)
+    rows = Q._gk_rows(y, h)
+    for i in range(m):
+        assert tuple(r[i] for r in rows) == tuple(Q._gk_panels(y[i], h[i]))
 
 
 def _reported_error(exc):
