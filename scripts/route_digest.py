@@ -10,8 +10,13 @@ checkouts that print the same total give bit-identical results on every
 case: every ``PressureResult`` field, ``error_estimate`` and ``per_n``
 included, every failure message and every verdict.
 
+A second total, ``reflect-total``, digests the text of ``cli.main``
+``reflect`` tables of the six models on the imaginary axis and in the
+static limit (exit code, standard output and standard error), so two
+checkouts that print it alike print those tables byte for byte alike.
+
 Usage:
-    python3 scripts/route_digest.py [--src DIR] | tail -n 1
+    python3 scripts/route_digest.py [--src DIR] | grep total
 
 ``--src`` names the ``src`` directory to import the package from; by
 default it is the one of this checkout, so the script can be pointed at
@@ -19,9 +24,12 @@ another checkout to compare the two.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import itertools
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +41,10 @@ REL_TOLS = (1e-9, 1e-6)
 VERDICT_GEOMETRIES = [(1e-6, 300.0, 1e-7), (1e-7, 300.0, 1e-8),
                       (1e-5, 77.0, 1e-6), (1e-4, 30.0, 1e-5)]
 OMEGA_P, GAMMA = 1.37e16, 5.32e13
+#: CLI flags of the reflect tables: three xi [rad/s] and the static limit.
+REFLECT_PROBES = (["--xi", "1e12"], ["--xi", "1e14"], ["--xi", "1e16"],
+                  ["--static"])
+REFLECT_KPERP = "1e3:1e9:61"
 
 
 def models(M):
@@ -66,6 +78,40 @@ def cases(L, M, bvl):
                    lambda m=m, d=d, T=T, z=z: bvl.bvl_verdict(m, d, T, z))
 
 
+def reflect_specs(M, table_path):
+    """CLI material specs of the six models of :func:`models`, by name.
+
+    The tabulated model's table is written to ``table_path``.
+    """
+    table_path.write_text("".join(f"{x!r} {e!r}\n"
+                                  for x, e in models(M)["table"].table))
+    return {
+        "insulator": "insulator:3.0",
+        "drude": f"drude:{OMEGA_P!r},{GAMMA!r}",
+        "plasma": f"plasma:{OMEGA_P!r}",
+        "gplasma": f"gplasma:{OMEGA_P!r};2e31,3e15,1e14",
+        "ideal": "ideal",
+        "table": f"table:{table_path},drude_like",
+    }
+
+
+def reflect_cases(cli, specs, table_path):
+    """(label, thunk) of every reflect table; the thunk returns its text."""
+
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        text = f"exit {code}\n{out.getvalue()}{err.getvalue()}"
+        return text.replace(str(table_path), "<table>")
+
+    for name, spec in specs.items():
+        for flags in REFLECT_PROBES:
+            argv = ["reflect", "--mat", spec, *flags, "--kperp", REFLECT_KPERP]
+            yield (f"reflect {name} {' '.join(flags)}",
+                   lambda argv=argv: run(argv))
+
+
 def digest(thunk):
     """SHA-256 hex of repr(result), or of the exception's type and text."""
     try:
@@ -75,6 +121,18 @@ def digest(thunk):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def digest_all(labelled):
+    """Print each case's digest; return the total over them and the count."""
+    total = hashlib.sha256()
+    n = 0
+    for label, thunk in labelled:
+        h = digest(thunk)
+        total.update(h.encode())
+        n += 1
+        print(f"{h[:16]}  {label}")
+    return total.hexdigest(), n
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", type=Path,
@@ -82,17 +140,16 @@ def main(argv=None):
                     help="directory holding the casimir_bvl package")
     args = ap.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
-    from casimir_bvl import bvl, lifshitz, materials
+    from casimir_bvl import bvl, cli, lifshitz, materials
 
-    total = hashlib.sha256()
-    n = 0
-    for label, thunk in cases(lifshitz, materials, bvl):
-        h = digest(thunk)
-        total.update(h.encode())
-        n += 1
-        print(f"{h[:16]}  {label}")
-    print(f"total {total.hexdigest()}  ({n} cases, package at "
-          f"{Path(lifshitz.__file__).parent})")
+    where = Path(lifshitz.__file__).parent
+    total, n = digest_all(cases(lifshitz, materials, bvl))
+    print(f"total {total}  ({n} cases, package at {where})")
+    with tempfile.TemporaryDirectory() as tmp:
+        table_path = Path(tmp) / "eps.dat"
+        specs = reflect_specs(materials, table_path)
+        total, n = digest_all(reflect_cases(cli, specs, table_path))
+    print(f"reflect-total {total}  ({n} tables, package at {where})")
 
 
 if __name__ == "__main__":

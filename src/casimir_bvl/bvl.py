@@ -115,8 +115,9 @@ def bvl_verdict(model, d, T, z_probe):
     Diagnostics are normalized against the ideal-metal values at the same
     geometry, so the pass threshold is scale-free.
     """
-    if z_probe <= 0:
-        raise ValueError("z_probe must be positive")
+    if not 0.0 < z_probe < math.inf:
+        raise ValueError(
+            f"z_probe must be finite and positive, got {z_probe!r}")
     point = SlabPoint(z_probe, z_probe)
     ideal = materials.ideal_metal()
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -19,6 +20,9 @@ import numpy as np
 from . import bvl, fresnel, lifshitz, materials, quadrature
 
 FLOAT_FMT = "%.17e"
+#: One reflect row: k_perp, then the real and imaginary parts of r_te, r_tm
+#: and r_bar.
+REFLECT_ROW_FMT = ",".join([FLOAT_FMT] * 7)
 
 BVL_REPORT_SCHEMA = {
     "type": "object",
@@ -53,8 +57,9 @@ class RunConfig:
     output: dict | None = None  # {path, format}
 
     def to_dict(self):
-        return {k: v for k, v in dataclasses.asdict(self).items()
-                if v is not None}
+        """The fields that are set; lists and dicts are the config's own."""
+        return {f.name: v for f in dataclasses.fields(self)
+                if (v := getattr(self, f.name)) is not None}
 
     @classmethod
     def from_dict(cls, data):
@@ -244,10 +249,15 @@ def run_bvl_check(config):
 
 
 def _kperp_list(raw):
+    """The --kperp values as an ndarray: a comma list or lo:hi:points."""
     if ":" in raw:
         lo, hi, points = raw.split(":")
-        return list(np.geomspace(float(lo), float(hi), int(points)))
-    return [float(tok) for tok in raw.split(",")]
+        points = int(points)
+        if points < 1:
+            raise ConfigParse(
+                f"--kperp {raw!r}: lo:hi:points needs points >= 1")
+        return np.geomspace(float(lo), float(hi), points)
+    return np.array([float(tok) for tok in raw.split(",")])
 
 
 def run_reflect(config):
@@ -255,26 +265,24 @@ def run_reflect(config):
     model = parse_material(config.materials[0])
     kperps = _kperp_list(probe["kperp"])
     axis = probe["axis"]
-
-    def coefficients(k):
-        if axis == "static":
-            return fresnel.reflection_static(model, k)
-        if axis == "xi":
-            return fresnel.reflection(model, 1j * probe["value"], k)
-        return fresnel.reflection(model, probe["value"], k)
-
+    if axis == "static":
+        r = fresnel.reflection_static(model, kperps)
+    else:
+        omega = 1j * probe["value"] if axis == "xi" else probe["value"]
+        r = fresnel.reflection(model, omega, kperps)
     lines = _config_comments(config)
     lines.append("k_perp,re_r_te,im_r_te,re_r_tm,im_r_tm,re_r_bar,im_r_bar")
-    for k in kperps:
-        r = coefficients(k)
-        lines.append(",".join(_fmt(v) for v in (
-            k, r.r_te.real, r.r_te.imag, r.r_tm.real, r.r_tm.imag,
-            r.r_bar.real, r.r_bar.imag)))
+    lines += [REFLECT_ROW_FMT % row for row in zip(*(
+        part.tolist() for part in (kperps, r.r_te.real, r.r_te.imag,
+                                   r.r_tm.real, r.r_tm.imag,
+                                   r.r_bar.real, r.r_bar.imag)))]
     _emit(lines, config.output)
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; parsing leaves it as is."""
     parser = argparse.ArgumentParser(
         prog="casimir-bvl",
         description="Casimir pressure between plane-parallel slabs and "
@@ -372,13 +380,12 @@ _DISPATCH = {
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
     try:
         if argv[:1] == ["--config"] and len(argv) >= 2:
             with open(argv[1]) as fh:
                 config = RunConfig.from_dict(json.load(fh))
         else:
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
             config = _config_from_args(args)
         if config.subcommand not in _DISPATCH:
             raise ConfigParse(f"unknown subcommand {config.subcommand!r}")

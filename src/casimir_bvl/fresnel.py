@@ -8,10 +8,16 @@ stands for (r_te, r_tm, r_bar) = (-1, 1, 1).  Every caller uses the kernel.
 Branch convention: every square root of a complex radicand is taken with
 non-negative imaginary part, so that evanescent waves decay away from the
 interface.  On the imaginary frequency axis all coefficients are real.
+
+:func:`reflection` and :func:`reflection_static` take k_perp as a float or
+as an ndarray; an array is evaluated in one pass of the same kernel, with
+eps evaluated once per call.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +34,8 @@ class ZeroFrequency(Exception):
 
 @dataclass(frozen=True)
 class ReflectionSet:
+    """(r_te, r_tm, r_bar): complex scalars, or arrays of k_perp's shape."""
+
     r_te: complex
     r_tm: complex
     r_bar: complex
@@ -115,17 +123,43 @@ def imag_axis_coefficients(eps, xi, k_perp, tm=None, q=None):
     return coefficients(eps, q, kappa, tm)
 
 
+def _check_kperp(k_perp, positive):
+    """ValueError naming the first k_perp, a float or an ndarray, that is
+    not finite and > 0 (positive) or >= 0."""
+    k = np.asarray(k_perp, dtype=float)
+    ok = np.isfinite(k) & (k > 0.0 if positive else k >= 0.0)
+    if not ok.all():
+        raise ValueError(f"k_perp must be finite and "
+                         f"{'positive' if positive else 'non-negative'}, "
+                         f"got {float(k[~ok][0])!r}")
+
+
+def _reflection_set(k_perp, r_te, r_tm, r_bar):
+    """ReflectionSet of complex scalars, or of arrays shaped like k_perp."""
+    if isinstance(k_perp, np.ndarray):
+        return ReflectionSet(*(np.full(k_perp.shape, r, dtype=complex)
+                               for r in (r_te, r_tm, r_bar)))
+    return ReflectionSet(complex(r_te), complex(r_tm), complex(r_bar))
+
+
 def reflection(model, omega, k_perp):
     """Fresnel reflection set (r_te, r_tm, r_bar) at a nonzero frequency.
 
     omega may be real or purely imaginary (positive imaginary part).  On the
-    imaginary axis all three coefficients are exactly real.
+    imaginary axis all three coefficients are exactly real.  k_perp is a
+    float or an ndarray; an array gives a set of arrays from one kernel
+    pass, equal entry by entry to the scalar calls on the imaginary axis
+    and for the ideal metal, and within rounding of complex division on
+    the real axis.  Raises ValueError unless omega and every k_perp are
+    finite and k_perp >= 0.
     """
     omega = complex(omega)
     if omega == 0:
         raise ZeroFrequency("use reflection_static for the omega -> 0 limit")
-    if k_perp < 0:
-        raise ValueError("k_perp must be non-negative")
+    if not cmath.isfinite(omega):
+        raise ValueError(f"omega must be finite, got {omega!r}")
+    if isinstance(k_perp, np.ndarray) or not 0.0 <= k_perp < math.inf:
+        _check_kperp(k_perp, positive=False)
     eps = epsilon(model, omega)
     if eps is None:  # the ideal metal needs no wavevectors
         r_te, r_tm = coefficients(None, None, None)
@@ -135,22 +169,20 @@ def reflection(model, omega, k_perp):
         k0sq = (omega / C) * (omega / C)
         r_te, r_tm = coefficients(eps, branch_sqrt(k0sq - k_perp * k_perp),
                                   branch_sqrt(eps * k0sq - k_perp * k_perp))
-    return ReflectionSet(complex(r_te), complex(r_tm),
-                         complex(scalar_coefficient(eps)))
+    return _reflection_set(k_perp, r_te, r_tm, scalar_coefficient(eps))
 
 
 def static_rte(model, k_perp):
     """Zero-frequency TE coefficient; k_perp may be an ndarray."""
     cls = zero_freq_class(model)
     if cls is ZeroFreqClass.IDEAL:
-        return np.full_like(np.asarray(k_perp, dtype=float), -1.0) \
-            if np.ndim(k_perp) else -1.0
+        return np.full(k_perp.shape, -1.0) \
+            if isinstance(k_perp, np.ndarray) else -1.0
     if cls is ZeroFreqClass.INVERSE_OMEGA_SQUARED:
         kp2 = (effective_omega_p(model) / C) ** 2
         kappa = np.sqrt(k_perp * k_perp + kp2)
         return (k_perp - kappa) / (k_perp + kappa)
-    return np.zeros_like(np.asarray(k_perp, dtype=float)) \
-        if np.ndim(k_perp) else 0.0
+    return np.zeros(k_perp.shape) if isinstance(k_perp, np.ndarray) else 0.0
 
 
 def reflection_static(model, k_perp):
@@ -159,15 +191,20 @@ def reflection_static(model, k_perp):
     TE vanishes for finite and Drude-like (1/omega) models, stays finite
     for plasma-like (1/omega^2) models and is -1 for the ideal metal; TM
     and the scalar coefficient go to 1 for all conductors and to
-    (eps0-1)/(eps0+1) for finite-class models.
+    (eps0-1)/(eps0+1) for finite-class models.  k_perp is a float or an
+    ndarray (then a set of arrays, equal entry by entry to the scalar
+    calls); ValueError unless every k_perp is finite and positive.
     """
-    if k_perp <= 0:
-        raise ValueError("k_perp must be positive")
+    if isinstance(k_perp, np.ndarray) or not 0.0 < k_perp < math.inf:
+        _check_kperp(k_perp, positive=True)
     cls = zero_freq_class(model)
     if cls is ZeroFreqClass.IDEAL:
-        return IDEAL_REFLECTION
-    r_te = complex(static_rte(model, k_perp))
+        ideal = IDEAL_REFLECTION
+        if not isinstance(k_perp, np.ndarray):  # n = 0 TM, twice a pressure
+            return ideal
+        return _reflection_set(k_perp, ideal.r_te, ideal.r_tm, ideal.r_bar)
+    r_te = static_rte(model, k_perp)
     if cls is ZeroFreqClass.FINITE:
-        r_bar = complex(scalar_coefficient(static_epsilon(model)))
-        return ReflectionSet(r_te, r_bar, r_bar)
-    return ReflectionSet(r_te, complex(1.0), complex(1.0))
+        r_bar = scalar_coefficient(static_epsilon(model))
+        return _reflection_set(k_perp, r_te, r_bar, r_bar)
+    return _reflection_set(k_perp, r_te, 1.0, 1.0)

@@ -1,5 +1,6 @@
 """Command-line interface: material grammar, subcommands, emission formats."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -10,12 +11,20 @@ import numpy as np
 import pytest
 
 from casimir_bvl import cli
+from casimir_bvl import fresnel as F
 from casimir_bvl import materials as M
 
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "casimir_bvl.cli", *args],
                           capture_output=True, text=True, timeout=600)
+
+
+def main_in_process(capsys, *args):
+    """(exit code, stdout, stderr) of one cli.main call in this process."""
+    code = cli.main(list(args))
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
 # ---------------------------------------------------------------- grammar
@@ -89,6 +98,106 @@ def test_reflect_negative_kperp_is_config_error():
     proc = run_cli("reflect", "--mat", "drude:1.37e16,5.32e13",
                    "--xi", "1e14", "--kperp=-1e6")
     assert proc.returncode == 2
+
+
+DRUDE = "drude:1.37e16,5.32e13"
+REFLECT_SPECS = ["insulator:3.0", DRUDE, "plasma:1.37e16",
+                 "gplasma:1.37e16;2e31,3e15,1e14", "ideal", "table"]
+
+
+def _table_spec(tmp_path):
+    src = M.drude(1.37e16, 5.32e13)
+    path = tmp_path / "eps.dat"
+    path.write_text("".join(
+        f"{x!r} {M.eval_epsilon(src, 1j * x).real!r}\n"
+        for x in np.geomspace(1e12, 1e18, 200).tolist()))
+    return f"table:{path},drude_like"
+
+
+def _per_k_rows(model, axis, value, kperps):
+    """The reflect table built from one scalar fresnel call per k_perp."""
+    rows = ["k_perp,re_r_te,im_r_te,re_r_tm,im_r_tm,re_r_bar,im_r_bar"]
+    for k in kperps:
+        if axis == "static":
+            r = F.reflection_static(model, k)
+        else:
+            r = F.reflection(model, 1j * value if axis == "xi" else value, k)
+        rows.append(",".join(cli._fmt(v) for v in (
+            k, r.r_te.real, r.r_te.imag, r.r_tm.real, r.r_tm.imag,
+            r.r_bar.real, r.r_bar.imag)))
+    return rows
+
+
+@pytest.mark.parametrize("spec", REFLECT_SPECS)
+def test_reflect_table_is_the_per_k_scalar_table(spec, tmp_path, capsys):
+    if spec == "table":
+        spec = _table_spec(tmp_path)
+    model = cli.parse_material(spec)
+    probes = [("xi", xi) for xi in (1e12, 1e14, 1e16)] + [("static", None)]
+    if spec == "ideal":
+        probes += [("omega", w) for w in (1e12, 1e14, 1e16)]
+    for kperp, kperps in (("1e3:1e9:41", np.geomspace(1e3, 1e9, 41)),
+                          ("3e5,1e6,2.5e7", [3e5, 1e6, 2.5e7])):
+        for axis, value in probes:
+            flag = ["--static"] if axis == "static" else [f"--{axis}",
+                                                          repr(value)]
+            code, out, _ = main_in_process(capsys, "reflect", "--mat", spec,
+                                           *flag, "--kperp", kperp)
+            assert code == 0
+            rows = [l for l in out.splitlines() if not l.startswith("#")]
+            assert rows == _per_k_rows(model, axis, value, kperps)
+
+
+def test_main_calls_share_the_parser_and_carry_no_state(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    pressure = ["pressure", "--mat1", "ideal", "--mat2", "ideal",
+                "--d", "1e-6", "--T", "300"]
+    code, out, _ = main_in_process(capsys, *pressure, "--rel-tol", "1e-6")
+    assert code == 0 and json.loads(out)["config"]["rel_tol"] == 1e-6
+    code, out, _ = main_in_process(capsys, *pressure)
+    assert code == 0 and "rel_tol" not in json.loads(out)["config"]
+
+    reflect = ["reflect", "--mat", DRUDE, "--kperp", "1e6"]
+    code, out, _ = main_in_process(capsys, *reflect, "--xi", "1e14")
+    assert code == 0
+    assert "# probe = {'axis': 'xi', 'value': 100000000000000.0, " \
+           "'kperp': '1e6'}" in out.splitlines()
+    code, out, _ = main_in_process(capsys, *reflect, "--static")
+    assert code == 0
+    assert "# probe = {'axis': 'static', 'kperp': '1e6'}" in out.splitlines()
+    assert out.splitlines()[-1] == _per_k_rows(
+        cli.parse_material(DRUDE), "static", None, [1e6])[-1]
+
+
+@pytest.mark.parametrize("args, names", [
+    (["reflect", "--mat", DRUDE, "--xi", "1e14", "--kperp", "nan"], "k_perp"),
+    (["reflect", "--mat", DRUDE, "--xi", "1e14", "--kperp", "inf"], "k_perp"),
+    (["reflect", "--mat", DRUDE, "--static", "--kperp", "1e6,nan"], "k_perp"),
+    (["reflect", "--mat", DRUDE, "--omega", "nan", "--kperp", "1e6"], "omega"),
+    (["reflect", "--mat", DRUDE, "--xi", "nan", "--kperp", "1e6"], "omega"),
+    (["reflect", "--mat", DRUDE, "--omega", "1e14", "--kperp", "1e3:1e8:0"],
+     "kperp"),
+    (["bvl-check", "--mat", "plasma:1e16", "--d", "1e-6", "--T", "300",
+      "--z", "nan"], "z_probe"),
+    (["bvl-check", "--mat", "plasma:1e16", "--d", "1e-6", "--T", "300",
+      "--z", "inf"], "z_probe"),
+])
+def test_non_finite_or_empty_input_exits_2(args, names, capsys):
+    code, out, err = main_in_process(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert names in err and "config error" in err
+
+
+def test_config_dict_is_the_asdict_view():
+    cfg = cli.RunConfig(subcommand="sweep", materials=["ideal", "ideal"],
+                        d=1e-6, T=300.0, rel_tol=1e-6,
+                        sweep={"param": "d", "from": 1e-6, "to": 2e-6,
+                               "points": 2},
+                        output={"format": "csv"})
+    want = {k: v for k, v in dataclasses.asdict(cfg).items() if v is not None}
+    assert cfg.to_dict() == want
+    assert list(cfg.to_dict()) == list(want)
 
 
 # ---------------------------------------------------------------- pressure

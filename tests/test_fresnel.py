@@ -198,3 +198,88 @@ def test_epsilon_array_on_imaginary_axis_is_real():
         assert got.dtype == float
         assert list(got) == [F.epsilon(model, 1j * x) for x in xi]
     assert F.epsilon(M.ideal_metal(), 1j * xi) is None
+
+
+# ------------------------------------------------- array k_perp against scalar
+
+ARRAY_K = np.geomspace(1e3, 1e9, 41)
+FREQUENCIES = (1e12, 1e14, 1e16)
+
+
+def _six_kinds():
+    src = M.drude(1.37e16, 5.32e13)
+    table = [(float(x), float(M.eval_epsilon(src, 1j * x).real))
+             for x in np.geomspace(1e12, 1e18, 200)]
+    return CATALOG + [M.ideal_metal(),
+                      M.tabulated(table, M.Extrapolation.DRUDE_LIKE)]
+
+
+SIX_KINDS = _six_kinds()
+KIND_IDS = ["insulator", "drude", "plasma", "gplasma", "ideal", "table"]
+
+
+def _per_k(call):
+    """The three coefficients of scalar calls, one per ARRAY_K entry."""
+    sets = [call(float(k)) for k in ARRAY_K]
+    return [np.array([getattr(r, a) for r in sets])
+            for a in ("r_te", "r_tm", "r_bar")]
+
+
+def _as_arrays(r):
+    return [r.r_te, r.r_tm, r.r_bar]
+
+
+@pytest.mark.parametrize("model", SIX_KINDS, ids=KIND_IDS)
+def test_array_kperp_equals_scalar_calls_on_xi_axis_and_static(model):
+    for xi in FREQUENCIES:
+        got = _as_arrays(F.reflection(model, 1j * xi, ARRAY_K))
+        want = _per_k(lambda k: F.reflection(model, 1j * xi, k))
+        for g, w in zip(got, want):
+            assert g.shape == ARRAY_K.shape
+            assert np.array_equal(g, w)
+            assert not np.signbit(g.imag).any()
+    got = _as_arrays(F.reflection_static(model, ARRAY_K))
+    want = _per_k(lambda k: F.reflection_static(model, k))
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+        assert not np.signbit(g.imag).any()
+
+
+@pytest.mark.parametrize("model", SIX_KINDS[:5], ids=KIND_IDS[:5])
+def test_array_kperp_on_real_axis_within_two_ulp(model):
+    # scalar calls divide in Python complex arithmetic, arrays in numpy's
+    for omega in FREQUENCIES:
+        got = _as_arrays(F.reflection(model, omega, ARRAY_K))
+        want = _per_k(lambda k: F.reflection(model, omega, k))
+        for g, w in zip(got, want):
+            if model.kind is M.Kind.IDEAL_METAL:
+                assert np.array_equal(g, w)
+            ulp = 2.0 * np.spacing(np.abs(w))
+            assert np.all(np.abs(g.real - w.real) <= ulp)
+            assert np.all(np.abs(g.imag - w.imag) <= ulp)
+
+
+def test_array_kperp_raises_as_the_scalar_call():
+    for k in (1e6, ARRAY_K):
+        with pytest.raises(M.TabulatedOutOfRange):
+            F.reflection(SIX_KINDS[-1], 1e14, k)
+    drude = SIX_KINDS[1]
+    calls = [lambda k: F.reflection(drude, 1e14, k),
+             lambda k: F.reflection(drude, 1j * 1e14, k),
+             lambda k: F.reflection_static(drude, k)]
+    for bad in (-1.0, math.nan, math.inf):
+        for call in calls:
+            with pytest.raises(ValueError, match="k_perp"):
+                call(bad)
+            with pytest.raises(ValueError, match="k_perp"):
+                call(np.append(ARRAY_K, bad))
+    with pytest.raises(ValueError, match="k_perp"):
+        F.reflection_static(drude, np.array([1e6, 0.0]))
+
+
+@pytest.mark.parametrize("omega", [math.nan, math.inf, complex(0.0, math.nan),
+                                   complex(0.0, math.inf)])
+def test_reflection_rejects_non_finite_frequency(omega):
+    for k in (1e6, ARRAY_K):
+        with pytest.raises(ValueError, match="omega"):
+            F.reflection(SIX_KINDS[1], omega, k)
