@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fresnel, lifshitz, materials, quadrature
 from .constants import C
-from .materials import Kind, zero_freq_class
+from .materials import Kind, ZeroFreqClass, zero_freq_class
 from .quadrature import DegenerateSweep
 
 #: Below this, relative residues are implementation noise, not physics.
@@ -71,6 +71,9 @@ def b_correlator_classical(model, point, rel_tol=B_REL_TOL):
     zsum = point.z + point.z_prime
     if zsum < MIN_SURFACE_DISTANCE:
         raise SurfaceContact(f"z + z' below {MIN_SURFACE_DISTANCE:g} m")
+    if zero_freq_class(model) in (ZeroFreqClass.FINITE,
+                                  ZeroFreqClass.INVERSE_OMEGA):
+        return np.zeros((3, 3))  # r_te(0, k) vanishes identically
 
     def f(k):
         return k * k * fresnel.static_rte(model, k) * np.exp(-k * zsum)
@@ -86,27 +89,27 @@ def e_correlator_limit_exponent(model, k_perp, omega_sweep):
     The two contributions scale as |k0^2 r_te(omega, k_perp)| and
     |r_tm(omega, k_perp) - r_bar(omega)|; a positive return certifies that
     both vanish at zero frequency.  The second piece is identically zero for
-    the ideal metal and is reported as +inf there.
+    the ideal metal and is reported as +inf there.  omega_sweep is a list
+    or an ndarray of real frequencies, evaluated in one
+    :func:`fresnel.real_axis_sweep` call.
     """
     if len(omega_sweep) < 5:
         raise DegenerateSweep("need at least 5 sweep frequencies")
     if k_perp <= 0:
         raise ValueError("k_perp must be positive")
-    te_pts, gap_pts = [], []
-    for w in omega_sweep:
-        refl = fresnel.reflection(model, w, k_perp)
-        te_pts.append((w, abs((w / C) ** 2 * refl.r_te)))
-        gap_pts.append((w, abs(refl.r_tm - refl.r_bar)))
-    te_exp, _ = quadrature.fit_power_law(te_pts)
+    omega = np.asarray(omega_sweep, dtype=float)
+    r_te, gap = fresnel.real_axis_sweep(model, omega, k_perp)
+    te_exp, _ = quadrature.fit_power_law(
+        np.column_stack((omega, np.abs((omega / C) ** 2 * r_te))))
     if model.kind is Kind.IDEAL_METAL:
         return min(te_exp, math.inf)
-    gap_exp, _ = quadrature.fit_power_law(gap_pts)
+    gap_exp, _ = quadrature.fit_power_law(np.column_stack((omega, np.abs(gap))))
     return min(te_exp, gap_exp)
 
 
 def _default_sweep(k_perp):
     # evanescent regime, three decades toward zero
-    return list(np.geomspace(1e-2 * C * k_perp, 1e-5 * C * k_perp, 13))
+    return np.geomspace(1e-2 * C * k_perp, 1e-5 * C * k_perp, 13)
 
 
 def bvl_verdict(model, d, T, z_probe):

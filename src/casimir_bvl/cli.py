@@ -20,9 +20,6 @@ import numpy as np
 from . import bvl, fresnel, lifshitz, materials, quadrature
 
 FLOAT_FMT = "%.17e"
-#: One reflect row: k_perp, then the real and imaginary parts of r_te, r_tm
-#: and r_bar.
-REFLECT_ROW_FMT = ",".join([FLOAT_FMT] * 7)
 
 BVL_REPORT_SCHEMA = {
     "type": "object",
@@ -63,10 +60,80 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data):
+        """The config of a JSON document; ConfigParse unless every field
+        its subcommand reads is present with the right JSON type."""
         try:
-            return cls(**data)
+            config = cls(**data)
         except TypeError as exc:
             raise ConfigParse(str(exc)) from None
+        _check_fields(config)
+        return config
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_str(v):
+    return isinstance(v, str)
+
+
+#: Number fields each subcommand reads from a config file.
+_NUMBER_FIELDS = {"pressure": ("d", "T"), "sweep": ("d", "T"),
+                  "bvl-check": ("d", "T", "z"), "reflect": ()}
+
+
+def _check_object(value, name, spec):
+    """ConfigParse unless value is a dict whose keys in spec pass their
+    type test."""
+    if not isinstance(value, dict):
+        raise ConfigParse(f"config field {name!r} must be an object, "
+                          f"got {value!r}")
+    for key, ok in spec.items():
+        if not ok(value.get(key)):
+            raise ConfigParse(f"config field {name}.{key} is missing or "
+                              f"mistyped: {value.get(key)!r}")
+
+
+def _check_fields(config):
+    """ConfigParse naming the first field the subcommand reads that is
+    missing or has the wrong JSON type."""
+    sc = config.subcommand
+    if sc not in _NUMBER_FIELDS:
+        raise ConfigParse(f"unknown subcommand {sc!r}")
+    n = 2 if sc in ("pressure", "sweep") else 1
+    if not (isinstance(config.materials, list)
+            and len(config.materials) == n
+            and all(map(_is_str, config.materials))):
+        raise ConfigParse(f"{sc} needs 'materials' to be a list of {n} "
+                          f"material spec strings, got {config.materials!r}")
+    for name in _NUMBER_FIELDS[sc]:
+        if not _is_number(getattr(config, name)):
+            raise ConfigParse(f"{sc} needs a number for {name!r}, "
+                              f"got {getattr(config, name)!r}")
+    if not (config.rel_tol is None or _is_number(config.rel_tol)):
+        raise ConfigParse(f"rel_tol must be a number, got {config.rel_tol!r}")
+    if config.method not in ("matsubara", "realfreq"):
+        raise ConfigParse(f"unknown method {config.method!r}")
+    if sc == "sweep":
+        _check_object(config.sweep, "sweep",
+                      {"param": _is_str, "from": _is_number,
+                       "to": _is_number, "points": _is_int})
+    if sc == "reflect":
+        probe = config.probe
+        _check_object(probe, "probe", {
+            "axis": lambda v: v in ("xi", "omega", "static"),
+            "kperp": _is_str})
+        if probe["axis"] != "static":
+            _check_object(probe, "probe", {"value": _is_number})
+    if config.output is not None:
+        _check_object(config.output, "output", {
+            "path": lambda v: v is None or _is_str(v),
+            "format": lambda v: v in (None, "csv", "json")})
 
 
 def parse_material(spec):
@@ -175,8 +242,16 @@ def run_pressure(config):
     return 0
 
 
+def _geometric_ends(lo, hi, what):
+    """ConfigParse unless both ends of a geometric list are finite and > 0."""
+    if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
+        raise ConfigParse(f"{what} needs finite positive ends, "
+                          f"got {lo!r} and {hi!r}")
+
+
 def _sweep_values(sweep):
     lo, hi, points = sweep["from"], sweep["to"], sweep["points"]
+    _geometric_ends(lo, hi, "sweep")
     if not lo < hi or points < 2:
         raise ConfigParse("sweep needs from < to and points >= 2")
     return np.geomspace(lo, hi, points)
@@ -252,11 +327,12 @@ def _kperp_list(raw):
     """The --kperp values as an ndarray: a comma list or lo:hi:points."""
     if ":" in raw:
         lo, hi, points = raw.split(":")
-        points = int(points)
+        lo, hi, points = float(lo), float(hi), int(points)
         if points < 1:
             raise ConfigParse(
                 f"--kperp {raw!r}: lo:hi:points needs points >= 1")
-        return np.geomspace(float(lo), float(hi), points)
+        _geometric_ends(lo, hi, f"--kperp {raw!r}: lo:hi:points")
+        return np.geomspace(lo, hi, points)
     return np.array([float(tok) for tok in raw.split(",")])
 
 
@@ -272,12 +348,31 @@ def run_reflect(config):
         r = fresnel.reflection(model, omega, kperps)
     lines = _config_comments(config)
     lines.append("k_perp,re_r_te,im_r_te,re_r_tm,im_r_tm,re_r_bar,im_r_bar")
-    lines += [REFLECT_ROW_FMT % row for row in zip(*(
-        part.tolist() for part in (kperps, r.r_te.real, r.r_te.imag,
-                                   r.r_tm.real, r.r_tm.imag,
-                                   r.r_bar.real, r.r_bar.imag)))]
+    lines += _table_rows((kperps, r.r_te.real, r.r_te.imag, r.r_tm.real,
+                          r.r_tm.imag, r.r_bar.real, r.r_bar.imag))
     _emit(lines, config.output)
     return 0
+
+
+def _table_rows(columns):
+    """Rows of equal-length float64 columns, FLOAT_FMT fields joined by ",".
+
+    A column whose entries are all the same bits (so -0.0 and 0.0 differ)
+    is formatted once and written into the row template.
+    """
+    n = len(columns[0])
+    fields, varying = [], []
+    for col in columns:
+        bits = col.view(np.int64)
+        if (bits == bits[0]).all():
+            fields.append(FLOAT_FMT % col[0].item())
+        else:
+            fields.append(FLOAT_FMT)
+            varying.append(col.tolist())
+    template = ",".join(fields)
+    if not varying:
+        return [template] * n
+    return [template % row for row in zip(*varying)]
 
 
 @functools.cache

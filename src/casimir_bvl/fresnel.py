@@ -1,8 +1,10 @@
 """Fresnel reflection coefficients of a planar half-space.
 
 One kernel holds the formulas: :func:`coefficients` gives (r_te, r_tm) from
-the vacuum and medium normal wavevectors and :func:`scalar_coefficient`
-gives r_bar.  eps None, which :func:`epsilon` returns for the ideal metal,
+the vacuum and medium normal wavevectors, :func:`real_axis_coefficients`
+the same pair at real frequencies with r_te in a form free of the
+cancellation of (k_z - s)/(k_z + s), and :func:`scalar_coefficient` gives
+r_bar.  eps None, which :func:`epsilon` returns for the ideal metal,
 stands for (r_te, r_tm, r_bar) = (-1, 1, 1).  Every caller uses the kernel.
 
 Branch convention: every square root of a complex radicand is taken with
@@ -11,7 +13,8 @@ interface.  On the imaginary frequency axis all coefficients are real.
 
 :func:`reflection` and :func:`reflection_static` take k_perp as a float or
 as an ndarray; an array is evaluated in one pass of the same kernel, with
-eps evaluated once per call.
+eps evaluated once per call.  :func:`real_axis_sweep` gives r_te and
+r_tm - r_bar along an array of real frequencies in one pass.
 """
 
 from __future__ import annotations
@@ -99,6 +102,21 @@ def coefficients(eps, k_z, s, tm=None):
     return _quotient(k_z, s), _quotient(eps * k_z, s)
 
 
+def real_axis_coefficients(eps, k0sq, k_z, s):
+    """(r_te, r_tm) at real omega from eps, k0sq = (omega/c)^2, k_z and s.
+
+    r_te is taken as -(eps - 1) k0^2/(k_z + s)^2, which equals
+    (k_z - s)/(k_z + s) because s^2 - k_z^2 = (eps - 1) k0^2, but keeps
+    its digits where s is close to k_z (deep in the evanescent range,
+    |eps - 1| k0^2 << k_perp^2).  eps None is the ideal metal.  Arrays
+    broadcast.
+    """
+    if eps is None:
+        return coefficients(None, None, None)
+    t = k_z + s
+    return -(eps - 1.0) * k0sq / (t * t), _quotient(eps * k_z, s)
+
+
 def scalar_coefficient(eps):
     """Scalar-cavity coefficient r_bar = (eps - 1)/(eps + 1); 1 for eps None."""
     if eps is None:
@@ -167,9 +185,39 @@ def reflection(model, omega, k_perp):
         r_te, r_tm = imag_axis_coefficients(eps, omega.imag, k_perp)
     else:
         k0sq = (omega / C) * (omega / C)
-        r_te, r_tm = coefficients(eps, branch_sqrt(k0sq - k_perp * k_perp),
-                                  branch_sqrt(eps * k0sq - k_perp * k_perp))
+        r_te, r_tm = real_axis_coefficients(
+            eps, k0sq, branch_sqrt(k0sq - k_perp * k_perp),
+            branch_sqrt(eps * k0sq - k_perp * k_perp))
     return _reflection_set(k_perp, r_te, r_tm, scalar_coefficient(eps))
+
+
+def real_axis_sweep(model, omega, k_perp):
+    """(r_te, r_tm - r_bar) at one k_perp along an ndarray of real omega.
+
+    eps is evaluated once, over the whole array.  r_te is the
+    :func:`real_axis_coefficients` form, and
+    r_tm - r_bar = -2 eps (eps - 1) k0^2/[(k_z + s)(eps k_z + s)(eps + 1)],
+    which does not cancel where r_tm is close to r_bar.  The ideal metal
+    gives (-1, 0).  Raises ZeroFrequency if any omega is 0 and ValueError
+    unless every omega and k_perp are finite and k_perp >= 0.
+    """
+    omega = np.asarray(omega, dtype=float)
+    if not np.all(omega != 0.0):
+        raise ZeroFrequency("use reflection_static for the omega -> 0 limit")
+    if not np.all(np.isfinite(omega)):
+        raise ValueError("omega must be finite")
+    _check_kperp(k_perp, positive=False)
+    if model.kind is Kind.IDEAL_METAL:
+        return (np.full(omega.shape, -1.0, dtype=complex),
+                np.zeros(omega.shape, dtype=complex))
+    eps = materials.eval_epsilon(model, omega)
+    k0sq = (omega / C) ** 2
+    k_z = branch_sqrt(k0sq - k_perp * k_perp)
+    s = branch_sqrt(eps * k0sq - k_perp * k_perp)
+    r_te, _ = real_axis_coefficients(eps, k0sq, k_z, s)
+    gap = (-2.0 * eps * (eps - 1.0) * k0sq
+           / ((k_z + s) * (eps * k_z + s) * (eps + 1.0)))
+    return r_te, gap
 
 
 def static_rte(model, k_perp):

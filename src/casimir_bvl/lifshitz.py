@@ -254,9 +254,10 @@ def _im_round_trip(eps1, eps2, omega, d, kz, pols=(0, 1)):
     """
     k0sq = (omega / C) ** 2
     kz = np.asarray(kz, dtype=complex)
-    r1, r2 = (fresnel.coefficients(eps, kz, None if eps is None else
-                                   fresnel.branch_sqrt((eps - 1.0) * k0sq + kz * kz))
-              for eps in (eps1, eps2))
+    r1, r2 = (fresnel.real_axis_coefficients(
+        eps, k0sq, kz,
+        None if eps is None else fresnel.branch_sqrt((eps - 1.0) * k0sq + kz * kz))
+        for eps in (eps1, eps2))
     phase = np.exp(2j * kz * d)
     total = sum(_round_trip(r1[pol], r2[pol], phase) for pol in pols)
     return np.imag(-1j * kz * total)

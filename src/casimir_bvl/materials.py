@@ -72,8 +72,10 @@ class Oscillator:
     width: float     # rad/s
 
     def __post_init__(self):
-        if self.strength <= 0 or self.center <= 0 or self.width <= 0:
-            raise ValueError("oscillator parameters must be positive")
+        if not all(0.0 < v < math.inf
+                   for v in (self.strength, self.center, self.width)):
+            raise ValueError("oscillator parameters must be finite and "
+                             "positive")
 
 
 @dataclass(frozen=True)
@@ -95,6 +97,8 @@ class MaterialModel:
 
     def __post_init__(self):
         k = self.kind
+        if not all(map(math.isfinite, (self.eps0, self.omega_p, self.gamma))):
+            raise ValueError("eps0, omega_p and gamma must be finite")
         if k is Kind.INSULATOR and self.eps0 < 1.0:
             raise ValueError("insulator requires eps0 >= 1")
         if k in (Kind.DRUDE, Kind.PLASMA, Kind.GENERALIZED_PLASMA) and self.omega_p <= 0:
@@ -106,6 +110,8 @@ class MaterialModel:
                 raise EmptyTable("tabulated model needs >= 2 points")
             xi = [p[0] for p in self.table]
             eps = [p[1] for p in self.table]
+            if not all(map(math.isfinite, xi + eps)):
+                raise ValueError("table entries must be finite")
             if any(b <= a for a, b in zip(xi, xi[1:])):
                 raise ValueError("table frequencies must be strictly increasing")
             if any(e < 1.0 for e in eps) or xi[0] <= 0:
@@ -175,8 +181,8 @@ def eval_epsilon(model, w):
     w : complex or ndarray
         Frequency in rad/s.  Either purely real (nonzero for singular
         models) or purely imaginary with positive imaginary part.  An
-        ndarray must lie on the positive imaginary axis; it is evaluated
-        in one pass.
+        ndarray must lie wholly on one of the two axes; it is evaluated in
+        one pass of the scalar branch's expression.
 
     Returns
     -------
@@ -186,11 +192,14 @@ def eval_epsilon(model, w):
     if model.kind is Kind.IDEAL_METAL:
         raise IdealMetalHasNoEpsilon("ideal metal has no permittivity")
     if isinstance(w, np.ndarray):
-        if not np.all((w.real == 0.0) & (w.imag > 0.0)):
-            raise ValueError(
-                "frequency arrays must lie on the positive imaginary axis")
-        xi = w.imag.astype(float)
-        return np.full(xi.shape, _eval_imag_axis(model, xi), dtype=complex)
+        if np.all((w.real == 0.0) & (w.imag > 0.0)):
+            eps = _eval_imag_axis(model, w.imag.astype(float))
+        elif np.all(w.imag == 0.0):
+            eps = _eval_real_axis(model, w.real.astype(float))
+        else:
+            raise ValueError("frequency arrays must lie on the real or the "
+                             "positive imaginary axis")
+        return np.full(w.shape, eps, dtype=complex)
     w = complex(w)
     if w.real == 0.0 and w.imag > 0.0:
         return complex(_eval_imag_axis(model, w.imag), 0.0)
@@ -221,15 +230,17 @@ def _eval_imag_axis(model, xi):
 
 
 def _eval_real_axis(model, w):
+    """eps(w) for a real float w or an ndarray of real w."""
     k = model.kind
-    if w == 0.0 and k is not Kind.INSULATOR:
+    at_zero = np.any(w == 0.0) if isinstance(w, np.ndarray) else w == 0.0
+    if at_zero and k is not Kind.INSULATOR:
         raise EvalAtZero("model is singular (or undefined) at omega = 0")
     if k is Kind.INSULATOR:
         return model.eps0 + _osc_sum_real(model.oscillators, w)
     if k is Kind.DRUDE:
         return 1.0 - model.omega_p ** 2 / (w * (w + 1j * model.gamma))
     if k is Kind.PLASMA:
-        return complex(1.0 - (model.omega_p / w) ** 2, 0.0)
+        return 1.0 - (model.omega_p / w) ** 2
     if k is Kind.GENERALIZED_PLASMA:
         return (1.0 - (model.omega_p / w) ** 2
                 + _osc_sum_real(model.oscillators, w))

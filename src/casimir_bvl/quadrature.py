@@ -458,23 +458,29 @@ def matsubara_sum(term, d, T, rel_tol):
 def fit_power_law(points):
     """Least-squares slope of log y versus log x.
 
+    points is a sequence of (x, y) pairs or an (n, 2) array.  The slope is
+    the centred closed form sum(dx dy)/sum(dx^2), dx and dy the deviations
+    of log x and log y from their means.
+
     Returns
     -------
     (exponent, r_squared)
     """
     if len(points) < 3:
         raise DegenerateSweep("power-law fit needs at least 3 points")
-    xs = np.array([p[0] for p in points], dtype=float)
-    ys = np.array([p[1] for p in points], dtype=float)
+    xs, ys = np.asarray(points, dtype=float).T
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise NonPositiveData("power-law fit needs positive coordinates")
     lx, ly = np.log(xs), np.log(ys)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    fit = slope * lx + intercept
-    ss_res = float(np.sum((ly - fit) ** 2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
+    dx, dy = lx - lx.mean(), ly - ly.mean()
+    sxx = float(dx @ dx)
+    if sxx == 0.0:
+        raise DegenerateSweep("power-law fit needs distinct x")
+    slope = float(dx @ dy) / sxx
+    ss_res = float(np.sum((dy - slope * dx) ** 2))
+    ss_tot = float(dy @ dy)
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), r2
+    return slope, r2
 
 
 def integrate_real_frequency(g, omega_cap, rel_tol, seed_panels=16):

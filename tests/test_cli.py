@@ -136,8 +136,10 @@ def test_reflect_table_is_the_per_k_scalar_table(spec, tmp_path, capsys):
     probes = [("xi", xi) for xi in (1e12, 1e14, 1e16)] + [("static", None)]
     if spec == "ideal":
         probes += [("omega", w) for w in (1e12, 1e14, 1e16)]
+    # a one-row table, and one whose every column is constant
     for kperp, kperps in (("1e3:1e9:41", np.geomspace(1e3, 1e9, 41)),
-                          ("3e5,1e6,2.5e7", [3e5, 1e6, 2.5e7])):
+                          ("3e5,1e6,2.5e7", [3e5, 1e6, 2.5e7]),
+                          ("1e6", [1e6]), ("2e6,2e6,2e6", [2e6] * 3)):
         for axis, value in probes:
             flag = ["--static"] if axis == "static" else [f"--{axis}",
                                                           repr(value)]
@@ -181,12 +183,70 @@ def test_main_calls_share_the_parser_and_carry_no_state(capsys):
       "--z", "nan"], "z_probe"),
     (["bvl-check", "--mat", "plasma:1e16", "--d", "1e-6", "--T", "300",
       "--z", "inf"], "z_probe"),
+    (["reflect", "--mat", "drude:nan,1e13", "--xi", "1e14", "--kperp", "1e6"],
+     "finite"),
+    (["reflect", "--mat", "insulator:nan", "--xi", "1e14", "--kperp", "1e6"],
+     "finite"),
+    (["reflect", "--mat", "plasma:inf", "--omega", "1e14", "--kperp", "1e6"],
+     "finite"),
+    (["reflect", "--mat", "gplasma:1e16;2e31,nan,1e14", "--xi", "1e14",
+      "--kperp", "1e6"], "finite"),
+    (["bvl-check", "--mat", "drude:1e16,inf", "--d", "1e-6", "--T", "300",
+      "--z", "1e-7"], "finite"),
+    (["reflect", "--mat", DRUDE, "--xi", "1e14", "--kperp", "1e3:inf:3"],
+     "finite positive ends"),
+    (["reflect", "--mat", DRUDE, "--xi", "1e14", "--kperp=-1e3:1e6:3"],
+     "finite positive ends"),
+    (["sweep", "--mat1", "ideal", "--mat2", "ideal", "--d", "1e-6", "--T",
+      "300", "--sweep-param", "d", "--sweep-from", "1e-6", "--sweep-to",
+      "inf", "--sweep-points", "3"], "finite positive ends"),
+    (["sweep", "--mat1", "ideal", "--mat2", "ideal", "--d", "1e-6", "--T",
+      "300", "--sweep-param", "T", "--sweep-from", "nan", "--sweep-to",
+      "300", "--sweep-points", "3"], "finite positive ends"),
 ])
 def test_non_finite_or_empty_input_exits_2(args, names, capsys):
+    # tier-1 turns a RuntimeWarning into an error, so none may be raised
     code, out, err = main_in_process(capsys, *args)
     assert code == 2
     assert out == ""
     assert names in err and "config error" in err
+    assert "Warning" not in err
+
+
+@pytest.mark.parametrize("spec", ["insulator:3.0", "insulator:1.0", DRUDE,
+                                  "plasma:1.37e16"])
+def test_reflect_real_axis_rows_are_the_array_call_row_by_row(spec, capsys):
+    # real-axis arrays round differently from the scalar calls, so the
+    # reference is the array call, formatted one row at a time
+    model = cli.parse_material(spec)
+    row_fmt = ",".join([cli.FLOAT_FMT] * 7)
+    for kperp, kperps in (("1e3:1e9:17", np.geomspace(1e3, 1e9, 17)),
+                          ("1e6", np.array([1e6])),
+                          ("2e6,2e6,2e6", np.full(3, 2e6))):
+        for omega in (1e14, 1e16):
+            code, out, _ = main_in_process(capsys, "reflect", "--mat", spec,
+                                           "--omega", repr(omega),
+                                           "--kperp", kperp)
+            assert code == 0
+            r = F.reflection(model, omega, kperps)
+            want = [row_fmt % row for row in zip(*(
+                part.tolist() for part in (kperps, r.r_te.real, r.r_te.imag,
+                                           r.r_tm.real, r.r_tm.imag,
+                                           r.r_bar.real, r.r_bar.imag)))]
+            assert len(want) == len(kperps)
+            assert [l for l in out.splitlines()
+                    if not l.startswith(("#", "k_"))] == want
+
+
+def test_table_rows_tell_signed_zeros_apart():
+    cols = [np.array([1.0, 2.0, 3.0]), np.array([0.0, -0.0, 0.0]),
+            np.full(3, -0.0), np.zeros(3), np.full(3, 0.5)]
+    fmt = ",".join([cli.FLOAT_FMT] * 5)
+    want = [fmt % row for row in zip(*(c.tolist() for c in cols))]
+    assert cli._table_rows(cols) == want
+    assert "-0.00000000000000000e+00" in want[1].split(",")[1]
+    assert cli._table_rows([np.full(2, -0.0), np.ones(2)]) == \
+        ["-0.00000000000000000e+00,1.00000000000000000e+00"] * 2
 
 
 def test_config_dict_is_the_asdict_view():
@@ -340,6 +400,30 @@ def test_config_file_invalid_json_exits_2(tmp_path):
     path.write_text("{not json")
     proc = run_cli("--config", str(path))
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("config, names", [
+    ({"subcommand": "reflect", "materials": [DRUDE],
+      "probe": {"axis": "xi", "value": 1e14}}, "probe.kperp"),
+    ({"subcommand": "reflect", "materials": [DRUDE],
+      "probe": {"axis": "xi", "value": "1e14", "kperp": "1e6"}},
+     "probe.value"),
+    ({"subcommand": "pressure", "materials": ["ideal"], "d": 1e-6,
+      "T": 300.0}, "materials"),
+    ({"subcommand": "bvl-check", "materials": ["ideal"], "d": 1e-6,
+      "T": "300"}, "'T'"),
+    ({"subcommand": "sweep", "materials": ["ideal", "ideal"], "d": 1e-6,
+      "T": 300.0, "sweep": {"param": "d", "from": 1e-6, "to": 2e-6}},
+     "sweep.points"),
+])
+def test_config_file_missing_or_mistyped_field_exits_2(config, names,
+                                                       tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    code, out, err = main_in_process(capsys, "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert names in err and "config error" in err
 
 
 def test_output_file(tmp_path):

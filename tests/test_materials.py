@@ -266,12 +266,46 @@ def test_imaginary_axis_array_matches_scalar_evaluation():
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
-def test_array_frequencies_must_lie_on_positive_imaginary_axis():
+def test_array_frequencies_must_lie_on_one_axis():
     dr = M.drude(1.37e16, 5.32e13)
-    for w in (np.array([1e14, 1e15]), 1j * np.array([1e14, 0.0]),
-              1j * np.array([1e14, -1e15])):
+    for w in (np.array([1e14, 1e15j]), 1j * np.array([1e14, 0.0]),
+              1j * np.array([1e14, -1e15]), np.array([1e14, 1e14 + 1e14j])):
         with pytest.raises(ValueError):
             M.eval_epsilon(dr, w)
+    with pytest.raises(M.EvalAtZero):
+        M.eval_epsilon(dr, np.array([1e14, 0.0]))
+    assert M.eval_epsilon(M.insulator(3.0), np.array([1e14, 0.0])).tolist() \
+        == [3.0, 3.0]
     table = M.tabulated([(1e14, 5.0), (1e15, 3.0)], M.Extrapolation.FINITE)
+    with pytest.raises(M.TabulatedOutOfRange):
+        M.eval_epsilon(table, np.array([1e14, 1e15]))
     with pytest.raises(ValueError):
         M.eval_epsilon_tabulated(table, np.array([1e14, 0.0]))
+
+
+def test_real_axis_array_matches_scalar_evaluation():
+    w = np.geomspace(1e10, 1e19, 41)
+    osc = [M.Oscillator(2e31, 3e15, 1e14)]
+    for model in (M.insulator(3.0), M.insulator(1.0, osc),
+                  M.drude(1.37e16, 5.32e13), M.plasma(1.37e16),
+                  M.generalized_plasma(1.37e16, osc)):
+        got = M.eval_epsilon(model, w)
+        assert got.shape == w.shape and got.dtype == complex
+        want = [M.eval_epsilon(model, x) for x in w.tolist()]
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_are_rejected(bad):
+    for make in (lambda: M.insulator(bad), lambda: M.drude(bad, 1e13),
+                 lambda: M.drude(1e16, bad), lambda: M.plasma(bad),
+                 lambda: M.generalized_plasma(bad),
+                 lambda: M.Oscillator(bad, 3e15, 1e14),
+                 lambda: M.Oscillator(2e31, bad, 1e14),
+                 lambda: M.Oscillator(2e31, 3e15, bad),
+                 lambda: M.tabulated([(1e14, bad), (1e15, 3.0)],
+                                     M.Extrapolation.FINITE),
+                 lambda: M.tabulated([(1e14, 5.0), (bad, 3.0)],
+                                     M.Extrapolation.FINITE)):
+        with pytest.raises(ValueError):
+            make()

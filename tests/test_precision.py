@@ -1,0 +1,129 @@
+"""Real-axis coefficients and the electric-correlator exponent against
+60-digit mpmath evaluations of the same formulas at the same float inputs."""
+
+import numpy as np
+import pytest
+
+from casimir_bvl import bvl as B
+from casimir_bvl import fresnel as F
+from casimir_bvl import lifshitz as L
+from casimir_bvl import materials as M
+from casimir_bvl import quadrature as Q
+from casimir_bvl.constants import C, HBAR, K_B
+
+mpmath = pytest.importorskip("mpmath")
+mpf = mpmath.mpf
+
+DPS = 60
+DRUDE = M.drude(1.37e16, 5.32e13)
+PLASMA = M.plasma(1.37e16)
+GPLASMA = M.generalized_plasma(1.37e16, [M.Oscillator(2e31, 3e15, 1e14)])
+INSULATOR = M.insulator(3.0)
+IDEAL = M.ideal_metal()
+CATALOG = {"insulator": INSULATOR, "drude": DRUDE, "plasma": PLASMA,
+           "gplasma": GPLASMA, "ideal": IDEAL}
+
+
+def _mp_eps(model, w):
+    """eps(w) at real w, from the model's expression in mpmath."""
+    w = mpf(w)
+    osc = sum((mpf(o.strength) / (mpf(o.center) ** 2 - w * w
+                                  - 1j * mpf(o.width) * w)
+               for o in model.oscillators), mpf(0))
+    if model.kind is M.Kind.INSULATOR:
+        return mpf(model.eps0) + osc
+    if model.kind is M.Kind.DRUDE:
+        return 1 - mpf(model.omega_p) ** 2 / (w * (w + 1j * mpf(model.gamma)))
+    return 1 - (mpf(model.omega_p) / w) ** 2 + osc
+
+
+def _mp_branch_sqrt(z):
+    r = mpmath.sqrt(z)
+    return -r if mpmath.im(r) < 0 else r
+
+
+def _mp_reflection(model, w, k_perp):
+    """(r_te, r_tm, r_bar, k_z) at real w in the direct quotient forms."""
+    k0sq = (mpf(w) / mpf(C)) ** 2
+    kp2 = mpf(k_perp) ** 2
+    k_z = _mp_branch_sqrt(k0sq - kp2)
+    if model.kind is M.Kind.IDEAL_METAL:
+        return mpf(-1), mpf(1), mpf(1), k_z
+    eps = _mp_eps(model, w)
+    s = _mp_branch_sqrt(eps * k0sq - kp2)
+    return ((k_z - s) / (k_z + s), (eps * k_z - s) / (eps * k_z + s),
+            (eps - 1) / (eps + 1), k_z)
+
+
+def _rel_err(got, want):
+    want = complex(want)
+    return abs(complex(got) - want) / abs(want)
+
+
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_e_limit_exponent_matches_60_digit_sweep(name):
+    model = CATALOG[name]
+    for z in np.geomspace(1e-9, 1e-4, 11).tolist():
+        got = B.bvl_verdict(model, 1e-6, 300.0, z).e_limit_exponent
+        k_perp = 1.0 / z
+        te, gap = [], []
+        with mpmath.workdps(DPS):
+            for w in B._default_sweep(k_perp).tolist():
+                r_te, r_tm, r_bar, _ = _mp_reflection(model, w, k_perp)
+                te.append((w, float(abs((mpf(w) / mpf(C)) ** 2 * r_te))))
+                gap.append((w, float(abs(r_tm - r_bar))))
+        want = Q.fit_power_law(te)[0]
+        if model is not IDEAL:
+            want = min(want, Q.fit_power_law(gap)[0])
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), z
+
+
+REAL_AXIS_GRID = [(w, k) for w in (1e11, 1e13, 1e15) for k in (1e5, 3e7, 1e9)]
+
+
+@pytest.mark.parametrize("model", [INSULATOR, DRUDE, PLASMA],
+                         ids=["insulator", "drude", "plasma"])
+def test_real_axis_r_te_matches_60_digit_reference(model):
+    for w, k in REAL_AXIS_GRID:
+        with mpmath.workdps(DPS):
+            want, want_tm, want_bar, _ = _mp_reflection(model, w, k)
+        assert _rel_err(F.reflection(model, w, k).r_te, want) <= 1e-14
+        assert _rel_err(F.reflection(model, w, np.array([k])).r_te[0],
+                        want) <= 1e-14
+        r_te, gap = F.real_axis_sweep(model, np.array([w]), k)
+        assert _rel_err(r_te[0], want) <= 1e-14
+        assert _rel_err(gap[0], want_tm - want_bar) <= 1e-14
+
+
+def test_stress_split_te_piece_matches_60_digit_reference():
+    # insulator facing Drude gold, deep in the evanescent range
+    d, T, w, k = 1e-6, 300.0, 1e13, 3e7
+    got = L.stress_split_integrands(
+        L.CavityConfig(INSULATOR, DRUDE, d, T), w, k).transverse_propagating_te
+    with mpmath.workdps(DPS):
+        r1, _, _, k_z = _mp_reflection(INSULATOR, w, k)
+        r2 = _mp_reflection(DRUDE, w, k)[0]
+        y = r1 * r2 * mpmath.exp(2j * k_z * mpf(d))
+        x = mpf(HBAR) * mpf(w) / (2 * mpf(K_B) * mpf(T))
+        ebw = mpf(HBAR) / 2 / mpmath.tanh(x) / mpmath.pi ** 2
+        want = -ebw * mpf(k) * mpmath.im(-1j * k_z * y / (1 - y))
+    assert _rel_err(got, want) <= 1e-13
+
+
+def test_real_axis_sweep_is_one_pass_of_the_scalar_expressions():
+    w = np.geomspace(1e11, 1e15, 9)
+    for model in (INSULATOR, DRUDE, PLASMA, GPLASMA):
+        np.testing.assert_allclose(
+            M.eval_epsilon(model, w),
+            [M.eval_epsilon(model, x) for x in w.tolist()],
+            rtol=1e-15, atol=0.0)
+        r_te, _ = F.real_axis_sweep(model, w, 3e7)
+        np.testing.assert_allclose(
+            r_te, [F.reflection(model, x, 3e7).r_te for x in w.tolist()],
+            rtol=1e-15, atol=0.0)
+    r_te, gap = F.real_axis_sweep(IDEAL, w, 3e7)
+    assert r_te.tolist() == [-1.0] * 9 and gap.tolist() == [0.0] * 9
+    with pytest.raises(F.ZeroFrequency):
+        F.real_axis_sweep(INSULATOR, np.array([1e12, 0.0]), 3e7)
+    with pytest.raises(ValueError):
+        F.real_axis_sweep(DRUDE, np.array([1e12, np.inf]), 3e7)
