@@ -15,6 +15,13 @@ A second total, ``reflect-total``, digests the text of ``cli.main``
 static limit (exit code, standard output and standard error), so two
 checkouts that print it alike print those tables byte for byte alike.
 
+A third total, ``scalar-total``, digests scalar-argument calls of the six
+models: ``fresnel.reflection`` at five imaginary frequencies and
+``fresnel.reflection_static`` and ``fresnel.static_rte`` at 61 k_perp
+each, and ``materials.eval_epsilon`` at the five imaginary frequencies.
+Each value enters as the ``repr`` of a Python complex, so the total reads
+the bits of the values and not their Python or numpy types.
+
 Usage:
     python3 scripts/route_digest.py [--src DIR] | grep total
 
@@ -45,6 +52,8 @@ OMEGA_P, GAMMA = 1.37e16, 5.32e13
 REFLECT_PROBES = (["--xi", "1e12"], ["--xi", "1e14"], ["--xi", "1e16"],
                   ["--static"])
 REFLECT_KPERP = "1e3:1e9:61"
+#: Imaginary frequencies [rad/s] of the scalar calls.
+SCALAR_XI = (1e10, 1e12, 1e14, 1e16, 1e18)
 
 
 def models(M):
@@ -112,6 +121,27 @@ def reflect_cases(cli, specs, table_path):
                    lambda argv=argv: run(argv))
 
 
+def scalar_cases(F, M):
+    """(label, thunk) of every scalar call; the thunk returns a list of
+    Python complex numbers."""
+    kperps = [float(k) for k in np.geomspace(1e3, 1e9, 61)]
+
+    def sets(calls):
+        return [complex(v) for r in calls for v in (r.r_te, r.r_tm, r.r_bar)]
+
+    for name, m in models(M).items():
+        for xi in SCALAR_XI:
+            yield (f"eval_epsilon {name} xi={xi:g}",
+                   lambda m=m, xi=xi: [complex(M.eval_epsilon(m, 1j * xi))])
+            yield (f"reflection {name} xi={xi:g}",
+                   lambda m=m, xi=xi: sets(F.reflection(m, 1j * xi, k)
+                                           for k in kperps))
+        yield (f"reflection_static {name}",
+               lambda m=m: sets(F.reflection_static(m, k) for k in kperps))
+        yield (f"static_rte {name}",
+               lambda m=m: [complex(F.static_rte(m, k)) for k in kperps])
+
+
 def digest(thunk):
     """SHA-256 hex of repr(result), or of the exception's type and text."""
     try:
@@ -140,7 +170,7 @@ def main(argv=None):
                     help="directory holding the casimir_bvl package")
     args = ap.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
-    from casimir_bvl import bvl, cli, lifshitz, materials
+    from casimir_bvl import bvl, cli, fresnel, lifshitz, materials
 
     where = Path(lifshitz.__file__).parent
     total, n = digest_all(cases(lifshitz, materials, bvl))
@@ -150,6 +180,8 @@ def main(argv=None):
         specs = reflect_specs(materials, table_path)
         total, n = digest_all(reflect_cases(cli, specs, table_path))
     print(f"reflect-total {total}  ({n} tables, package at {where})")
+    total, n = digest_all(scalar_cases(fresnel, materials))
+    print(f"scalar-total {total}  ({n} cases, package at {where})")
 
 
 if __name__ == "__main__":

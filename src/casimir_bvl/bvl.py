@@ -60,7 +60,7 @@ class BvLReport:
     verdict: Verdict
 
 
-def b_correlator_classical(model, point, rel_tol=B_REL_TOL):
+def b_correlator_classical(model, point):
     """Classical magnetic correlator tensor outside the slab.
 
     Angular integration leaves a diagonal tensor with
@@ -78,7 +78,7 @@ def b_correlator_classical(model, point, rel_tol=B_REL_TOL):
     def f(k):
         return k * k * fresnel.static_rte(model, k) * np.exp(-k * zsum)
 
-    res = quadrature.integrate_semi_infinite(f, 1.0 / zsum, rel_tol)
+    res = quadrature.integrate_semi_infinite(f, 1.0 / zsum, B_REL_TOL)
     bzz = res.value
     return np.diag([0.5 * bzz, 0.5 * bzz, bzz])
 
@@ -88,10 +88,11 @@ def e_correlator_limit_exponent(model, k_perp, omega_sweep):
 
     The two contributions scale as |k0^2 r_te(omega, k_perp)| and
     |r_tm(omega, k_perp) - r_bar(omega)|; a positive return certifies that
-    both vanish at zero frequency.  The second piece is identically zero for
-    the ideal metal and is reported as +inf there.  omega_sweep is a list
-    or an ndarray of real frequencies, evaluated in one
-    :func:`fresnel.real_axis_sweep` call.
+    both vanish at zero frequency.  A piece that is exactly zero at every
+    sweep frequency, such as the second one of the ideal metal or both of
+    vacuum, is reported as +inf.  omega_sweep is a list or an ndarray of
+    real frequencies, evaluated in one :func:`fresnel.real_axis_sweep`
+    call.
     """
     if len(omega_sweep) < 5:
         raise DegenerateSweep("need at least 5 sweep frequencies")
@@ -99,12 +100,17 @@ def e_correlator_limit_exponent(model, k_perp, omega_sweep):
         raise ValueError("k_perp must be positive")
     omega = np.asarray(omega_sweep, dtype=float)
     r_te, gap = fresnel.real_axis_sweep(model, omega, k_perp)
-    te_exp, _ = quadrature.fit_power_law(
-        np.column_stack((omega, np.abs((omega / C) ** 2 * r_te))))
-    if model.kind is Kind.IDEAL_METAL:
-        return min(te_exp, math.inf)
-    gap_exp, _ = quadrature.fit_power_law(np.column_stack((omega, np.abs(gap))))
-    return min(te_exp, gap_exp)
+    return min(_vanishing_rate(omega, (omega / C) ** 2 * r_te),
+               _vanishing_rate(omega, gap))
+
+
+def _vanishing_rate(omega, piece):
+    """Fitted power of |piece| in omega; +inf if piece is 0 at every omega."""
+    if not piece.any():
+        return math.inf
+    exponent, _ = quadrature.fit_power_law(
+        np.column_stack((omega, np.abs(piece))))
+    return exponent
 
 
 def _default_sweep(k_perp):

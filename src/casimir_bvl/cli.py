@@ -20,6 +20,7 @@ import numpy as np
 from . import bvl, fresnel, lifshitz, materials, quadrature
 
 FLOAT_FMT = "%.17e"
+SWEEP_PARAMS = ("d", "T", "omega_p")
 
 BVL_REPORT_SCHEMA = {
     "type": "object",
@@ -121,7 +122,8 @@ def _check_fields(config):
         raise ConfigParse(f"unknown method {config.method!r}")
     if sc == "sweep":
         _check_object(config.sweep, "sweep",
-                      {"param": _is_str, "from": _is_number,
+                      {"param": lambda v: v in SWEEP_PARAMS,
+                       "from": _is_number,
                        "to": _is_number, "points": _is_int})
     if sc == "reflect":
         probe = config.probe
@@ -211,9 +213,7 @@ def _pressure_payload(result):
     return payload
 
 
-def _compute_pressure(config):
-    m1 = parse_material(config.materials[0])
-    m2 = parse_material(config.materials[1])
+def _compute_pressure(config, m1, m2):
     cavity = lifshitz.CavityConfig(
         m1, m2, config.d, config.T,
         rel_tol=1e-9 if config.rel_tol is None else config.rel_tol)
@@ -223,7 +223,7 @@ def _compute_pressure(config):
 
 
 def run_pressure(config):
-    result = _compute_pressure(config)
+    result = _compute_pressure(config, *map(parse_material, config.materials))
     fmt = (config.output or {}).get("format", "json")
     if fmt == "json":
         doc = {"config": config.to_dict(), "result": _pressure_payload(result)}
@@ -257,34 +257,24 @@ def _sweep_values(sweep):
     return np.geomspace(lo, hi, points)
 
 
-def _with_omega_p(spec, omega_p):
-    model = parse_material(spec)
-    if model.kind is materials.Kind.DRUDE:
-        return f"drude:{omega_p!r},{model.gamma!r}"
-    if model.kind is materials.Kind.PLASMA:
-        return f"plasma:{omega_p!r}"
-    raise ConfigParse("omega_p sweep needs drude or plasma materials")
-
-
 def run_sweep(config):
-    sweep = config.sweep or {}
-    param = sweep.get("param")
-    if param not in ("d", "T", "omega_p"):
-        raise ConfigParse("sweep parameter must be one of d, T, omega_p")
+    sweep = config.sweep
+    param = sweep["param"]
     values = _sweep_values(sweep)
+    models = [parse_material(s) for s in config.materials]
+    if param == "omega_p" and not all(
+            m.kind in (materials.Kind.DRUDE, materials.Kind.PLASMA)
+            for m in models):
+        raise ConfigParse("omega_p sweep needs drude or plasma materials")
 
     def at(value):
-        sub = dataclasses.replace(config, sweep=None)
-        if param == "d":
-            sub.d = float(value)
-        elif param == "T":
-            sub.T = float(value)
-        else:
-            sub.materials = [_with_omega_p(s, float(value))
-                             for s in config.materials]
-        return _compute_pressure(sub)
+        if param == "omega_p":
+            return _compute_pressure(config, *(
+                dataclasses.replace(m, omega_p=value) for m in models))
+        return _compute_pressure(
+            dataclasses.replace(config, **{param: value}), *models)
 
-    rows = [(float(v), at(v)) for v in values]
+    rows = [(v, at(v)) for v in map(float, values)]
     fmt = (config.output or {}).get("format", "csv")
     if fmt == "json":
         doc = {"config": config.to_dict(),
@@ -305,8 +295,6 @@ def run_sweep(config):
 
 
 def run_bvl_check(config):
-    if config.z is None:
-        raise ConfigParse("bvl-check requires --z (probe distance)")
     model = parse_material(config.materials[0])
     report = bvl.bvl_verdict(model, config.d, config.T, config.z)
     exponent = report.e_limit_exponent
@@ -337,7 +325,7 @@ def _kperp_list(raw):
 
 
 def run_reflect(config):
-    probe = config.probe or {}
+    probe = config.probe
     model = parse_material(config.materials[0])
     kperps = _kperp_list(probe["kperp"])
     axis = probe["axis"]
@@ -408,7 +396,7 @@ def build_parser():
     p.add_argument("--method", choices=("matsubara", "realfreq"),
                    default="matsubara")
     p.add_argument("--rel-tol", type=float, default=None)
-    p.add_argument("--sweep-param", choices=("d", "T", "omega_p"),
+    p.add_argument("--sweep-param", choices=SWEEP_PARAMS,
                    required=True)
     p.add_argument("--sweep-from", type=float, required=True)
     p.add_argument("--sweep-to", type=float, required=True)
@@ -482,8 +470,6 @@ def main(argv=None):
         else:
             args = build_parser().parse_args(argv)
             config = _config_from_args(args)
-        if config.subcommand not in _DISPATCH:
-            raise ConfigParse(f"unknown subcommand {config.subcommand!r}")
         return _DISPATCH[config.subcommand](config)
     except (ConfigParse, ValueError, OSError, json.JSONDecodeError,
             materials.MaterialError, fresnel.ZeroFrequency) as exc:

@@ -12,15 +12,15 @@ non-negative imaginary part, so that evanescent waves decay away from the
 interface.  On the imaginary frequency axis all coefficients are real.
 
 :func:`reflection` and :func:`reflection_static` take k_perp as a float or
-as an ndarray; an array is evaluated in one pass of the same kernel, with
-eps evaluated once per call.  :func:`real_axis_sweep` gives r_te and
-r_tm - r_bar along an array of real frequencies in one pass.
+as an ndarray; either is evaluated in one array pass of the same kernel,
+with eps evaluated once per call, and a float gives complex scalars.
+:func:`real_axis_sweep` gives r_te and r_tm - r_bar along an array of real
+frequencies in one pass.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +44,6 @@ class ReflectionSet:
     r_bar: complex
 
 
-IDEAL_REFLECTION = ReflectionSet(complex(-1.0), complex(1.0), complex(1.0))
-
-
 def branch_sqrt(z):
     """Complex square root with Im >= 0.
 
@@ -68,15 +65,14 @@ def branch_sqrt(z):
 def epsilon(model, omega):
     """eps(omega), real on the imaginary axis; None for the ideal metal.
 
-    omega may be an ndarray on the positive imaginary axis, evaluated in
-    one call of the material model.
+    omega may be an ndarray wholly on the positive imaginary axis or wholly
+    on the real axis, evaluated in one call of the material model; only the
+    imaginary axis drops the (zero) imaginary part.
     """
     if model.kind is Kind.IDEAL_METAL:
         return None
     eps = materials.eval_epsilon(model, omega)
-    if isinstance(omega, np.ndarray) or complex(omega).real == 0.0:
-        return eps.real
-    return eps
+    return eps.real if np.all(np.real(omega) == 0.0) else eps
 
 
 def _quotient(a_kz, s):
@@ -142,22 +138,29 @@ def imag_axis_coefficients(eps, xi, k_perp, tm=None, q=None):
 
 
 def _check_kperp(k_perp, positive):
-    """ValueError naming the first k_perp, a float or an ndarray, that is
-    not finite and > 0 (positive) or >= 0."""
-    k = np.asarray(k_perp, dtype=float)
+    """k_perp, a float or an ndarray, as a float array of at least one
+    dimension; ValueError naming the first k_perp that is not finite and
+    > 0 (positive) or >= 0."""
+    k = np.atleast_1d(np.asarray(k_perp, dtype=float))
     ok = np.isfinite(k) & (k > 0.0 if positive else k >= 0.0)
     if not ok.all():
         raise ValueError(f"k_perp must be finite and "
                          f"{'positive' if positive else 'non-negative'}, "
                          f"got {float(k[~ok][0])!r}")
+    return k
 
 
 def _reflection_set(k_perp, r_te, r_tm, r_bar):
-    """ReflectionSet of complex scalars, or of arrays shaped like k_perp."""
-    if isinstance(k_perp, np.ndarray):
-        return ReflectionSet(*(np.full(k_perp.shape, r, dtype=complex)
-                               for r in (r_te, r_tm, r_bar)))
-    return ReflectionSet(complex(r_te), complex(r_tm), complex(r_bar))
+    """ReflectionSet of complex arrays shaped like k_perp."""
+    shape = np.shape(k_perp)
+    return ReflectionSet(*(np.full(shape, r, dtype=complex)
+                           for r in (r_te, r_tm, r_bar)))
+
+
+def _scalars(r):
+    """The ReflectionSet r of one-entry arrays as one of Python complex
+    scalars."""
+    return ReflectionSet(r.r_te.item(), r.r_tm.item(), r.r_bar.item())
 
 
 def reflection(model, omega, k_perp):
@@ -166,29 +169,29 @@ def reflection(model, omega, k_perp):
     omega may be real or purely imaginary (positive imaginary part).  On the
     imaginary axis all three coefficients are exactly real.  k_perp is a
     float or an ndarray; an array gives a set of arrays from one kernel
-    pass, equal entry by entry to the scalar calls on the imaginary axis
-    and for the ideal metal, and within rounding of complex division on
-    the real axis.  Raises ValueError unless omega and every k_perp are
-    finite and k_perp >= 0.
+    pass, and a float runs the same pass as a one-entry array and gives
+    complex scalars, equal bit for bit to the matching array entries.
+    Raises ValueError unless omega and every k_perp are finite and
+    k_perp >= 0.
     """
     omega = complex(omega)
     if omega == 0:
         raise ZeroFrequency("use reflection_static for the omega -> 0 limit")
     if not cmath.isfinite(omega):
         raise ValueError(f"omega must be finite, got {omega!r}")
-    if isinstance(k_perp, np.ndarray) or not 0.0 <= k_perp < math.inf:
-        _check_kperp(k_perp, positive=False)
+    k = _check_kperp(k_perp, positive=False)
     eps = epsilon(model, omega)
     if eps is None:  # the ideal metal needs no wavevectors
         r_te, r_tm = coefficients(None, None, None)
     elif omega.real == 0.0:
-        r_te, r_tm = imag_axis_coefficients(eps, omega.imag, k_perp)
+        r_te, r_tm = imag_axis_coefficients(eps, omega.imag, k)
     else:
         k0sq = (omega / C) * (omega / C)
         r_te, r_tm = real_axis_coefficients(
-            eps, k0sq, branch_sqrt(k0sq - k_perp * k_perp),
-            branch_sqrt(eps * k0sq - k_perp * k_perp))
-    return _reflection_set(k_perp, r_te, r_tm, scalar_coefficient(eps))
+            eps, k0sq, branch_sqrt(k0sq - k * k),
+            branch_sqrt(eps * k0sq - k * k))
+    r = _reflection_set(k, r_te, r_tm, scalar_coefficient(eps))
+    return r if np.ndim(k_perp) else _scalars(r)
 
 
 def real_axis_sweep(model, omega, k_perp):
@@ -221,38 +224,41 @@ def real_axis_sweep(model, omega, k_perp):
 
 
 def static_rte(model, k_perp):
-    """Zero-frequency TE coefficient; k_perp may be an ndarray."""
+    """Zero-frequency TE coefficient; k_perp is a float or an ndarray."""
+    k = np.asarray(k_perp, dtype=float)
     cls = zero_freq_class(model)
-    if cls is ZeroFreqClass.IDEAL:
-        return np.full(k_perp.shape, -1.0) \
-            if isinstance(k_perp, np.ndarray) else -1.0
     if cls is ZeroFreqClass.INVERSE_OMEGA_SQUARED:
         kp2 = (effective_omega_p(model) / C) ** 2
-        kappa = np.sqrt(k_perp * k_perp + kp2)
-        return (k_perp - kappa) / (k_perp + kappa)
-    return np.zeros(k_perp.shape) if isinstance(k_perp, np.ndarray) else 0.0
+        kappa = np.sqrt(k * k + kp2)
+        r_te = (k - kappa) / (k + kappa)
+    else:
+        r_te = np.full(k.shape, -1.0 if cls is ZeroFreqClass.IDEAL else 0.0)
+    return r_te if k.ndim else float(r_te)
+
+
+def static_rtm(model):
+    """Zero-frequency TM coefficient, the same at every k_perp.
+
+    It equals the static r_bar: (eps0 - 1)/(eps0 + 1) for finite-class
+    models and 1 for every conductor, the ideal metal included.
+    """
+    if zero_freq_class(model) is ZeroFreqClass.FINITE:
+        return scalar_coefficient(static_epsilon(model))
+    return 1.0
 
 
 def reflection_static(model, k_perp):
     """Exact omega -> 0 limits of the three reflection coefficients.
 
-    TE vanishes for finite and Drude-like (1/omega) models, stays finite
-    for plasma-like (1/omega^2) models and is -1 for the ideal metal; TM
-    and the scalar coefficient go to 1 for all conductors and to
-    (eps0-1)/(eps0+1) for finite-class models.  k_perp is a float or an
-    ndarray (then a set of arrays, equal entry by entry to the scalar
-    calls); ValueError unless every k_perp is finite and positive.
+    TE (:func:`static_rte`) vanishes for finite and Drude-like (1/omega)
+    models, stays finite for plasma-like (1/omega^2) models and is -1 for
+    the ideal metal; TM and the scalar coefficient (:func:`static_rtm`) go
+    to 1 for all conductors and to (eps0-1)/(eps0+1) for finite-class
+    models.  k_perp is a float (then complex scalars) or an ndarray (then
+    a set of arrays, equal entry by entry to the scalar calls); ValueError
+    unless every k_perp is finite and positive.
     """
-    if isinstance(k_perp, np.ndarray) or not 0.0 < k_perp < math.inf:
-        _check_kperp(k_perp, positive=True)
-    cls = zero_freq_class(model)
-    if cls is ZeroFreqClass.IDEAL:
-        ideal = IDEAL_REFLECTION
-        if not isinstance(k_perp, np.ndarray):  # n = 0 TM, twice a pressure
-            return ideal
-        return _reflection_set(k_perp, ideal.r_te, ideal.r_tm, ideal.r_bar)
-    r_te = static_rte(model, k_perp)
-    if cls is ZeroFreqClass.FINITE:
-        r_bar = scalar_coefficient(static_epsilon(model))
-        return _reflection_set(k_perp, r_te, r_bar, r_bar)
-    return _reflection_set(k_perp, r_te, 1.0, 1.0)
+    k = _check_kperp(k_perp, positive=True)
+    r_tm = static_rtm(model)
+    r = _reflection_set(k, static_rte(model, k), r_tm, r_tm)
+    return r if np.ndim(k_perp) else _scalars(r)

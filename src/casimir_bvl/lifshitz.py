@@ -31,9 +31,9 @@ ROWS_PER_PASS = 64
 #: On the benchmark's 300 K and 77 K pressures n_max lies 1 below to 4 above
 #: the prediction, so one pass computes them all.
 CHUNK_MARGIN = 4
-#: Default relative tolerance of the real-frequency diagnostic route.
+#: Reported relative tolerance of the real-frequency diagnostic route.
 REALFREQ_REL_TOL = 5e-2
-#: Default frequency cap of the real-frequency route, in units of c/(2 d).
+#: Frequency cap of the real-frequency route, in units of c/(2 d).
 OMEGA_CAP_FACTOR = 50.0
 #: Internal tolerances of the real-frequency route.  The frequency integral
 #: cancels over many cavity oscillations, so it is driven far below the
@@ -121,8 +121,7 @@ def _n0_integral(config, polarization):
                             fresnel.static_rte(m2, k), np.exp(-2.0 * k * d))
             return k * k * y
     else:
-        r1 = fresnel.reflection_static(m1, 1.0 / d).r_tm.real
-        r2 = fresnel.reflection_static(m2, 1.0 / d).r_tm.real
+        r1, r2 = fresnel.static_rtm(m1), fresnel.static_rtm(m2)
 
         def f(k):
             return k * k * _round_trip(r1, r2, np.exp(-2.0 * k * d))
@@ -282,18 +281,17 @@ def _check_real_axis_model(model):
             f"{model.kind.value} model is lossless as omega -> 0")
 
 
-def pressure_real_frequency(config, rel_tol=REALFREQ_REL_TOL,
-                            omega_cap=None):
+def pressure_real_frequency(config):
     """Casimir pressure from the real-frequency representation (diagnostic).
 
     The frequency integrand oscillates on the cavity round-trip scale
     pi*c/d with an envelope that dwarfs the net pressure, so the route is
-    diagnostic-grade: the default reported tolerance is 5e-2.  A hard
+    diagnostic-grade: the reported tolerance is 5e-2.  A hard
     frequency cutoff would leave a truncation residual of the oscillation
     amplitude; instead the integrand is rolled off smoothly (cosine taper
     over [omega_cap, 2*omega_cap]) after the slab reflectivities have
-    decayed.  The default ``omega_cap`` is the larger of
-    ``OMEGA_CAP_FACTOR * c/(2 d)`` and 1.5x the larger plasma frequency.
+    decayed.  ``omega_cap`` is the larger of ``OMEGA_CAP_FACTOR * c/(2 d)``
+    and 1.5x the larger plasma frequency.
     The breakdown reports the evanescent/propagating split instead of
     per-index terms.
 
@@ -310,9 +308,8 @@ def pressure_real_frequency(config, rel_tol=REALFREQ_REL_TOL,
     m1, m2, d, T = config.material_1, config.material_2, config.d, config.T
     for m in (m1, m2):
         _check_real_axis_model(m)
-    if omega_cap is None:
-        omega_cap = max(OMEGA_CAP_FACTOR * C / (2.0 * d),
-                        1.5 * max(m1.omega_p, m2.omega_p))
+    omega_cap = max(OMEGA_CAP_FACTOR * C / (2.0 * d),
+                    1.5 * max(m1.omega_p, m2.omega_p))
     omega_total = 2.0 * omega_cap
 
     def inner(omega, propagating):
@@ -352,18 +349,17 @@ def pressure_real_frequency(config, rel_tol=REALFREQ_REL_TOL,
 
     # one seed panel per half oscillation of the cavity round-trip phase
     n_seed = max(16, math.ceil(omega_total * 2.0 * d / (math.pi * C) * 2))
-    omega_rel = min(_OMEGA_REL_TOL, rel_tol)
     res_total = quadrature.integrate_real_frequency(
-        g(True), omega_total, omega_rel, seed_panels=n_seed)
+        g(True), omega_total, _OMEGA_REL_TOL, seed_panels=n_seed)
     res_evan = quadrature.integrate_real_frequency(
-        g(False), omega_total, omega_rel, seed_panels=n_seed)
+        g(False), omega_total, _OMEGA_REL_TOL, seed_panels=n_seed)
     pref = -1.0 / math.pi ** 2
     total = pref * res_total.value
     evan = pref * res_evan.value
     return PressureResult(
         pressure=total,
         error_estimate=abs(pref) * res_total.error_estimate
-        + abs(total) * rel_tol,
+        + abs(total) * REALFREQ_REL_TOL,
         n0_te=0.0, n0_tm=0.0, per_n=[], n_max=0,
         evanescent=evan, propagating=total - evan)
 

@@ -181,42 +181,34 @@ def eval_epsilon(model, w):
     w : complex or ndarray
         Frequency in rad/s.  Either purely real (nonzero for singular
         models) or purely imaginary with positive imaginary part.  An
-        ndarray must lie wholly on one of the two axes; it is evaluated in
-        one pass of the scalar branch's expression.
+        ndarray must lie wholly on one of the two axes.  Either is evaluated
+        in one array pass; a scalar as a one-entry array, so it equals the
+        matching entry of an array call bit for bit.
 
     Returns
     -------
-    complex, or a complex ndarray for an ndarray w
+    complex, or a complex ndarray of w's shape for an ndarray w
         On the imaginary axis the result has exactly zero imaginary part.
     """
     if model.kind is Kind.IDEAL_METAL:
         raise IdealMetalHasNoEpsilon("ideal metal has no permittivity")
-    if isinstance(w, np.ndarray):
-        if np.all((w.real == 0.0) & (w.imag > 0.0)):
-            eps = _eval_imag_axis(model, w.imag.astype(float))
-        elif np.all(w.imag == 0.0):
-            eps = _eval_real_axis(model, w.real.astype(float))
-        else:
-            raise ValueError("frequency arrays must lie on the real or the "
-                             "positive imaginary axis")
-        return np.full(w.shape, eps, dtype=complex)
-    w = complex(w)
-    if w.real == 0.0 and w.imag > 0.0:
-        return complex(_eval_imag_axis(model, w.imag), 0.0)
-    if w.imag == 0.0:
-        return complex(_eval_real_axis(model, w.real))
-    raise ValueError("frequency must lie on the real or positive imaginary axis")
+    z = np.atleast_1d(np.asarray(w, dtype=complex))
+    if np.all((z.real == 0.0) & (z.imag > 0.0)):
+        eps = _eval_imag_axis(model, z.imag)
+    elif np.all(z.imag == 0.0):
+        eps = _eval_real_axis(model, z.real)
+    else:
+        raise ValueError("frequency must lie on the real or the positive "
+                         "imaginary axis")
+    eps = np.full(z.shape, eps, dtype=complex)
+    return eps if np.ndim(w) else eps.item()
 
 
 def _eval_imag_axis(model, xi):
-    """eps(i xi) for a float xi >= 0 or an ndarray of positive xi."""
+    """eps(i xi) for an ndarray of positive xi."""
     k = model.kind
     if k is Kind.INSULATOR:
         return model.eps0 + _osc_sum_imag(model.oscillators, xi)
-    if not isinstance(xi, np.ndarray) and xi == 0.0:
-        if k is Kind.TABULATED and model.extrapolation is Extrapolation.FINITE:
-            return model.table[0][1]
-        raise EvalAtZero(f"{k.value} model is singular at zero frequency")
     if k is Kind.DRUDE:
         return 1.0 + model.omega_p ** 2 / (xi * (xi + model.gamma))
     if k is Kind.PLASMA:
@@ -230,10 +222,9 @@ def _eval_imag_axis(model, xi):
 
 
 def _eval_real_axis(model, w):
-    """eps(w) for a real float w or an ndarray of real w."""
+    """eps(w) for an ndarray of real w."""
     k = model.kind
-    at_zero = np.any(w == 0.0) if isinstance(w, np.ndarray) else w == 0.0
-    if at_zero and k is not Kind.INSULATOR:
+    if k is not Kind.INSULATOR and np.any(w == 0.0):
         raise EvalAtZero("model is singular (or undefined) at omega = 0")
     if k is Kind.INSULATOR:
         return model.eps0 + _osc_sum_real(model.oscillators, w)

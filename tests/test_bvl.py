@@ -9,7 +9,7 @@ from casimir_bvl import bvl as B
 from casimir_bvl import fresnel as F
 from casimir_bvl import materials as M
 from casimir_bvl.constants import C
-from casimir_bvl.quadrature import DegenerateSweep
+from casimir_bvl.quadrature import DegenerateSweep, NonPositiveData
 
 DRUDE = M.drude(1.37e16, 5.32e13)
 PLASMA = M.plasma(1.37e16)
@@ -155,3 +155,21 @@ def test_verdict_tabulated_exponent_sentinel():
 def test_verdict_z_probe_validation():
     with pytest.raises(ValueError):
         B.bvl_verdict(PLASMA, 1e-6, 300.0, 0.0)
+
+
+def test_vacuum_pieces_vanish_at_every_frequency():
+    vacuum = M.insulator(1.0)
+    k = 1e7
+    assert B.e_correlator_limit_exponent(
+        vacuum, k, B._default_sweep(k)) == math.inf
+    report = B.bvl_verdict(vacuum, 1e-6, 300.0, 1e-7)
+    assert report.e_limit_exponent == math.inf
+    assert report.verdict is B.Verdict.PASS
+
+
+def test_piece_zero_at_some_frequencies_still_raises():
+    omega = np.geomspace(1e10, 1e12, 6)
+    assert B._vanishing_rate(omega, np.zeros(6, dtype=complex)) == math.inf
+    assert B._vanishing_rate(omega, omega ** 2) == pytest.approx(2.0)
+    with pytest.raises(NonPositiveData):
+        B._vanishing_rate(omega, np.where(omega < 1e11, 0.0, omega))

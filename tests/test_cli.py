@@ -415,6 +415,10 @@ def test_config_file_invalid_json_exits_2(tmp_path):
     ({"subcommand": "sweep", "materials": ["ideal", "ideal"], "d": 1e-6,
       "T": 300.0, "sweep": {"param": "d", "from": 1e-6, "to": 2e-6}},
      "sweep.points"),
+    ({"subcommand": "sweep", "materials": ["ideal", "ideal"], "d": 1e-6,
+      "T": 300.0, "sweep": {"param": "x", "from": 1e-6, "to": 2e-6,
+                            "points": 2}},
+     "sweep.param"),
 ])
 def test_config_file_missing_or_mistyped_field_exits_2(config, names,
                                                        tmp_path, capsys):
@@ -435,3 +439,77 @@ def test_output_file(tmp_path):
     assert proc.stdout == ""
     doc = json.loads(out.read_text())
     assert doc["result"]["pressure_pa"] < 0.0
+
+
+# --------------------------------------------------------- sweep parsing
+
+def _sweep_rows(out):
+    return [l for l in out.splitlines() if not l.startswith("#")][1:]
+
+
+def test_sweep_parses_each_material_once(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "eps.dat"
+    path.write_text("1e12 30.0\n1e13 12.0\n1e14 3.0\n1e15 1.5\n1e16 1.01\n")
+    loads, parses = [], []
+    load_table, parse_material = M.load_table, cli.parse_material
+    monkeypatch.setattr(M, "load_table",
+                        lambda p: loads.append(p) or load_table(p))
+    monkeypatch.setattr(cli, "parse_material",
+                        lambda s: parses.append(s) or parse_material(s))
+    code, out, _ = main_in_process(
+        capsys, "sweep", "--mat1", f"table:{path},finite", "--mat2", DRUDE,
+        "--d", "5e-6", "--T", "300", "--sweep-param", "T", "--sweep-from",
+        "77", "--sweep-to", "300", "--sweep-points", "5")
+    assert code == 0 and len(_sweep_rows(out)) == 5
+    assert len(loads) == 1
+    parses.clear()
+    code, out, _ = main_in_process(
+        capsys, "sweep", "--mat1", DRUDE, "--mat2", "plasma:1e16", "--d",
+        "2e-6", "--T", "300", "--sweep-param", "omega_p", "--sweep-from",
+        "1e15", "--sweep-to", "3e16", "--sweep-points", "5")
+    assert code == 0 and len(_sweep_rows(out)) == 5
+    assert parses == [DRUDE, "plasma:1e16"]
+
+
+@pytest.mark.parametrize("param, lo, hi", [
+    ("d", 5e-7, 5e-6), ("T", 77.0, 300.0), ("omega_p", 1e15, 3e16)])
+def test_sweep_rows_are_pressure_runs_at_each_value(param, lo, hi, capsys):
+    # each row is what the pressure subcommand prints for the swept value,
+    # with an omega_p value written into the material specs
+    base = {"d": 2e-6, "T": 300.0}
+    specs = lambda wp: (f"drude:{wp!r},5.32e13", f"plasma:{wp!r}")
+    code, out, _ = main_in_process(
+        capsys, "sweep", "--mat1", *specs(1.37e16)[:1], "--mat2",
+        specs(1.37e16)[1], "--d", "2e-6", "--T", "300", "--sweep-param",
+        param, "--sweep-from", repr(lo), "--sweep-to", repr(hi),
+        "--sweep-points", "3")
+    assert code == 0
+    rows = _sweep_rows(out)
+    for v, row in zip(np.geomspace(lo, hi, 3).tolist(), rows):
+        args = {**base, param: v} if param != "omega_p" else base
+        m1, m2 = specs(v if param == "omega_p" else 1.37e16)
+        code, out, _ = main_in_process(
+            capsys, "pressure", "--mat1", m1, "--mat2", m2, "--d",
+            repr(args["d"]), "--T", repr(args["T"]), "--format", "csv")
+        assert code == 0
+        assert row == f"{cli._fmt(v)},{out.splitlines()[-1]}"
+
+
+def test_omega_p_sweep_of_other_materials_exits_2(capsys):
+    code, out, err = main_in_process(
+        capsys, "sweep", "--mat1", "ideal", "--mat2", "plasma:1e16", "--d",
+        "5e-6", "--T", "300", "--sweep-param", "omega_p", "--sweep-from",
+        "1e15", "--sweep-to", "1e17", "--sweep-points", "3")
+    assert code == 2 and out == ""
+    assert "omega_p sweep needs drude or plasma" in err
+
+
+def test_bvl_check_vacuum_passes_with_infinite_exponent(capsys):
+    code, out, _ = main_in_process(
+        capsys, "bvl-check", "--mat", "insulator:1.0", "--d", "1e-6", "--T",
+        "300", "--z", "1e-7")
+    assert code == 0
+    assert '"e_limit_exponent": "inf"' in out
+    doc = json.loads(out)
+    jsonschema.validate(doc, cli.BVL_REPORT_SCHEMA)
+    assert doc["verdict"] == "Pass"

@@ -87,7 +87,8 @@ def test_ideal_metal_reflection_everywhere():
         r = F.reflection(M.ideal_metal(), w, 1e6)
         assert (r.r_te, r.r_tm, r.r_bar) == (-1.0, 1.0, 1.0)
     assert F.imag_axis_coefficients(None, 1e14, 1e6) == (-1.0, 1.0)
-    assert F.reflection_static(M.ideal_metal(), 1e6) == F.IDEAL_REFLECTION
+    r = F.reflection_static(M.ideal_metal(), 1e6)
+    assert (r.r_te, r.r_tm, r.r_bar) == (-1.0, 1.0, 1.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -283,3 +284,54 @@ def test_reflection_rejects_non_finite_frequency(omega):
     for k in (1e6, ARRAY_K):
         with pytest.raises(ValueError, match="omega"):
             F.reflection(SIX_KINDS[1], omega, k)
+
+
+# ------------------------------------------------- scalar boundary
+
+def test_epsilon_real_axis_array_keeps_the_imaginary_part():
+    drude = M.drude(1.37e16, 5.32e13)
+    w = np.array([1e13, 1e14, 1e15])
+    got = F.epsilon(drude, w)
+    assert got.dtype == complex
+    assert np.all(got.imag > 0.0)
+    assert got.tolist() == [F.epsilon(drude, x) for x in w.tolist()]
+
+
+def test_scalar_inputs_return_python_scalars():
+    k, xi, w = 1e6, 1e14, 1e14
+    for model in SIX_KINDS:
+        r = F.reflection_static(model, k)
+        assert {type(v) for v in (r.r_te, r.r_tm, r.r_bar)} == {complex}
+        assert type(F.static_rte(model, k)) is float
+        assert type(F.static_rtm(model)) is float
+        r = F.reflection(model, 1j * xi, k)
+        assert {type(v) for v in (r.r_te, r.r_tm, r.r_bar)} == {complex}
+        if model.kind is M.Kind.IDEAL_METAL:
+            continue
+        assert type(M.eval_epsilon(model, 1j * xi)) is complex
+        assert type(F.epsilon(model, 1j * xi)) is float
+        if model.kind is M.Kind.TABULATED:
+            assert type(M.eval_epsilon_tabulated(model, xi)) is float
+            continue
+        assert type(M.eval_epsilon(model, w)) is complex
+        assert type(F.epsilon(model, w)) is complex
+        r = F.reflection(model, w, k)
+        assert {type(v) for v in (r.r_te, r.r_tm, r.r_bar)} == {complex}
+
+
+@pytest.mark.parametrize("model", SIX_KINDS[:5], ids=KIND_IDS[:5])
+def test_scalar_real_axis_call_is_the_array_entry_bit_for_bit(model):
+    for omega in FREQUENCIES:
+        got = _per_k(lambda k: F.reflection(model, omega, k))
+        want = _as_arrays(F.reflection(model, omega, ARRAY_K))
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+def test_static_rtm_is_the_static_tm_and_scalar_coefficient():
+    for model in SIX_KINDS:
+        r = F.reflection_static(model, ARRAY_K)
+        assert np.all(r.r_tm == F.static_rtm(model))
+        assert np.all(r.r_bar == F.static_rtm(model))
+    assert F.static_rtm(M.insulator(3.0)) == 0.5
+    assert F.static_rtm(M.ideal_metal()) == 1.0

@@ -86,8 +86,6 @@ def test_singular_models_raise_at_zero():
                   M.generalized_plasma(1e16)):
         with pytest.raises(M.EvalAtZero):
             M.eval_epsilon(model, 0.0)
-        with pytest.raises(M.EvalAtZero):
-            M._eval_imag_axis(model, 0.0)
 
 
 def test_ideal_metal_has_no_epsilon():
@@ -309,3 +307,14 @@ def test_non_finite_parameters_are_rejected(bad):
                                      M.Extrapolation.FINITE)):
         with pytest.raises(ValueError):
             make()
+
+
+def test_scalar_is_the_one_entry_array_bit_for_bit():
+    w = np.geomspace(1e10, 1e19, 41)
+    osc = [M.Oscillator(2e31, 3e15, 1e14)]
+    for model in (M.insulator(3.0), M.insulator(1.0, osc),
+                  M.drude(1.37e16, 5.32e13), M.plasma(1.37e16),
+                  M.generalized_plasma(1.37e16, osc)):
+        for x in (w, 1j * w):
+            want = [M.eval_epsilon(model, np.array([v]))[0] for v in x]
+            assert [M.eval_epsilon(model, v) for v in x.tolist()] == want
