@@ -80,21 +80,15 @@ def _quotient(a_kz, s):
     return (a_kz - s) / (a_kz + s)
 
 
-def coefficients(eps, k_z, s, tm=None):
+def coefficients(eps, k_z, s):
     """(r_te, r_tm) from the vacuum and medium normal wavevectors k_z and s.
 
     eps None is the ideal metal, (-1, 1) at every frequency.  On the
     imaginary axis k_z = i*q and s = i*kappa may be passed as q and kappa,
-    since the common factor i cancels.  Arrays broadcast.  Given a boolean
-    array ``tm``, returns one coefficient per point instead, r_tm where tm
-    holds and r_te elsewhere; on real arrays each equals its value in the
-    pair bit for bit.
+    since the common factor i cancels.  Arrays broadcast.
     """
     if eps is None:
-        r_te, r_tm = -1.0, 1.0
-        return (r_te, r_tm) if tm is None else np.where(tm, r_tm, r_te)
-    if tm is not None:
-        return _quotient(np.where(tm, eps, 1.0) * k_z, s)
+        return -1.0, 1.0
     return _quotient(k_z, s), _quotient(eps * k_z, s)
 
 
@@ -120,21 +114,20 @@ def scalar_coefficient(eps):
     return (eps - 1.0) / (eps + 1.0)
 
 
-def imag_axis_coefficients(eps, xi, k_perp, tm=None, q=None):
-    """TE/TM coefficients at omega = i*xi for a real eps(i xi) or eps None.
+def imag_axis_coefficients(eps, xi, k_perp, q=None):
+    """(r_te, r_tm) at omega = i*xi for a real eps(i xi) or eps None.
 
     Pure real arithmetic: the kernel gets q and kappa for the normal
-    wavevectors i*q and i*kappa.  k_perp may be an ndarray.  With a boolean
-    ``tm`` the kernel returns one coefficient per point (see
-    :func:`coefficients`).  A caller that already holds
+    wavevectors i*q and i*kappa, and kappa is computed once for the pair.
+    k_perp may be an ndarray.  A caller that already holds
     q = sqrt(k_perp^2 + (xi/c)^2) may pass it in.
     """
     if eps is None:  # the ideal metal needs no wavevectors
-        return coefficients(None, None, None, tm)
+        return coefficients(None, None, None)
     if q is None:
         q = np.sqrt(k_perp * k_perp + (xi / C) ** 2)
     kappa = np.sqrt(k_perp * k_perp + eps * (xi / C) ** 2)
-    return coefficients(eps, q, kappa, tm)
+    return coefficients(eps, q, kappa)
 
 
 def _check_kperp(k_perp, positive):

@@ -20,13 +20,14 @@ from .materials import (Kind, MaterialError, TabulatedOutOfRange,
 
 #: Default relative tolerance of the transverse-wavenumber integrals.
 KPERP_REL_TOL = 1e-8
-#: Most (n, polarization) rows of the Matsubara kernel per array pass.  It
-#: bounds the arrays of a pass and, on sums longer than a pass, the rows
-#: computed past the last summed n.  A pass is one refinement round of fixed
-#: overhead plus work in proportion to its rows; on the benchmark's Matsubara
-#: ops (two seeds, 2-vCPU x86-64) 32, 64 and 128 rows ran within 3% of each
-#: other in total, 128 rows 1.05x slower than 64 on long sums.
-ROWS_PER_PASS = 64
+#: Most Matsubara indices, one k_perp row each (TE and TM), per array pass of
+#: the kernel.  It bounds the arrays of a pass and, on sums longer than a
+#: pass, the indices computed past the last summed n.  A pass is one
+#: refinement round of fixed overhead plus work in proportion to its rows;
+#: on the benchmark's Matsubara ops (two seeds, 2-vCPU x86-64) 16, 32 and
+#: 64 indices per pass ran within 3% of each other in total, 64 indices
+#: 1.05x slower than 32 on long sums.
+ROWS_PER_PASS = 32
 #: Indices a chunk adds to the predicted count ceil(nu*ln(1/rel_tol)) + 3.
 #: On the benchmark's 300 K and 77 K pressures n_max lies 1 below to 4 above
 #: the prediction, so one pass computes them all.
@@ -144,41 +145,41 @@ def classical_transverse_pressure(config):
 
 
 def _matsubara_rows(m1, m2, d, xi):
-    """k_perp integrals of the Matsubara rows at the frequencies xi, at once.
+    """k_perp integrals of the Matsubara terms at the frequencies xi, at once.
 
-    Row i < len(xi) is TE at xi[i], row len(xi) + i is TM there.  Each row
-    integrates k * q * [exp(2 q d)/(r1 r2) - 1]^(-1), q = sqrt(k^2 + xi^2/c^2),
-    to KPERP_REL_TOL, written over u = q - xi/c in [0, inf) with
-    k dk = q dq: the integrand q^2 * y/(1 - y), y = r1 r2 exp(-2 q d), has
-    the envelope exp(-2 u d) on every row, so all rows share the mapping
-    scale 1/d.  Each point forms k = sqrt(u (u + 2 xi/c)) and q from k as
-    the coefficients do, which keeps r = 0 exact for eps = 1.  eps comes
-    from one array call per material, and each point gets one coefficient
-    per material.
+    Row i integrates, for TE and for TM at xi[i] as two components on the
+    same panels, k * q * [exp(2 q d)/(r1 r2) - 1]^(-1),
+    q = sqrt(k^2 + xi^2/c^2), to KPERP_REL_TOL; the results hold TE at i
+    and TM at len(xi) + i.  Each is written over u = q - xi/c in [0, inf)
+    with k dk = q dq: the integrand q^2 * y/(1 - y), y = r1 r2 exp(-2 q d),
+    has the envelope exp(-2 u d) on every row, so all rows share the
+    mapping scale 1/d.  Each point forms k = sqrt(u (u + 2 xi/c)) and q
+    from k as the coefficients do, which keeps r = 0 exact for eps = 1.
+    eps comes from one array call per material, and each point gets its
+    (r_TE, r_TM) pair from one coefficient call per material.
     """
     eps1 = fresnel.epsilon(m1, 1j * xi)
     eps2 = eps1 if m2 == m1 else fresnel.epsilon(m2, 1j * xi)
-    # per-row tables, read through the (m, 1) row index of each panel
-    xi_row = np.concatenate((xi, xi))
-    tm_row = np.arange(2 * xi.size) >= xi.size
-    eps1_row, eps2_row = (None if eps is None else np.concatenate((eps, eps))
-                          for eps in (eps1, eps2))
 
     def integrand(rows, u):
-        x, tm = xi_row[rows], tm_row[rows]
+        x = xi[rows]
         a = x / C
         k = np.sqrt(u * (u + 2.0 * a))
         q = np.sqrt(k * k + a ** 2)
+        q2, e = q * q, np.exp(-2.0 * q * d)
 
-        def coefficient(eps):
+        def pair(eps):
             return fresnel.imag_axis_coefficients(
-                None if eps is None else eps[rows], x, k, tm, q)
+                None if eps is None else eps[rows], x, k, q=q)
 
-        r1 = coefficient(eps1_row)
-        r2 = r1 if eps2 is eps1 else coefficient(eps2_row)
-        return q * q * _round_trip(r1, r2, np.exp(-2.0 * q * d))
+        r1 = pair(eps1)
+        r2 = r1 if eps2 is eps1 else pair(eps2)
+        out = np.empty((2,) + q.shape)
+        for pol in (0, 1):
+            np.multiply(q2, _round_trip(r1[pol], r2[pol], e), out=out[pol])
+        return out
 
-    return quadrature.integrate_rows(integrand, 2 * xi.size, 1.0 / d,
+    return quadrature.integrate_rows(integrand, xi.size, 1.0 / d,
                                      KPERP_REL_TOL)
 
 
@@ -188,11 +189,11 @@ def pressure_matsubara(config):
     Returns a :class:`PressureResult` whose ``per_n`` list carries the
     as-summed (half-weighted for n = 0) TE and TM contributions.  The n >= 1
     terms are computed a chunk of indices at a time by
-    :func:`_matsubara_rows`, in chunks of at most ROWS_PER_PASS/2 indices
-    sized from the predicted index count plus CHUNK_MARGIN; a row's failed
-    k_perp integral raises only if the sum consumes that row.
+    :func:`_matsubara_rows`, in chunks of at most ROWS_PER_PASS indices
+    sized from the predicted index count plus CHUNK_MARGIN; a failed k_perp
+    integral raises only if the sum consumes its index.
     ``error_estimate`` adds the tail bound and the error estimates of every
-    summed k_perp integral.
+    summed k_perp integral, left to right.
     """
     m1, m2, d, T = config.material_1, config.material_2, config.d, config.T
     xi1 = 2.0 * math.pi * K_B * T / HBAR
@@ -200,46 +201,44 @@ def pressure_matsubara(config):
     ceiling = quadrature.matsubara_ceiling(d, T)
     # terms fall like exp(-n/nu); about nu*ln(1/rel_tol) + 3 are summed
     nu = C / (2.0 * d * xi1)
-    step = min(ROWS_PER_PASS // 2,
+    step = min(ROWS_PER_PASS,
                math.ceil(-nu * math.log(config.rel_tol)) + 3 + CHUNK_MARGIN)
-    breakdown = {}
-    quad_err = [0.0]
-    chunk = {"stop": 1}
+    (te0, te0_err), (tm0, tm0_err) = (_n0_integral(config, pol)
+                                      for pol in ("te", "tm"))
+    # per index n: TE, TM, the term as summed, and its k_perp error
+    te, tm = [te0], [tm0]
+    terms, errors = [2.0 * (te0 + tm0)], [te0_err + tm0_err]
+    failed = {}     # n -> (polarization, NoConvergence) of a failed row
+
+    def extend(n):
+        size = min(step, ceiling + 1 - n)
+        res = _matsubara_rows(m1, m2, d, np.arange(n, n + size) * xi1)
+        for j, exc in sorted(res.failures.items()):
+            failed.setdefault(n + j % size, ("TM" if j >= size else "TE", exc))
+        te_n, tm_n = pref * res.values.reshape(2, -1)
+        te.extend(te_n.tolist())
+        tm.extend(tm_n.tolist())
+        terms.extend((te_n + tm_n).tolist())
+        errors.extend(
+            (abs(pref) * res.errors.reshape(2, -1).sum(axis=0)).tolist())
 
     def term(n):
-        if n == 0:
-            te, te_err = _n0_integral(config, "te")
-            tm, tm_err = _n0_integral(config, "tm")
-            breakdown[0] = (te, tm)
-            quad_err[0] += te_err + tm_err
-            return 2.0 * (te + tm)
-        if n >= chunk["stop"]:
-            ns = np.arange(n, min(n + step, ceiling + 1))
-            res = _matsubara_rows(m1, m2, d, ns * xi1)
-            chunk.update(
-                start=n, stop=n + ns.size, failures=res.failures,
-                terms=(pref * res.values).reshape(2, -1).T.tolist(),
-                errors=(abs(pref) * res.errors.reshape(2, -1).sum(axis=0))
-                .tolist())
-        i = n - chunk["start"]
-        for j, pol in ((i, "TE"), (len(chunk["terms"]) + i, "TM")):
-            if j in chunk["failures"]:
-                exc = chunk["failures"][j]
-                raise quadrature.NoConvergence(
-                    f"k_perp integral of Matsubara row (n={n}, {pol}): "
-                    f"{exc}") from exc
-        te, tm = chunk["terms"][i]
-        breakdown[n] = (te, tm)
-        quad_err[0] += chunk["errors"][i]
-        return te + tm
+        if n == len(terms):
+            extend(n)
+        if n in failed:
+            pol, exc = failed[n]
+            raise quadrature.NoConvergence(
+                f"k_perp integral of Matsubara row (n={n}, {pol}): "
+                f"{exc}") from exc
+        return terms[n]
 
     summed = quadrature.matsubara_sum(term, d, T, config.rel_tol)
-    n0_te, n0_tm = breakdown[0]
+    n = summed.n_max + 1
     return PressureResult(
         pressure=summed.value,
-        error_estimate=summed.tail_bound + quad_err[0],
-        n0_te=n0_te, n0_tm=n0_tm,
-        per_n=[(n, te, tm) for n, (te, tm) in breakdown.items()],
+        error_estimate=summed.tail_bound + np.cumsum(errors[:n])[-1],
+        n0_te=te0, n0_tm=tm0,
+        per_n=list(zip(range(n), te[:n], tm[:n])),
         n_max=summed.n_max)
 
 

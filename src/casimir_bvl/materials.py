@@ -155,13 +155,6 @@ def tabulated(table, extrapolation):
     return MaterialModel(Kind.TABULATED, table=table, extrapolation=extrapolation)
 
 
-def dc_conductivity(model):
-    """dc conductivity sigma_0 = omega_p^2/(4 pi gamma) of a Drude model, rad/s."""
-    if model.kind is not Kind.DRUDE:
-        raise ValueError("dc conductivity is defined for Drude models only")
-    return model.omega_p ** 2 / (4.0 * math.pi * model.gamma)
-
-
 def _osc_sum_imag(oscillators, xi):
     return sum(o.strength / (o.center ** 2 + xi * xi + o.width * xi)
                for o in oscillators)

@@ -8,11 +8,13 @@ Integrand callables must be vectorized (ndarray in, ndarray out).
 interval in one integrand call, then bisects one interval at a time from
 a heap; :func:`integrate_rows` and :func:`composite_gk` share one batched
 loop that refines a flat panel list of many integrals, each held to its
-own target.
+own target.  A row of that loop may carry several components, integrands
+that share its panels and are each held to their own target.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import heapq
 import itertools
@@ -262,68 +264,88 @@ def integrate_semi_infinite(f, scale, rel_tol):
     return IntegralResult(*adaptive_gk(g, 0.0, 1.0, rel_tol))
 
 
-def _refine(sample, n_rows, rows, lo, hi, rel_tol, floor_frac, budget):
-    """Bisect the flat panel list (rows, lo, hi) until every row is done.
+def _panels(rows, lo, hi):
+    """(rows, lo, hi, GK 7/15 nodes, half-widths) of the panels
+    (rows, lo, hi)."""
+    h = 0.5 * (hi - lo)
+    return rows, lo, hi, (0.5 * (lo + hi))[:, None] + h[:, None] * _XGK, h
+
+
+def _refine(sample, n_rows, panels, rel_tol, floor_frac, budget):
+    """Bisect the flat panel list of :func:`_panels` until every row is done.
 
     ``sample(rows, x)`` returns the integrand at the GK 7/15 nodes x
-    (shape (m, 15)) of panels belonging to ``rows`` (shape (m, 1)); every
-    round calls it once, on all new panels.  A row meets its target when
-    its summed Kronrod-minus-Gauss error is within ``max(rel_tol*|I|,
-    floor_frac*rel_tol*Int|f|)``.  Only rows that miss it are refined:
-    their panels whose error exceeds half their even share of the target
-    are bisected.  A row's reported error adds ROUNDING_FLOOR times its
-    Int|f| to that estimate.  A row that would need more than ``budget``
-    panels, or whose error is not finite, stops; its NoConvergence is kept
-    in the result's ``failures``.
+    (shape (m, 15)) of panels belonging to ``rows`` (shape (m, 1)), as an
+    array of shape (m, 15), or (P, m, 15) for P components sharing the
+    panels; every round calls it once, on all new panels.  A component
+    meets its target when its summed Kronrod-minus-Gauss error is within
+    ``max(rel_tol*|I|, floor_frac*rel_tol*Int|f|)``, and a row is done once
+    all its components meet theirs.  Only rows that miss a target are
+    refined: their panels on which a missing component's error exceeds half
+    that component's even share of its target are bisected.  A reported
+    error adds ROUNDING_FLOOR times Int|f| to that estimate.  Results list
+    component p of row i at p*n_rows + i.  A component whose row would need
+    more than ``budget`` panels, or whose error is not finite, stops; its
+    NoConvergence is kept in the result's ``failures`` under that key.
     """
-    def evaluate(rows, lo, hi):
-        h = 0.5 * (hi - lo)
-        x = (0.5 * (lo + hi))[:, None] + h[:, None] * _XGK
-        return _gk_panels(sample(rows[:, None], x), h)
+    def evaluate(rows, lo, hi, x, h):
+        y = np.reshape(sample(rows[:, None], x), (-1, _XGK.size))
+        n = y.shape[0] // h.size        # components
+        return [a.reshape(n, -1)
+                for a in _gk_panels(y, np.concatenate((h,) * n))]
 
-    val, err, resabs = evaluate(rows, lo, hi)
+    rows, lo, hi, _, _ = panels
+    val, err, resabs = evaluate(*panels)
+    n_comp = val.shape[0]
     failures = {}
     while True:
-        total = np.bincount(rows, val, n_rows)
-        total_err = np.bincount(rows, err, n_rows)
-        total_abs = np.bincount(rows, resabs, n_rows)
+        keys = (rows + n_rows * np.arange(n_comp)[:, None]).ravel()
+        total, total_err, total_abs = (
+            np.bincount(keys, a.ravel(), n_comp * n_rows)
+            for a in (val, err, resabs))
         target = np.maximum(rel_tol * np.abs(total),
                             floor_frac * rel_tol * total_abs)
-        count = np.bincount(rows, minlength=n_rows)
-        refine = ~(total_err <= target)      # NaN errors refine too
-        refine[list(failures)] = False
-        if not refine.any():
+        count = np.bincount(keys, minlength=n_comp * n_rows)
+        missing = ~(total_err <= target)      # NaN errors refine too
+        if failures:
+            missing[list(failures)] = False
+        if not missing.any():
             return RowsResult(total, total_err + ROUNDING_FLOOR * total_abs,
                               count, failures)
-        split = refine[rows] & (err > target[rows] / (2.0 * count[rows]))
+        share = (target / (2.0 * count)).reshape(n_comp, -1)
+        wants = missing.reshape(n_comp, -1)[:, rows] & (err > share[:, rows])
         room = budget - count
+        own = np.bincount(keys[wants.ravel()], minlength=n_comp * n_rows)
+        for j in np.flatnonzero(missing & ((own == 0) | (room <= 0))):
+            why = (f"quadrature budget of {budget} panels exhausted"
+                   if own[j] else "non-finite integrand")
+            failures[j] = NoConvergence(
+                f"{why}: {count[j]} panels, error "
+                f"{total_err[j]:.3e} against target {target[j]:.3e}")
+            missing[j] = False
+            wants[j // n_rows, rows == j % n_rows] = False
+        split = wants.any(axis=0)
+        room = room[:n_rows]
         wanted = np.bincount(rows[split], minlength=n_rows)
-        for i in np.flatnonzero(refine & ((wanted == 0) | (wanted > room))):
-            mine = rows == i
-            if wanted[i] == 0 or room[i] <= 0:
-                why = (f"quadrature budget of {budget} panels exhausted"
-                       if wanted[i] else "non-finite integrand")
-                failures[i] = NoConvergence(
-                    f"{why}: {count[i]} panels, error {total_err[i]:.3e} "
-                    f"against target {target[i]:.3e}")
-                split &= ~mine
-            else:   # bisect only the room[i] largest errors, ties or not
-                cand = np.flatnonzero(split & mine)
-                split[cand[np.argsort(err[cand])[:-room[i]]]] = False
+        for i in np.flatnonzero(wanted > room):
+            # bisect only the room[i] largest errors, ties or not, of the
+            # row's first component that misses its target
+            p = np.flatnonzero(missing[i::n_rows])[0]
+            cand = np.flatnonzero(split & (rows == i))
+            split[cand[np.argsort(err[p, cand])[:-room[i]]]] = False
         if not split.any():
             continue
         sr, sa, sb = rows[split], lo[split], hi[split]
         mid = 0.5 * (sa + sb)
-        nval, nerr, nabs = evaluate(np.concatenate([sr, sr]),
-                                    np.concatenate([sa, mid]),
-                                    np.concatenate([mid, sb]))
+        new = _panels(np.concatenate([sr, sr]), np.concatenate([sa, mid]),
+                      np.concatenate([mid, sb]))
+        nval, nerr, nabs = evaluate(*new)
         keep = ~split
-        rows = np.concatenate([rows[keep], sr, sr])
-        lo = np.concatenate([lo[keep], sa, mid])
-        hi = np.concatenate([hi[keep], mid, sb])
-        val = np.concatenate([val[keep], nval])
-        err = np.concatenate([err[keep], nerr])
-        resabs = np.concatenate([resabs[keep], nabs])
+        rows, lo, hi = (np.concatenate([a[keep], b])
+                        for a, b in zip((rows, lo, hi), new))
+        val, err, resabs = (np.concatenate([a[:, keep], b], axis=1)
+                            for a, b in ((val, nval), (err, nerr),
+                                         (resabs, nabs)))
 
 
 def integrate_rows(f, n_rows, scale, rel_tol):
@@ -334,10 +356,13 @@ def integrate_rows(f, n_rows, scale, rel_tol):
     panels.  The panels of all rows are refined together by
     :func:`_refine`, which calls ``f(rows, k)`` once per round, where
     ``rows`` (shape (m, 1)) names each panel's row and k has shape (m, 15).
-    Each row is held to the target of :func:`adaptive_gk` on its own
-    Kronrod-minus-Gauss estimate, within DEFAULT_INTERVAL_BUDGET panels.
-    A row that fails keeps its NoConvergence in ``failures`` rather than
-    raising it, so that the caller decides whether the row is needed.
+    f returns shape (m, 15), or (P, m, 15) for P components per row that
+    share its panels; the results then hold component p of row i at
+    p*n_rows + i.  Each component is held to the target of
+    :func:`adaptive_gk` on its own Kronrod-minus-Gauss estimate, within
+    DEFAULT_INTERVAL_BUDGET panels per row.  A component that fails keeps
+    its NoConvergence in ``failures`` rather than raising it, so that the
+    caller decides whether it is needed.
     """
     _check_mapping(scale, rel_tol)
 
@@ -345,21 +370,21 @@ def integrate_rows(f, n_rows, scale, rel_tol):
         u = 1.0 - t
         return f(rows, scale * t / u) * (scale / (u * u))
 
-    return _refine(sample, n_rows, *_row_seeds(n_rows), rel_tol, 0.01,
+    return _refine(sample, n_rows, _row_seeds(n_rows), rel_tol, 0.01,
                    DEFAULT_INTERVAL_BUDGET)
 
 
 @functools.lru_cache(maxsize=128)
 def _row_seeds(n_rows):
-    """Read-only (rows, lo, hi) of the ROW_PANELS seed panels of n_rows rows.
+    """Read-only :func:`_panels` of the ROW_PANELS seed panels of n_rows rows.
 
-    Built once per row count: a Matsubara call usually ends in one round,
-    which makes the set-up a fixed cost of the call.  _refine never writes
-    to its input arrays.
+    Built once per row count, GK nodes included: a Matsubara call usually
+    ends in one round, which makes the set-up a fixed cost of the call.
+    _refine never writes to its input arrays.
     """
     edges = np.linspace(0.0, 1.0, ROW_PANELS + 1)
-    seeds = (np.repeat(np.arange(n_rows), ROW_PANELS),
-             np.tile(edges[:-1], n_rows), np.tile(edges[1:], n_rows))
+    seeds = _panels(np.repeat(np.arange(n_rows), ROW_PANELS),
+                    np.tile(edges[:-1], n_rows), np.tile(edges[1:], n_rows))
     for a in seeds:
         a.flags.writeable = False
     return seeds
@@ -397,8 +422,8 @@ def composite_gk(f, edges, rel_tol, floor_frac=0.01):
     def sample(rows, x):
         return np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
 
-    res = _refine(sample, 1, np.zeros(a.size, dtype=int), a, b, rel_tol,
-                  floor_frac, COMPOSITE_PANEL_BUDGET)
+    res = _refine(sample, 1, _panels(np.zeros(a.size, dtype=int), a, b),
+                  rel_tol, floor_frac, COMPOSITE_PANEL_BUDGET)
     value, error = res.row(0)
     # every bisection adds one panel and evaluates two
     return IntegralResult(value, error,
@@ -429,25 +454,26 @@ def matsubara_sum(term, d, T, rel_tol):
     ceiling = matsubara_ceiling(d, T)
     total = 0.5 * term(0)
     streak = 0
-    prev = None
-    recent = []     # |term|/|sum| of the last three terms
+    last = 0.0      # |previous term|
+    recent = collections.deque(maxlen=3)    # |term|/|sum| of the last three
     n = 0
     while n < ceiling:
         n += 1
         t = term(n)
         total += t
-        streak = streak + 1 if abs(t) <= rel_tol * abs(total) else 0
-        recent = recent[-2:] + [abs(t) / abs(total) if total else math.inf]
-        if prev and abs(t) < abs(prev):
-            ratio = abs(t) / abs(prev)
-            tail = abs(t) * ratio / (1.0 - ratio)
+        mag, mag_total = abs(t), abs(total)
+        streak = streak + 1 if mag <= rel_tol * mag_total else 0
+        recent.append(mag / mag_total if mag_total else math.inf)
+        if last and mag < last:
+            ratio = mag / last
+            tail = mag * ratio / (1.0 - ratio)
         else:
             ratio = None
-            tail = abs(t)
-        if streak >= 3 and tail <= rel_tol * abs(total):
+            tail = mag
+        if streak >= 3 and tail <= rel_tol * mag_total:
             return SumResult(total, n, tail)
-        prev = t
-    met = max(recent + [tail / abs(total) if total else math.inf])
+        last = mag
+    met = max(*recent, tail / mag_total if mag_total else math.inf)
     decay = "no decay" if ratio is None else f"decay ratio {ratio:.4g}"
     raise NoConvergence(
         f"Matsubara sum reached n = {n} of the index ceiling {ceiling} "

@@ -196,6 +196,49 @@ def test_batched_rows_match_scalar_integrals(pair):
         assert tm == pytest.approx(_scalar_row(cfg, n, 1), rel=1e-8)
 
 
+def _one_polarization_rows(m1, m2, d, xi, pol):
+    """integrate_rows of one polarization of the Matsubara rows at xi."""
+    eps1, eps2 = (fresnel.epsilon(m, 1j * xi) for m in (m1, m2))
+
+    def f(rows, u):
+        x = xi[rows]
+        a = x / C
+        k = np.sqrt(u * (u + 2.0 * a))
+        q = np.sqrt(k * k + a ** 2)
+        r1, r2 = (fresnel.imag_axis_coefficients(
+            None if eps is None else eps[rows], x, k, q=q)[pol]
+            for eps in (eps1, eps2))
+        return q * q * L._round_trip(r1, r2, np.exp(-2.0 * q * d))
+
+    return Q.integrate_rows(f, xi.size, 1.0 / d, L.KPERP_REL_TOL)
+
+
+@pytest.mark.parametrize("pair", [
+    ("insulator", "insulator"), ("drude", "drude"), ("plasma", "plasma"),
+    ("gplasma", "gplasma"), ("ideal", "ideal"), ("table", "table"),
+    ("ideal", "drude"), ("insulator", "table")], ids="/".join)
+@pytest.mark.parametrize("d, T", [(1e-6, 300.0), (5e-6, 77.0)])
+def test_matsubara_rows_are_one_polarization_runs(pair, d, T):
+    # TE and TM share each row's panels; each block equals, bit for bit,
+    # a run of its polarization alone
+    models = {"insulator": M.insulator(3.0),
+              "drude": M.drude(1.37e16, 5.32e13), "plasma": M.plasma(1.37e16),
+              "gplasma": M.generalized_plasma(
+                  1.37e16, (M.Oscillator(2e31, 3e15, 1e14),)),
+              "ideal": M.ideal_metal(), "table": _drude_table()}
+    m1, m2 = models[pair[0]], models[pair[1]]
+    xi = np.arange(1, L.ROWS_PER_PASS + 1) * (2.0 * math.pi * K_B * T / HBAR)
+    res = L._matsubara_rows(m1, m2, d, xi)
+    n = xi.size
+    for pol in (0, 1):
+        alone = _one_polarization_rows(m1, m2, d, xi, pol)
+        block = slice(pol * n, (pol + 1) * n)
+        assert np.array_equal(res.values[block], alone.values)
+        assert np.array_equal(res.errors[block], alone.errors)
+        assert np.array_equal(res.panels[block], alone.panels)
+        assert not res.failures and not alone.failures
+
+
 def _inject_failures(monkeypatch, cfg, fails):
     """Make the k_perp rows of the indices n with fails(n) fail; returns
     the list of indices the kernel computed."""
@@ -221,7 +264,7 @@ def _count_row_passes(monkeypatch):
     original = Q.integrate_rows
 
     def counted(f, n_rows, scale, rel_tol):
-        passes.append(n_rows // 2)
+        passes.append(n_rows)       # one row per index, TE and TM
         return original(f, n_rows, scale, rel_tol)
 
     monkeypatch.setattr(Q, "integrate_rows", counted)
@@ -236,12 +279,12 @@ def test_chunk_schedule_follows_predicted_index_count(monkeypatch):
     res = L.pressure_matsubara(L.CavityConfig(dr, dr, 1e-6, 300.0))
     assert len(passes) == 1
     assert res.n_max <= sum(passes) <= res.n_max + 8
-    # a long sum runs in chunks of ROWS_PER_PASS/2 indices
+    # a long sum runs in chunks of ROWS_PER_PASS indices
     ideal = M.ideal_metal()
     passes.clear()
     res = L.pressure_matsubara(
         L.CavityConfig(ideal, ideal, 1.5e-6, 5.0, rel_tol=2e-3))
-    half = L.ROWS_PER_PASS // 2
+    half = L.ROWS_PER_PASS
     assert len(passes) <= math.ceil(res.n_max / half) + 2
     assert max(passes) == half
 
@@ -267,15 +310,16 @@ def test_matsubara_rows_converge_on_seed_panels(monkeypatch, pair, d, T):
             return f(rows, u)
 
         res = original(g, n_rows, scale, rel_tol)
-        calls.append((samples[0], res.panels))
+        calls.append((n_rows, samples[0], res.panels))
         return res
 
     monkeypatch.setattr(Q, "integrate_rows", counted)
     L.pressure_matsubara(
         L.CavityConfig(models[pair[0]], models[pair[1]], d, T))
     assert calls
-    for samples, panels in calls:
+    for indices, samples, panels in calls:
         assert samples == 1
+        assert panels.shape == (2 * indices,)     # TE, then TM, per index
         assert np.all(panels == Q.ROW_PANELS)
 
 

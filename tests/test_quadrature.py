@@ -489,6 +489,85 @@ def test_integrate_rows_non_finite_row_fails():
     assert res.row(1)[0] == pytest.approx(1.0, rel=1e-8)
 
 
+def _components(*fs):
+    """Integrand of integrate_rows stacking one component per f."""
+    return lambda rows, k: np.stack([f(rows, k) for f in fs])
+
+
+def test_integrate_rows_components_on_seed_panels_are_one_component_runs():
+    f, _ = _gamma_rows([0, 1, 0, 1], [1.0, 1.5, 2.0, 3.0])
+
+    def g(rows, k):
+        return np.exp(-(1.0 + rows) * k) / (1.0 + k)
+
+    res = Q.integrate_rows(_components(f, g), 4, 1.0, 1e-6)
+    alone = [Q.integrate_rows(h, 4, 1.0, 1e-6) for h in (f, g)]
+    assert np.all(res.panels == Q.ROW_PANELS) and not res.failures
+    for got, want in ((res.values, "values"), (res.errors, "errors"),
+                      (res.panels, "panels")):
+        assert np.array_equal(
+            got, np.concatenate([getattr(a, want) for a in alone]))
+
+
+def test_integrate_rows_refines_a_row_for_one_missing_component():
+    # component 1 of row 1 is a narrow peak at k = 30; every other
+    # component is smooth and meets its target on the seed panels
+    w, rel_tol = 1e-3, 1e-8
+
+    def smooth(rows, k):
+        return 1.5 * np.exp(-1.5 * k)
+
+    def peaked(rows, k):
+        return np.where(rows == 1, w / ((k - 30.0) ** 2 + w * w),
+                        smooth(rows, k))
+
+    res = Q.integrate_rows(_components(smooth, peaked), 3, 1.0, rel_tol)
+    alone = Q.integrate_rows(peaked, 3, 1.0, rel_tol)
+    assert not res.failures
+    assert list(res.panels) == 2 * [Q.ROW_PANELS, alone.panels[1],
+                                     Q.ROW_PANELS]
+    assert alone.panels[1] > 30
+    # the smooth component rode along on the peak's panels and kept its
+    # accuracy; no other row changed
+    assert res.values[1] == pytest.approx(1.0, rel=rel_tol)
+    assert res.errors[1] <= (rel_tol + Q.ROUNDING_FLOOR) * res.values[1]
+    assert res.values[4] == pytest.approx(alone.values[1], rel=1e-12)
+    for j in (0, 2, 3, 5):
+        assert res.values[j] == pytest.approx(1.0, rel=1e-8)
+
+
+def test_integrate_rows_component_failures_keep_their_keys(monkeypatch):
+    def smooth(rows, k):
+        return 1.0 / (1.0 + k) ** 2
+
+    def nan_row_1(rows, k):
+        return np.where(rows == 1, np.nan, smooth(rows, k))
+
+    res = Q.integrate_rows(_components(smooth, nan_row_1), 3, 1.0, 1e-8)
+    assert list(res.failures) == [3 + 1]
+    with pytest.raises(Q.NoConvergence, match="non-finite"):
+        res.row(4)
+    assert np.all(res.panels == Q.ROW_PANELS)
+    for j in (0, 1, 2, 3, 5):
+        assert res.row(j)[0] == pytest.approx(1.0, rel=1e-8)
+
+    # row 2's component 0 needs more panels than the budget allows
+    budget, w = 40, 1e-9
+    monkeypatch.setattr(Q, "DEFAULT_INTERVAL_BUDGET", budget)
+
+    def peak_row_2(rows, k):
+        return np.where(rows == 2, w / ((k - 1.0 / 3.0) ** 2 + w * w),
+                        smooth(rows, k))
+
+    res = Q.integrate_rows(_components(peak_row_2, smooth), 3, 1.0, 1e-12)
+    assert list(res.failures) == [0 * 3 + 2]
+    with pytest.raises(Q.NoConvergence, match=f"exhausted: {budget} panels"):
+        res.row(2)
+    assert list(res.panels) == 2 * [Q.ROW_PANELS, Q.ROW_PANELS, budget]
+    for j in (0, 1, 3, 4):
+        assert res.row(j)[0] == pytest.approx(1.0, rel=1e-12)
+
+
 def test_integrate_rows_validation():
     with pytest.raises(ValueError):
         Q.integrate_rows(lambda rows, k: k, 1, -1.0, 1e-8)
