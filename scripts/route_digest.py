@@ -24,15 +24,26 @@ the bits of the values and not their Python or numpy types.
 
 Usage:
     python3 scripts/route_digest.py [--src DIR] | grep total
+    python3 scripts/route_digest.py [--src DIR] --against OTHER_SRC
 
 ``--src`` names the ``src`` directory to import the package from; by
 default it is the one of this checkout, so the script can be pointed at
 another checkout to compare the two.
+
+A change that moves values within tolerance moves ``total`` even when it
+is sound.  ``--against OTHER_SRC`` then runs the pressure and verdict cases
+on both packages and prints the cases whose n_max, failure message or
+verdict differ, the largest |dP| over the ``error_estimate`` of the
+OTHER_SRC package and over |P|, and the cases whose n = 0 terms moved.  It
+exits 1 if any n_max, failure message or verdict differs.  Such a change
+must still leave ``reflect-total`` and ``scalar-total`` equal, unless it
+changes the reflect tables or the scalar calls themselves.
 """
 
 import argparse
 import contextlib
 import hashlib
+import importlib
 import io
 import itertools
 import sys
@@ -163,24 +174,97 @@ def digest_all(labelled):
     return total.hexdigest(), n
 
 
+def load(src):
+    """Namespace of the casimir_bvl modules imported from the directory src.
+
+    Modules of the package imported before, from any directory, are
+    dropped first, so two packages can be loaded one after the other.
+    """
+    for name in [n for n in sys.modules if n.split(".")[0] == "casimir_bvl"]:
+        del sys.modules[name]
+    path = str(src.resolve())
+    sys.path.insert(0, path)
+    try:
+        return argparse.Namespace(**{
+            m: importlib.import_module(f"casimir_bvl.{m}")
+            for m in ("bvl", "cli", "fresnel", "lifshitz", "materials")})
+    finally:
+        sys.path.remove(path)
+
+
+def outcomes(pkg):
+    """Label -> outcome of every case of :func:`cases`: the result, or the
+    exception's type and message as a string."""
+    out = {}
+    for label, thunk in cases(pkg.lifshitz, pkg.materials, pkg.bvl):
+        try:
+            out[label] = thunk()
+        except Exception as exc:   # a failure is an output too
+            out[label] = f"{type(exc).__name__}: {exc}"
+    return out
+
+
+def compare(new, old):
+    """Print how the outcomes ``new`` differ from ``old``; the number of
+    n_max, failure-message and verdict mismatches."""
+    mismatches = converged = 0
+    worst_err = worst_rel = 0.0
+    moved = []
+    for label, a in new.items():
+        b = old[label]
+        if isinstance(a, str) or isinstance(b, str):
+            if a != b:
+                mismatches += 1
+                print(f"failure mismatch  {label}\n  new {a}\n  old {b}")
+        elif label.startswith("bvl"):
+            if a.verdict.value != b.verdict.value:
+                mismatches += 1
+                print(f"verdict mismatch  {label}: {a.verdict.value} "
+                      f"against {b.verdict.value}")
+        elif a.n_max != b.n_max:
+            mismatches += 1
+            print(f"n_max mismatch  {label}: {a.n_max} against {b.n_max}")
+        else:
+            converged += 1
+            dp = abs(a.pressure - b.pressure)
+            worst_err = max(worst_err, dp / b.error_estimate)
+            worst_rel = max(worst_rel, dp / abs(b.pressure))
+            moved += [f"{label} {pol}" for pol in ("n0_te", "n0_tm")
+                      if getattr(a, pol) != getattr(b, pol)]
+    print(f"{len(new)} cases, {mismatches} n_max, failure or verdict "
+          f"mismatches")
+    print(f"{converged} pressures converged in both: largest "
+          f"|dP|/error_estimate {worst_err:.3g}, largest |dP|/|P| "
+          f"{worst_rel:.3g}; {len(moved)} of their n = 0 terms moved")
+    for line in moved:
+        print(f"  {line}")
+    return mismatches
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", type=Path,
                     default=Path(__file__).resolve().parents[1] / "src",
                     help="directory holding the casimir_bvl package")
+    ap.add_argument("--against", type=Path, metavar="OTHER_SRC",
+                    help="compare the pressures and verdicts with those of "
+                         "the package in OTHER_SRC instead of digesting")
     args = ap.parse_args(argv)
-    sys.path.insert(0, str(args.src.resolve()))
-    from casimir_bvl import bvl, cli, fresnel, lifshitz, materials
+    if args.against is not None:
+        new = outcomes(load(args.src))
+        old = outcomes(load(args.against))
+        sys.exit(1 if compare(new, old) else 0)
+    pkg = load(args.src)
 
-    where = Path(lifshitz.__file__).parent
-    total, n = digest_all(cases(lifshitz, materials, bvl))
+    where = Path(pkg.lifshitz.__file__).parent
+    total, n = digest_all(cases(pkg.lifshitz, pkg.materials, pkg.bvl))
     print(f"total {total}  ({n} cases, package at {where})")
     with tempfile.TemporaryDirectory() as tmp:
         table_path = Path(tmp) / "eps.dat"
-        specs = reflect_specs(materials, table_path)
-        total, n = digest_all(reflect_cases(cli, specs, table_path))
+        specs = reflect_specs(pkg.materials, table_path)
+        total, n = digest_all(reflect_cases(pkg.cli, specs, table_path))
     print(f"reflect-total {total}  ({n} tables, package at {where})")
-    total, n = digest_all(scalar_cases(fresnel, materials))
+    total, n = digest_all(scalar_cases(pkg.fresnel, pkg.materials))
     print(f"scalar-total {total}  ({n} cases, package at {where})")
 
 

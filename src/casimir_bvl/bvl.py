@@ -66,7 +66,8 @@ def b_correlator_classical(model, point):
     Angular integration leaves a diagonal tensor with
     B_xx = B_yy = B_zz / 2 and
     B_zz = Int dk k^2 r_te(0, k) exp(-k (z + z')); the result is the pure
-    geometry/material integral with the k_B T prefactor factored out.
+    geometry/material integral with the k_B T prefactor factored out.  For
+    the ideal metal, r_te = -1 and B_zz = -2/(z + z')^3.
     """
     zsum = point.z + point.z_prime
     if zsum < MIN_SURFACE_DISTANCE:
@@ -74,12 +75,14 @@ def b_correlator_classical(model, point):
     if zero_freq_class(model) in (ZeroFreqClass.FINITE,
                                   ZeroFreqClass.INVERSE_OMEGA):
         return np.zeros((3, 3))  # r_te(0, k) vanishes identically
+    if model.kind is Kind.IDEAL_METAL:
+        bzz = -2.0 / zsum ** 3
+    else:
+        def f(k):
+            return k * k * fresnel.static_rte(model, k) * np.exp(-k * zsum)
 
-    def f(k):
-        return k * k * fresnel.static_rte(model, k) * np.exp(-k * zsum)
-
-    res = quadrature.integrate_semi_infinite(f, 1.0 / zsum, B_REL_TOL)
-    bzz = res.value
+        bzz = quadrature.integrate_semi_infinite(f, 1.0 / zsum,
+                                                 B_REL_TOL).value
     return np.diag([0.5 * bzz, 0.5 * bzz, bzz])
 
 
@@ -122,7 +125,8 @@ def bvl_verdict(model, d, T, z_probe):
     """Bohr-van Leeuwen consistency report for one material model.
 
     Diagnostics are normalized against the ideal-metal values at the same
-    geometry, so the pass threshold is scale-free.
+    geometry, so the pass threshold is scale-free.  Both references are
+    closed forms: B_zz = -2/(2 z_probe)^3 and the zeta(3) n = 0 TE term.
     """
     if not 0.0 < z_probe < math.inf:
         raise ValueError(

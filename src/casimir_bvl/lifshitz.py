@@ -98,7 +98,8 @@ def n0_term(config, polarization):
     Evaluates -(k_B T / 2 pi) * Int dk k^2 [exp(2 k d)/(r1 r2) - 1]^(-1)
     with the exact static reflection coefficients.  TE vanishes identically
     whenever either material has a finite or 1/omega permittivity at zero
-    frequency.
+    frequency.  Where r1 r2 = R does not depend on k (TM, and TE of two
+    ideal metals) the integral is Li_3(R)/(4 d^3).
     """
     return _n0_integral(config, polarization)[0]
 
@@ -106,13 +107,15 @@ def n0_term(config, polarization):
 def _n0_integral(config, polarization):
     """(:func:`n0_term`, its error estimate), Pa.
 
-    The error adds the quadrature.ROUNDING_FLOOR of the integral to its GK
-    estimate.  Static r1 r2 is never negative, so the integrand keeps one
-    sign and |I| is its Int|f|.
+    A closed form reports the quadrature.ROUNDING_FLOOR of its value.  The
+    TE integral of plasma-like models adds that floor of the integral to
+    its GK estimate; static r1 r2 is never negative, so the integrand keeps
+    one sign and |I| is its Int|f|.
     """
     m1, m2, d = config.material_1, config.material_2, config.d
+    pref = K_B * config.T / (2.0 * math.pi)
     te = str(polarization).lower().endswith("te")
-    if te:
+    if te and not (m1.kind is m2.kind is Kind.IDEAL_METAL):
         classes = {zero_freq_class(m1), zero_freq_class(m2)}
         if classes & {ZeroFreqClass.FINITE, ZeroFreqClass.INVERSE_OMEGA}:
             return 0.0, 0.0
@@ -121,16 +124,13 @@ def _n0_integral(config, polarization):
             y = _round_trip(fresnel.static_rte(m1, k),
                             fresnel.static_rte(m2, k), np.exp(-2.0 * k * d))
             return k * k * y
-    else:
-        r1, r2 = fresnel.static_rtm(m1), fresnel.static_rtm(m2)
 
-        def f(k):
-            return k * k * _round_trip(r1, r2, np.exp(-2.0 * k * d))
-
-    res = quadrature.integrate_semi_infinite(f, 0.5 / d, KPERP_REL_TOL)
-    pref = K_B * config.T / (2.0 * math.pi)
-    return -pref * res.value, pref * (
-        res.error_estimate + quadrature.ROUNDING_FLOOR * abs(res.value))
+        res = quadrature.integrate_semi_infinite(f, 0.5 / d, KPERP_REL_TOL)
+        return -pref * res.value, pref * (
+            res.error_estimate + quadrature.ROUNDING_FLOOR * abs(res.value))
+    R = 1.0 if te else fresnel.static_rtm(m1) * fresnel.static_rtm(m2)
+    value = -pref * quadrature.polylog3(R) / (4.0 * d ** 3)
+    return value, quadrature.ROUNDING_FLOOR * abs(value)
 
 
 def classical_transverse_pressure(config):
@@ -155,11 +155,17 @@ def _matsubara_rows(m1, m2, d, xi):
     has the envelope exp(-2 u d) on every row, so all rows share the
     mapping scale 1/d.  Each point forms k = sqrt(u (u + 2 xi/c)) and q
     from k as the coefficients do, which keeps r = 0 exact for eps = 1.
-    eps comes from one array call per material, and each point gets its
-    (r_TE, r_TM) pair from one coefficient call per material.
+    eps comes from one :func:`materials.eval_imag_axis` call per material
+    (None for the ideal metal), and each point gets its (r_TE, r_TM) pair
+    from one coefficient call per material.
     """
-    eps1 = fresnel.epsilon(m1, 1j * xi)
-    eps2 = eps1 if m2 == m1 else fresnel.epsilon(m2, 1j * xi)
+    def epsilon(m):
+        if m.kind is Kind.IDEAL_METAL:
+            return None
+        return materials.eval_imag_axis(m, xi)
+
+    eps1 = epsilon(m1)
+    eps2 = eps1 if m2 == m1 else epsilon(m2)
 
     def integrand(rows, u):
         x = xi[rows]

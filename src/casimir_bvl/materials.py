@@ -187,7 +187,7 @@ def eval_epsilon(model, w):
         raise IdealMetalHasNoEpsilon("ideal metal has no permittivity")
     z = np.atleast_1d(np.asarray(w, dtype=complex))
     if np.all((z.real == 0.0) & (z.imag > 0.0)):
-        eps = _eval_imag_axis(model, z.imag)
+        eps = eval_imag_axis(model, z.imag)
     elif np.all(z.imag == 0.0):
         eps = _eval_real_axis(model, z.real)
     else:
@@ -197,11 +197,17 @@ def eval_epsilon(model, w):
     return eps if np.ndim(w) else eps.item()
 
 
-def _eval_imag_axis(model, xi):
-    """eps(i xi) for an ndarray of positive xi."""
+def eval_imag_axis(model, xi):
+    """eps(i xi) as a float ndarray of the shape of an ndarray xi > 0.
+
+    The model's expression in one array pass, without the checks and the
+    complex conversion of :func:`eval_epsilon`, whose imaginary-axis values
+    it gives bit for bit.  The ideal metal has no permittivity.
+    """
     k = model.kind
     if k is Kind.INSULATOR:
-        return model.eps0 + _osc_sum_imag(model.oscillators, xi)
+        return (np.full(xi.shape, model.eps0)
+                + _osc_sum_imag(model.oscillators, xi))
     if k is Kind.DRUDE:
         return 1.0 + model.omega_p ** 2 / (xi * (xi + model.gamma))
     if k is Kind.PLASMA:
@@ -211,7 +217,7 @@ def _eval_imag_axis(model, xi):
                 + _osc_sum_imag(model.oscillators, xi))
     if k is Kind.TABULATED:
         return eval_epsilon_tabulated(model, xi)
-    raise AssertionError(k)
+    raise IdealMetalHasNoEpsilon("ideal metal has no permittivity")
 
 
 def _eval_real_axis(model, w):

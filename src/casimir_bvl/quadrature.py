@@ -1,5 +1,5 @@
 """Shared numerical machinery: adaptive quadrature, Matsubara summation,
-power-law fitting.
+power-law fitting and the trilogarithm of the closed-form n = 0 terms.
 
 Every integral uses the Gauss-Kronrod 7/15 rule with interval bisection.
 All Kronrod nodes are interior, so integrand endpoints are never evaluated.
@@ -10,11 +10,13 @@ a heap; :func:`integrate_rows` and :func:`composite_gk` share one batched
 loop that refines a flat panel list of many integrals, each held to its
 own target.  A row of that loop may carry several components, integrands
 that share its panels and are each held to their own target.
+:func:`polylog3` gives Li_3 on [0, 1] in plain floats.
 """
 
 from __future__ import annotations
 
 import collections
+import fractions
 import functools
 import heapq
 import itertools
@@ -112,9 +114,10 @@ ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
 #: with 8.0 panels per row on average.
 ROW_PANELS = 8
 #: Bisection depth down to which :func:`adaptive_gk` samples [a, b] in one
-#: integrand call.  Over the six model kinds at 60 gaps from 10 nm to 1 mm,
-#: each of the 540 nonzero n = 0 heaps bisected [0, 1], [1/2, 1], [3/4, 1]
-#: and, in all but 18, [7/8, 1], so each ends in one call.
+#: integrand call.  On the Matsubara route only the n = 0 TE terms of
+#: plasma-like models are heaps (the other n = 0 terms are closed forms);
+#: for plasma and generalized-plasma pairs at 60 gaps from 10 nm to 1 mm,
+#: each of the 120 ends in one call.
 TREE_DEPTH = 4
 #: Most panels of one :func:`composite_gk` integral.
 COMPOSITE_PANEL_BUDGET = 20000
@@ -123,6 +126,21 @@ COMPOSITE_PANEL_BUDGET = 20000
 #: frequency integrand cancels over many oscillations, so the floor sits
 #: far below the 0.01 of the other integrals.
 FREQUENCY_FLOOR_FRAC = 1e-4
+#: zeta(3) and zeta(2) of :func:`polylog3`.
+ZETA3 = 1.2020569031595942854
+ZETA2 = math.pi ** 2 / 6.0
+#: 1/k^3 of the power series of :func:`polylog3`, k = 1..55: at R = 1/2
+#: the terms left out are below 1e-17 of the sum.
+_INV_CUBES = tuple(1.0 / k ** 3 for k in range(1, 56))
+#: Coefficients of mu^(2m+2), m = 1..12, in the expansion of Li_3(e^mu)
+#: about mu = 0: zeta(1 - 2m)/(2m + 2)! = -B_2m/(2m (2m + 2)!), B_2m the
+#: Bernoulli numbers.  At |mu| <= ln 2 the terms left out are below 1e-17.
+_LOG_SERIES = tuple(
+    float(-fractions.Fraction(b) / (2 * m) / math.factorial(2 * m + 2))
+    for m, b in enumerate(
+        ("1/6", "-1/30", "1/42", "-1/30", "5/66", "-691/2730", "7/6",
+         "-3617/510", "43867/798", "-174611/330", "854513/138",
+         "-236364091/2730"), start=1))
 
 
 def _gk_panels(y, h):
@@ -479,6 +497,35 @@ def matsubara_sum(term, d, T, rel_tol):
         f"Matsubara sum reached n = {n} of the index ceiling {ceiling} "
         f"before the tail bound met rel_tol={rel_tol:g}: last |term|/|sum| "
         f"{recent[-1]:.3e}, {decay}, tolerance met {met:.3e}")
+
+
+def polylog3(R):
+    """Trilogarithm Li_3(R) = sum_k R^k/k^3 of a float R in [0, 1].
+
+    For R <= 1/2 the power series is summed by Horner's rule.  Above, the
+    expansion in mu = ln R about mu = 0 is used (D. C. Wood, "The computation
+    of polylogarithms", Univ. of Kent TR 15-92, 1992):
+    Li_3(e^mu) = zeta(3) + zeta(2) mu + (3/4 - ln(-mu)/2) mu^2 - mu^3/12
+    + sum_m zeta(1 - 2m) mu^(2m+2)/(2m + 2)!, its terms added exactly by
+    ``math.fsum``.  Li_3(1) is zeta(3).  Raises ValueError outside [0, 1].
+    """
+    if not 0.0 <= R <= 1.0:
+        raise ValueError(f"polylog3 needs R in [0, 1], got {R!r}")
+    if R <= 0.5:
+        total = 0.0
+        for c in reversed(_INV_CUBES):
+            total = total * R + c
+        return total * R
+    if R == 1.0:
+        return ZETA3
+    mu = math.log(R)
+    mu2 = mu * mu
+    tail = 0.0
+    for c in reversed(_LOG_SERIES):
+        tail = tail * mu2 + c
+    return math.fsum((ZETA3, ZETA2 * mu,
+                      mu2 * (0.75 - 0.5 * math.log(-mu)),
+                      -mu2 * mu / 12.0, tail * mu2 * mu2))
 
 
 def fit_power_law(points):

@@ -83,6 +83,8 @@ def test_singular_models_raise_at_zero():
 def test_ideal_metal_has_no_epsilon():
     with pytest.raises(M.IdealMetalHasNoEpsilon):
         M.eval_epsilon(M.ideal_metal(), 1e15)
+    with pytest.raises(M.IdealMetalHasNoEpsilon):
+        M.eval_imag_axis(M.ideal_metal(), np.array([1e15]))
 
 
 def test_off_axis_frequency_rejected():
@@ -254,6 +256,9 @@ def test_imaginary_axis_array_matches_scalar_evaluation():
         assert np.all(got.imag == 0.0)
         want = [M.eval_epsilon(model, 1j * x) for x in xi]
         assert np.array_equal(got, want)
+        bare = M.eval_imag_axis(model, xi)
+        assert bare.shape == xi.shape and bare.dtype == float
+        assert np.array_equal(bare, got.real)
 
 
 def test_array_frequencies_must_lie_on_one_axis():

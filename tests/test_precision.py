@@ -1,5 +1,7 @@
 """Real-axis coefficients and the electric-correlator exponent against
-60-digit mpmath evaluations of the same formulas at the same float inputs."""
+60-digit mpmath evaluations of the same formulas at the same float inputs,
+and the trilogarithm and the closed-form n = 0 TM terms against 40-digit
+``mpmath.polylog``."""
 
 import numpy as np
 import pytest
@@ -127,3 +129,47 @@ def test_real_axis_sweep_is_one_pass_of_the_scalar_expressions():
         F.real_axis_sweep(INSULATOR, np.array([1e12, 0.0]), 3e7)
     with pytest.raises(ValueError):
         F.real_axis_sweep(DRUDE, np.array([1e12, np.inf]), 3e7)
+
+
+POLYLOG_GRID = sorted(set(np.linspace(0.0, 1.0, 41).tolist() + [
+    1e-300, 1e-8, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 0.5001,
+    0.99, 1.0 - 1e-6, 1.0 - 1e-12]))
+
+
+def test_polylog3_matches_40_digit_reference():
+    assert Q.polylog3(0.0) == 0.0
+    with mpmath.workdps(40):
+        for R in POLYLOG_GRID[1:]:
+            want = mpmath.polylog(3, mpf(R))
+            assert _rel_err(Q.polylog3(R), want) <= 1e-15, R
+    assert Q.polylog3(1.0) == Q.ZETA3
+    for bad in (-1e-300, 1.0 + 1e-15, float("nan")):
+        with pytest.raises(ValueError):
+            Q.polylog3(bad)
+
+
+def _mp_static_rtm(model):
+    """Static r_TM from the model's eps(0) in mpmath; 1 for conductors."""
+    if model.kind is not M.Kind.INSULATOR:
+        return mpf(1)
+    eps = mpf(model.eps0) + sum((mpf(o.strength) / mpf(o.center) ** 2
+                                 for o in model.oscillators), mpf(0))
+    return (eps - 1) / (eps + 1)
+
+
+@pytest.mark.parametrize("pair", [
+    ("insulator", "insulator"), ("insulator", "ideal"), ("lorentz", "ideal"),
+    ("insulator", "lorentz"), ("drude", "plasma"), ("ideal", "ideal")],
+    ids="/".join)
+def test_closed_n0_tm_matches_40_digit_reference(pair):
+    models = dict(CATALOG, lorentz=M.insulator(
+        1.5, [M.Oscillator(2e31, 3e15, 1e14)]))
+    m1, m2 = (models[name] for name in pair)
+    for d in (1e-8, 3e-7, 1e-6, 2.5e-5, 1e-3):
+        for T in (1.0, 77.0, 300.0):
+            got = L.n0_term(L.CavityConfig(m1, m2, d, T), "tm")
+            with mpmath.workdps(40):
+                R = _mp_static_rtm(m1) * _mp_static_rtm(m2)
+                want = (-mpf(K_B) * mpf(T) / (2 * mpmath.pi)
+                        * mpmath.polylog(3, R) / (4 * mpf(d) ** 3))
+            assert _rel_err(got, want) <= 1e-15, (d, T)

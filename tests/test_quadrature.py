@@ -128,9 +128,9 @@ def test_adaptive_gk_is_the_single_panel_heap_on_n0_integrands(
             L.n0_term(cfg, "tm")
 
     heaps = _captured_heaps(monkeypatch, run)
-    te = model.kind in (M.Kind.PLASMA, M.Kind.GENERALIZED_PLASMA,
-                        M.Kind.IDEAL_METAL)
-    assert len(heaps) == gaps.size * (2 if te else 1)
+    # TM and ideal-metal TE are closed forms; only plasma-like TE integrates
+    plasma_like = model.kind in (M.Kind.PLASMA, M.Kind.GENERALIZED_PLASMA)
+    assert len(heaps) == (gaps.size if plasma_like else 0)
     for heap in heaps:
         # every n = 0 heap ends inside the tree: one integrand call
         assert _assert_same_as_reference(*heap) == [TREE_POINTS]
@@ -143,7 +143,11 @@ def test_adaptive_gk_is_the_single_panel_heap_on_bvl_correlator(
         for z in (1e-9, 1e-7, 1e-5, 1e-3):
             B.b_correlator_classical(model, B.SlabPoint(z, 2.0 * z))
 
-    for heap in _captured_heaps(monkeypatch, run):
+    heaps = _captured_heaps(monkeypatch, run)
+    # only a plasma-like static r_te needs the integral
+    plasma_like = model.kind in (M.Kind.PLASMA, M.Kind.GENERALIZED_PLASMA)
+    assert len(heaps) == (4 if plasma_like else 0)
+    for heap in heaps:
         _assert_same_as_reference(*heap)
 
 
@@ -566,6 +570,43 @@ def test_integrate_rows_component_failures_keep_their_keys(monkeypatch):
     assert list(res.panels) == 2 * [Q.ROW_PANELS, Q.ROW_PANELS, budget]
     for j in (0, 1, 3, 4):
         assert res.row(j)[0] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_integrate_rows_budget_keeps_the_missing_components_largest_errors(
+        monkeypatch):
+    # row 0 carries a narrow peak at k = 30 in component 0, row 1 in
+    # component 1; the other component of each row meets its target on the
+    # seed panels.  Under a budget below the peak's need, a round that wants
+    # more panels than the row has room for keeps those with the largest
+    # errors of the peak's component, so each row's peak ends on the panels
+    # of the one-component run of the peak under the same budget.
+    w, rel_tol = 1e-3, 1e-8
+
+    def smooth(rows, k):
+        return 1.5 * np.exp(-1.5 * k)
+
+    def peak(rows, k):
+        return w / ((k - 30.0) ** 2 + w * w)
+
+    def first(rows, k):
+        return np.where(rows == 0, peak(rows, k), smooth(rows, k))
+
+    def second(rows, k):
+        return np.where(rows == 1, peak(rows, k), smooth(rows, k))
+
+    need = Q.integrate_rows(peak, 1, 1.0, rel_tol).panels[0]
+    assert need > 32
+    for budget in range(32, need):
+        monkeypatch.setattr(Q, "DEFAULT_INTERVAL_BUDGET", budget)
+        res = Q.integrate_rows(_components(first, second), 2, 1.0, rel_tol)
+        alone = Q.integrate_rows(peak, 1, 1.0, rel_tol)
+        assert sorted(res.failures) == ([0, 3] if alone.failures else [])
+        assert list(res.panels) == [alone.panels[0]] * 4
+        for j in (0, 3):        # component 0 of row 0, component 1 of row 1
+            assert res.values[j] == pytest.approx(alone.values[0], rel=1e-12)
+            assert res.errors[j] == pytest.approx(alone.errors[0], rel=1e-9)
+        for j in (1, 2):
+            assert res.values[j] == pytest.approx(1.0, rel=rel_tol)
 
 
 def test_integrate_rows_validation():
