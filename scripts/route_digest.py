@@ -35,17 +35,21 @@ is sound.  ``--against OTHER_SRC`` then runs the pressure and verdict cases
 on both packages and prints the cases whose n_max, failure message or
 verdict differ, the largest |dP| over the ``error_estimate`` of the
 OTHER_SRC package and over |P|, and the cases whose n = 0 terms moved.  It
-exits 1 if any n_max, failure message or verdict differs.  Such a change
-must still leave ``reflect-total`` and ``scalar-total`` equal, unless it
-changes the reflect tables or the scalar calls themselves.
+also compares the entries of the reflect tables and of the scalar
+reflection calls one by one, and prints the largest relative move of r_te,
+r_tm and r_bar, apart on the imaginary axis and in the static limit.  It
+exits 1 if any n_max, failure message or verdict differs, or if any
+static-limit entry or any r_bar moves.
 """
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import importlib
 import io
 import itertools
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -153,6 +157,55 @@ def scalar_cases(F, M):
                lambda m=m: [complex(F.static_rte(m, k)) for k in kperps])
 
 
+#: The coefficients of a reflection set, in the order of its columns.
+COEFFICIENTS = ("r_te", "r_tm", "r_bar")
+
+
+def coefficient_entries(pkg):
+    """(axis, coefficient) -> complex entries of every reflect table and
+    every scalar reflection call, in a fixed order; axis is "imaginary" or
+    "static".  The tables print each entry to 17 digits, which gives its
+    float back exactly."""
+    out = collections.defaultdict(list)
+    with tempfile.TemporaryDirectory() as tmp:
+        table_path = Path(tmp) / "eps.dat"
+        specs = reflect_specs(pkg.materials, table_path)
+        for label, thunk in reflect_cases(pkg.cli, specs, table_path):
+            axis = "static" if label.endswith("--static") else "imaginary"
+            rows = [[float(v) for v in line.split(",")]
+                    for line in thunk().splitlines() if line[:1].isdigit()]
+            for i, name in enumerate(COEFFICIENTS):
+                out[axis, name] += [complex(r[1 + 2 * i], r[2 + 2 * i])
+                                    for r in rows]
+    for label, thunk in scalar_cases(pkg.fresnel, pkg.materials):
+        kind = label.split()[0]
+        if kind == "static_rte":
+            out["static", "r_te"] += thunk()
+        elif kind.startswith("reflection"):
+            axis = "static" if kind == "reflection_static" else "imaginary"
+            values = thunk()
+            for i, name in enumerate(COEFFICIENTS):
+                out[axis, name] += values[i::3]
+    return out
+
+
+def compare_coefficients(new, old):
+    """Print the largest relative move of each (axis, coefficient) entry
+    list of :func:`coefficient_entries`; the number of static-limit and
+    r_bar entries that moved."""
+    forbidden = 0
+    for key in sorted(old):
+        pairs = list(zip(new[key], old[key]))
+        moved = [(a, b) for a, b in pairs if a != b]
+        worst = max((abs(a - b) / abs(b) if b else math.inf
+                     for a, b in moved), default=0.0)
+        print(f"{key[1]} {key[0]}: {len(moved)} of {len(pairs)} entries "
+              f"moved, largest relative move {worst:.3g}")
+        if key[0] == "static" or key[1] == "r_bar":
+            forbidden += len(moved) + abs(len(new[key]) - len(old[key]))
+    return forbidden
+
+
 def digest(thunk):
     """SHA-256 hex of repr(result), or of the exception's type and text."""
     try:
@@ -251,9 +304,13 @@ def main(argv=None):
                          "the package in OTHER_SRC instead of digesting")
     args = ap.parse_args(argv)
     if args.against is not None:
-        new = outcomes(load(args.src))
-        old = outcomes(load(args.against))
-        sys.exit(1 if compare(new, old) else 0)
+        pkg = load(args.src)
+        new, new_r = outcomes(pkg), coefficient_entries(pkg)
+        pkg = load(args.against)
+        old, old_r = outcomes(pkg), coefficient_entries(pkg)
+        bad = compare(new, old)
+        bad += compare_coefficients(new_r, old_r)
+        sys.exit(1 if bad else 0)
     pkg = load(args.src)
 
     where = Path(pkg.lifshitz.__file__).parent

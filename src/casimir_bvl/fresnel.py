@@ -2,10 +2,11 @@
 
 One kernel holds the formulas: :func:`coefficients` gives (r_te, r_tm) from
 the vacuum and medium normal wavevectors, :func:`real_axis_coefficients`
-the same pair at real frequencies with r_te in a form free of the
-cancellation of (k_z - s)/(k_z + s), and :func:`scalar_coefficient` gives
-r_bar.  eps None, which :func:`epsilon` returns for the ideal metal,
-stands for (r_te, r_tm, r_bar) = (-1, 1, 1).  Every caller uses the kernel.
+and :func:`imag_axis_coefficients` the same pair on either frequency axis
+with r_te in a form free of the cancellation of (k_z - s)/(k_z + s), and
+:func:`scalar_coefficient` gives r_bar.  eps None, which :func:`epsilon`
+returns for the ideal metal, stands for (r_te, r_tm, r_bar) = (-1, 1, 1).
+Every caller uses the kernel.
 
 Branch convention: every square root of a complex radicand is taken with
 non-negative imaginary part, so that evanescent waves decay away from the
@@ -55,7 +56,7 @@ def branch_sqrt(z):
     r = np.sqrt(z)
     r = np.where(r.imag < 0.0, -r, r)
     neg_real = (z.imag == 0.0) & (z.real < 0.0)
-    if np.any(neg_real):
+    if neg_real.any():
         r = np.where(neg_real, 1j * np.sqrt(np.where(neg_real, -z.real, 1.0)), r)
     if r.ndim == 0:
         return complex(r)
@@ -114,20 +115,23 @@ def scalar_coefficient(eps):
     return (eps - 1.0) / (eps + 1.0)
 
 
-def imag_axis_coefficients(eps, xi, k_perp, q=None):
+def imag_axis_coefficients(eps, xi, q):
     """(r_te, r_tm) at omega = i*xi for a real eps(i xi) or eps None.
 
-    Pure real arithmetic: the kernel gets q and kappa for the normal
-    wavevectors i*q and i*kappa, and kappa is computed once for the pair.
-    k_perp may be an ndarray.  A caller that already holds
-    q = sqrt(k_perp^2 + (xi/c)^2) may pass it in.
+    Pure real arithmetic on the normal wavevectors i*q and i*kappa: q =
+    sqrt(k_perp^2 + (xi/c)^2) is passed in, kappa = sqrt(q^2 + w) with
+    w = (eps - 1)(xi/c)^2.  r_te is taken as -w/(q + kappa)^2, which equals
+    (q - kappa)/(q + kappa) but keeps its digits where eps(i xi) -> 1 and
+    kappa is close to q, and r_tm = (eps q - kappa)/(eps q + kappa).
+    eps = 1 gives w = 0, kappa = q and r = +0 exactly.  eps and xi may be
+    columns that broadcast against an ndarray q.
     """
     if eps is None:  # the ideal metal needs no wavevectors
         return coefficients(None, None, None)
-    if q is None:
-        q = np.sqrt(k_perp * k_perp + (xi / C) ** 2)
-    kappa = np.sqrt(k_perp * k_perp + eps * (xi / C) ** 2)
-    return coefficients(eps, q, kappa)
+    nw = (1.0 - eps) * (xi / C) ** 2          # -w, +0 where eps = 1
+    kappa = np.sqrt(q * q - nw)
+    t = q + kappa
+    return nw / (t * t), _quotient(eps * q, kappa)
 
 
 def _check_kperp(k_perp, positive):
@@ -177,7 +181,9 @@ def reflection(model, omega, k_perp):
     if eps is None:  # the ideal metal needs no wavevectors
         r_te, r_tm = coefficients(None, None, None)
     elif omega.real == 0.0:
-        r_te, r_tm = imag_axis_coefficients(eps, omega.imag, k)
+        xi = omega.imag
+        r_te, r_tm = imag_axis_coefficients(
+            eps, xi, np.sqrt(k * k + (xi / C) ** 2))
     else:
         k0sq = (omega / C) * (omega / C)
         r_te, r_tm = real_axis_coefficients(
@@ -198,9 +204,9 @@ def real_axis_sweep(model, omega, k_perp):
     unless every omega and k_perp are finite and k_perp >= 0.
     """
     omega = np.asarray(omega, dtype=float)
-    if not np.all(omega != 0.0):
+    if not (omega != 0.0).all():
         raise ZeroFrequency("use reflection_static for the omega -> 0 limit")
-    if not np.all(np.isfinite(omega)):
+    if not np.isfinite(omega).all():
         raise ValueError("omega must be finite")
     _check_kperp(k_perp, positive=False)
     if model.kind is Kind.IDEAL_METAL:

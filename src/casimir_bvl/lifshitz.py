@@ -104,30 +104,54 @@ def n0_term(config, polarization):
     return _n0_integral(config, polarization)[0]
 
 
+#: The frequency array of the one-row static TE integral.
+_STATIC_XI = np.zeros(1)
+_STATIC_XI.flags.writeable = False
+#: Zero-frequency classes whose static r_te does not vanish.
+_STATIC_TE_CLASSES = (ZeroFreqClass.INVERSE_OMEGA_SQUARED, ZeroFreqClass.IDEAL)
+
+
+def _static_te_row(m1, m2):
+    """Whether the n = 0 TE term of m1 facing m2 is a k_perp integral: both
+    static r_te survive (plasma-like or ideal) and one is plasma-like."""
+    classes = zero_freq_class(m1), zero_freq_class(m2)
+    return (ZeroFreqClass.INVERSE_OMEGA_SQUARED in classes
+            and all(c in _STATIC_TE_CLASSES for c in classes))
+
+
+def _row_failure(n, pol, exc):
+    """NoConvergence naming the failed k_perp row (n, pol)."""
+    return quadrature.NoConvergence(
+        f"k_perp integral of Matsubara row (n={n}, {pol}): {exc}")
+
+
+def _static_te(res, T):
+    """(n = 0 TE term, its error estimate), Pa, at temperature T from row 0
+    of a :func:`_matsubara_rows` result whose first frequency is 0.  A
+    failed row raises NoConvergence naming (n=0, TE)."""
+    if 0 in res.failures:
+        exc = res.failures[0]
+        raise _row_failure(0, "TE", exc) from exc
+    pref = K_B * T / (2.0 * math.pi)
+    return -pref * float(res.values[0]), pref * float(res.errors[0])
+
+
 def _n0_integral(config, polarization):
     """(:func:`n0_term`, its error estimate), Pa.
 
     A closed form reports the quadrature.ROUNDING_FLOOR of its value.  The
-    TE integral of plasma-like models adds that floor of the integral to
-    its GK estimate; static r1 r2 is never negative, so the integrand keeps
-    one sign and |I| is its Int|f|.
+    TE integral of plasma-like models is the TE row of a one-row
+    :func:`_matsubara_rows` call at xi = 0, and reports that row's error:
+    its Kronrod-minus-Gauss estimate plus the rounding floor of Int|f|.
     """
     m1, m2, d = config.material_1, config.material_2, config.d
-    pref = K_B * config.T / (2.0 * math.pi)
     te = str(polarization).lower().endswith("te")
     if te and not (m1.kind is m2.kind is Kind.IDEAL_METAL):
-        classes = {zero_freq_class(m1), zero_freq_class(m2)}
-        if classes & {ZeroFreqClass.FINITE, ZeroFreqClass.INVERSE_OMEGA}:
-            return 0.0, 0.0
-
-        def f(k):
-            y = _round_trip(fresnel.static_rte(m1, k),
-                            fresnel.static_rte(m2, k), np.exp(-2.0 * k * d))
-            return k * k * y
-
-        res = quadrature.integrate_semi_infinite(f, 0.5 / d, KPERP_REL_TOL)
-        return -pref * res.value, pref * (
-            res.error_estimate + quadrature.ROUNDING_FLOOR * abs(res.value))
+        if _static_te_row(m1, m2):
+            return _static_te(_matsubara_rows(m1, m2, d, _STATIC_XI),
+                              config.T)
+        return 0.0, 0.0
+    pref = K_B * config.T / (2.0 * math.pi)
     R = 1.0 if te else fresnel.static_rtm(m1) * fresnel.static_rtm(m2)
     value = -pref * quadrature.polylog3(R) / (4.0 * d ** 3)
     return value, quadrature.ROUNDING_FLOOR * abs(value)
@@ -144,6 +168,31 @@ def classical_transverse_pressure(config):
     return n0_term(config, "te")
 
 
+def _coefficient_columns(m, xi):
+    """(eps, xi) per row of m's coefficient call at the frequencies xi,
+    xi[0] = 0 allowed; None for the ideal metal.
+
+    eps comes from one :func:`materials.eval_imag_axis` call over the
+    nonzero xi.  A xi = 0 row takes (1, 0), w = 0, for a finite or 1/omega
+    model, and the pure plasma's (2, omega_p,eff) for a plasma-like one:
+    w = (eps - 1)(xi/c)^2 of a pure plasma does not depend on xi, so that
+    pair gives the xi -> 0 limit of every plasma-like model,
+    w = (omega_p,eff/c)^2, with the static r_te of :func:`fresnel.static_rte`.
+    """
+    if m.kind is Kind.IDEAL_METAL:
+        return None
+    if xi[0] != 0.0:
+        return materials.eval_imag_axis(m, xi), xi
+    eps, x = np.empty(xi.shape), xi.copy()
+    if zero_freq_class(m) is ZeroFreqClass.INVERSE_OMEGA_SQUARED:
+        eps[0], x[0] = 2.0, materials.effective_omega_p(m)
+    else:
+        eps[0] = 1.0
+    if xi.size > 1:
+        eps[1:] = materials.eval_imag_axis(m, xi[1:])
+    return eps, x
+
+
 def _matsubara_rows(m1, m2, d, xi):
     """k_perp integrals of the Matsubara terms at the frequencies xi, at once.
 
@@ -153,36 +202,40 @@ def _matsubara_rows(m1, m2, d, xi):
     and TM at len(xi) + i.  Each is written over u = q - xi/c in [0, inf)
     with k dk = q dq: the integrand q^2 * y/(1 - y), y = r1 r2 exp(-2 q d),
     has the envelope exp(-2 u d) on every row, so all rows share the
-    mapping scale 1/d.  Each point forms k = sqrt(u (u + 2 xi/c)) and q
-    from k as the coefficients do, which keeps r = 0 exact for eps = 1.
-    eps comes from one :func:`materials.eval_imag_axis` call per material
-    (None for the ideal metal), and each point gets its (r_TE, r_TM) pair
-    from one coefficient call per material.
-    """
-    def epsilon(m):
-        if m.kind is Kind.IDEAL_METAL:
-            return None
-        return materials.eval_imag_axis(m, xi)
+    mapping scale 1/d.  Each point takes q = u + xi/c and gets its
+    (r_TE, r_TM) pair from one :func:`fresnel.imag_axis_coefficients` call
+    per material, which needs no k.
 
-    eps1 = epsilon(m1)
-    eps2 = eps1 if m2 == m1 else epsilon(m2)
+    xi[0] may be 0: that row is the static TE integral of the n = 0 term,
+    with the columns of :func:`_coefficient_columns`, and its TM component
+    is 0, with error 0, on every panel (the static TM term is a closed
+    form).
+    """
+    static = xi[0] == 0.0
+    c1 = _coefficient_columns(m1, xi)
+    c2 = c1 if m2 is m1 or m2 == m1 else _coefficient_columns(m2, xi)
+    a = xi / C
 
     def integrand(rows, u):
-        x = xi[rows]
-        a = x / C
-        k = np.sqrt(u * (u + 2.0 * a))
-        q = np.sqrt(k * k + a ** 2)
-        q2, e = q * q, np.exp(-2.0 * q * d)
+        q = u + a[rows]
 
-        def pair(eps):
-            return fresnel.imag_axis_coefficients(
-                None if eps is None else eps[rows], x, k, q=q)
+        def pair(c):
+            if c is None:
+                return fresnel.imag_axis_coefficients(None, None, q)
+            return fresnel.imag_axis_coefficients(c[0][rows], c[1][rows], q)
 
-        r1 = pair(eps1)
-        r2 = r1 if eps2 is eps1 else pair(eps2)
-        out = np.empty((2,) + q.shape)
+        r1 = pair(c1)
+        r2 = r1 if c2 is c1 else pair(c2)
+        # q^2 y/(1 - y), y = r1 r2 exp(-2 q d), for TE and TM at once; the
+        # same operations, in the same order, as q^2 * _round_trip(...)
+        y = np.empty((2,) + q.shape)
         for pol in (0, 1):
-            np.multiply(q2, _round_trip(r1[pol], r2[pol], e), out=out[pol])
+            np.multiply(r1[pol], r2[pol], out=y[pol])
+        if static:
+            y[1, rows[:, 0] == 0] = 0.0
+        y *= np.exp((-2.0 * d) * q)
+        out = y / (1.0 - y)
+        out *= q * q
         return out
 
     return quadrature.integrate_rows(integrand, xi.size, 1.0 / d,
@@ -197,7 +250,11 @@ def pressure_matsubara(config):
     terms are computed a chunk of indices at a time by
     :func:`_matsubara_rows`, in chunks of at most ROWS_PER_PASS indices
     sized from the predicted index count plus CHUNK_MARGIN; a failed k_perp
-    integral raises only if the sum consumes its index.
+    integral raises only if the sum consumes its index.  Where the n = 0 TE
+    term is an integral (a plasma-like model facing a plasma-like model or
+    the ideal metal), its xi = 0 row leads the first chunk, so it is the
+    same number, bit for bit, as :func:`n0_term`'s; a failure of that row
+    raises.  The other n = 0 terms are closed forms.
     ``error_estimate`` adds the tail bound and the error estimates of every
     summed k_perp integral, left to right.
     """
@@ -209,33 +266,44 @@ def pressure_matsubara(config):
     nu = C / (2.0 * d * xi1)
     step = min(ROWS_PER_PASS,
                math.ceil(-nu * math.log(config.rel_tol)) + 3 + CHUNK_MARGIN)
-    (te0, te0_err), (tm0, tm0_err) = (_n0_integral(config, pol)
-                                      for pol in ("te", "tm"))
+    static = _static_te_row(m1, m2)
+    tm0, tm0_err = _n0_integral(config, "tm")
     # per index n: TE, TM, the term as summed, and its k_perp error
-    te, tm = [te0], [tm0]
-    terms, errors = [2.0 * (te0 + tm0)], [te0_err + tm0_err]
+    te, tm, terms, errors = [], [], [], []
     failed = {}     # n -> (polarization, NoConvergence) of a failed row
+
+    def add_n0(te0, te0_err):
+        te.append(te0)
+        tm.append(tm0)
+        terms.append(2.0 * (te0 + tm0))
+        errors.append(te0_err + tm0_err)
 
     def extend(n):
         size = min(step, ceiling + 1 - n)
-        res = _matsubara_rows(m1, m2, d, np.arange(n, n + size) * xi1)
+        head = int(n == 1 and static)   # the xi = 0 row leads chunk one
+        res = _matsubara_rows(m1, m2, d, np.arange(n - head, n + size) * xi1)
+        if head:
+            add_n0(*_static_te(res, T))
+        width = head + size
         for j, exc in sorted(res.failures.items()):
-            failed.setdefault(n + j % size, ("TM" if j >= size else "TE", exc))
-        te_n, tm_n = pref * res.values.reshape(2, -1)
+            failed.setdefault(n - head + j % width,
+                              ("TM" if j >= width else "TE", exc))
+        te_n, tm_n = pref * res.values.reshape(2, -1)[:, head:]
         te.extend(te_n.tolist())
         tm.extend(tm_n.tolist())
         terms.extend((te_n + tm_n).tolist())
-        errors.extend(
-            (abs(pref) * res.errors.reshape(2, -1).sum(axis=0)).tolist())
+        errors.extend((abs(pref) * res.errors.reshape(2, -1)[:, head:]
+                       .sum(axis=0)).tolist())
+
+    if not static:
+        add_n0(*_n0_integral(config, "te"))
 
     def term(n):
         if n == len(terms):
-            extend(n)
+            extend(max(n, 1))   # a xi = 0 row comes with chunk one
         if n in failed:
             pol, exc = failed[n]
-            raise quadrature.NoConvergence(
-                f"k_perp integral of Matsubara row (n={n}, {pol}): "
-                f"{exc}") from exc
+            raise _row_failure(n, pol, exc) from exc
         return terms[n]
 
     summed = quadrature.matsubara_sum(term, d, T, config.rel_tol)
@@ -243,7 +311,7 @@ def pressure_matsubara(config):
     return PressureResult(
         pressure=summed.value,
         error_estimate=summed.tail_bound + np.cumsum(errors[:n])[-1],
-        n0_te=te0, n0_tm=tm0,
+        n0_te=te[0], n0_tm=tm0,
         per_n=list(zip(range(n), te[:n], tm[:n])),
         n_max=summed.n_max)
 

@@ -186,9 +186,9 @@ def eval_epsilon(model, w):
     if model.kind is Kind.IDEAL_METAL:
         raise IdealMetalHasNoEpsilon("ideal metal has no permittivity")
     z = np.atleast_1d(np.asarray(w, dtype=complex))
-    if np.all((z.real == 0.0) & (z.imag > 0.0)):
+    if ((z.real == 0.0) & (z.imag > 0.0)).all():
         eps = eval_imag_axis(model, z.imag)
-    elif np.all(z.imag == 0.0):
+    elif (z.imag == 0.0).all():
         eps = _eval_real_axis(model, z.real)
     else:
         raise ValueError("frequency must lie on the real or the positive "
@@ -223,7 +223,7 @@ def eval_imag_axis(model, xi):
 def _eval_real_axis(model, w):
     """eps(w) for an ndarray of real w."""
     k = model.kind
-    if k is not Kind.INSULATOR and np.any(w == 0.0):
+    if k is not Kind.INSULATOR and (w == 0.0).any():
         raise EvalAtZero("model is singular (or undefined) at omega = 0")
     if k is Kind.INSULATOR:
         return model.eps0 + _osc_sum_real(model.oscillators, w)

@@ -4,12 +4,15 @@ power-law fitting and the trilogarithm of the closed-form n = 0 terms.
 Every integral uses the Gauss-Kronrod 7/15 rule with interval bisection.
 All Kronrod nodes are interior, so integrand endpoints are never evaluated.
 Integrand callables must be vectorized (ndarray in, ndarray out).
-:func:`adaptive_gk` samples the first four bisection levels of its
-interval in one integrand call, then bisects one interval at a time from
-a heap; :func:`integrate_rows` and :func:`composite_gk` share one batched
-loop that refines a flat panel list of many integrals, each held to its
-own target.  A row of that loop may carry several components, integrands
-that share its panels and are each held to their own target.
+:func:`integrate_rows` and :func:`composite_gk` share one batched loop
+that refines a flat panel list of many integrals, each held to its own
+target; every k_perp integral of the Matsubara route, the n = 0 TE term
+of plasma-like models included, is a row of it.  A row may carry several
+components, integrands that share its panels and are each held to their
+own target.  :func:`adaptive_gk`, left to the static magnetic correlator
+of ``bvl`` and the real-frequency route, samples the first four
+bisection levels of its interval in one integrand call, then bisects one
+interval at a time from a heap.
 :func:`polylog3` gives Li_3 on [0, 1] in plain floats.
 """
 
@@ -114,10 +117,10 @@ ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
 #: with 8.0 panels per row on average.
 ROW_PANELS = 8
 #: Bisection depth down to which :func:`adaptive_gk` samples [a, b] in one
-#: integrand call.  On the Matsubara route only the n = 0 TE terms of
-#: plasma-like models are heaps (the other n = 0 terms are closed forms);
-#: for plasma and generalized-plasma pairs at 60 gaps from 10 nm to 1 mm,
-#: each of the 120 ends in one call.
+#: integrand call.  No Matsubara k_perp integral is a heap.  The static
+#: magnetic correlator of ``bvl`` is: for plasma and generalized-plasma
+#: models at 61 distances z = z' from 1 nm to 1 mm, each of the 122 ends
+#: in one call.
 TREE_DEPTH = 4
 #: Most panels of one :func:`composite_gk` integral.
 COMPOSITE_PANEL_BUDGET = 20000
@@ -146,11 +149,12 @@ _LOG_SERIES = tuple(
 def _gk_panels(y, h):
     """(Kronrod value, |Kronrod - Gauss|, Kronrod of |y|) of each panel.
 
-    y holds the integrand at the 15 nodes of each panel, shape (m, 15), or
-    of one panel, shape (15,); h holds the panels' half-widths.
+    y holds the integrand at the 15 nodes of each panel, shape (..., m, 15),
+    or of one panel, shape (15,); h holds the panels' half-widths, shape
+    (m,) or a float.
     """
     kron = h * (y @ _WGK)
-    gauss = h * ((y[:, _IG] if y.ndim == 2 else y[_IG]) @ _WG)
+    gauss = h * (y[..., _IG] @ _WG)
     return kron, abs(kron - gauss), h * (abs(y) @ _WGK)
 
 
@@ -307,33 +311,35 @@ def _refine(sample, n_rows, panels, rel_tol, floor_frac, budget):
     NoConvergence is kept in the result's ``failures`` under that key.
     """
     def evaluate(rows, lo, hi, x, h):
-        y = np.reshape(sample(rows[:, None], x), (-1, _XGK.size))
-        n = y.shape[0] // h.size        # components
-        return [a.reshape(n, -1)
-                for a in _gk_panels(y, np.concatenate((h,) * n))]
+        # the _gk_panels sums, stacked: shape (3, components, panels)
+        return np.array(_gk_panels(
+            sample(rows[:, None], x).reshape((-1,) + x.shape), h))
 
     rows, lo, hi, _, _ = panels
-    val, err, resabs = evaluate(*panels)
-    n_comp = val.shape[0]
+    sums = evaluate(*panels)
+    n_comp = sums.shape[1]
+    size = n_comp * n_rows
+    offsets = _key_offsets(n_rows, n_comp)
     failures = {}
     while True:
-        keys = (rows + n_rows * np.arange(n_comp)[:, None]).ravel()
-        total, total_err, total_abs = (
-            np.bincount(keys, a.ravel(), n_comp * n_rows)
-            for a in (val, err, resabs))
+        keys = (rows + offsets).ravel()
+        total, total_err, total_abs = np.bincount(
+            keys, sums.ravel(), 3 * size).reshape(3, -1)
+        keys = keys[:n_comp * rows.size]      # the components' keys
         target = np.maximum(rel_tol * np.abs(total),
                             floor_frac * rel_tol * total_abs)
-        count = np.bincount(keys, minlength=n_comp * n_rows)
+        count = np.bincount(keys, minlength=size)
         missing = ~(total_err <= target)      # NaN errors refine too
         if failures:
             missing[list(failures)] = False
-        if not missing.any():
+        if not np.count_nonzero(missing):
             return RowsResult(total, total_err + ROUNDING_FLOOR * total_abs,
                               count, failures)
+        err = sums[1]
         share = (target / (2.0 * count)).reshape(n_comp, -1)
         wants = missing.reshape(n_comp, -1)[:, rows] & (err > share[:, rows])
         room = budget - count
-        own = np.bincount(keys[wants.ravel()], minlength=n_comp * n_rows)
+        own = np.bincount(keys[wants.ravel()], minlength=size)
         for j in np.flatnonzero(missing & ((own == 0) | (room <= 0))):
             why = (f"quadrature budget of {budget} panels exhausted"
                    if own[j] else "non-finite integrand")
@@ -357,13 +363,20 @@ def _refine(sample, n_rows, panels, rel_tol, floor_frac, budget):
         mid = 0.5 * (sa + sb)
         new = _panels(np.concatenate([sr, sr]), np.concatenate([sa, mid]),
                       np.concatenate([mid, sb]))
-        nval, nerr, nabs = evaluate(*new)
         keep = ~split
+        sums = np.concatenate([sums[..., keep], evaluate(*new)], axis=2)
         rows, lo, hi = (np.concatenate([a[keep], b])
                         for a, b in zip((rows, lo, hi), new))
-        val, err, resabs = (np.concatenate([a[:, keep], b], axis=1)
-                            for a, b in ((val, nval), (err, nerr),
-                                         (resabs, nabs)))
+
+
+@functools.lru_cache(maxsize=128)
+def _key_offsets(n_rows, n_comp):
+    """Read-only column of the offsets that key the per-panel sums of
+    :func:`_refine`: sum s of component p of row i has key
+    (s*n_comp + p)*n_rows + i."""
+    offsets = n_rows * np.arange(3 * n_comp)[:, None]
+    offsets.flags.writeable = False
+    return offsets
 
 
 def integrate_rows(f, n_rows, scale, rel_tol):
@@ -383,29 +396,40 @@ def integrate_rows(f, n_rows, scale, rel_tol):
     caller decides whether it is needed.
     """
     _check_mapping(scale, rel_tol)
+    seeds, seed_map = _row_seeds(n_rows)
 
     def sample(rows, t):
-        u = 1.0 - t
-        return f(rows, scale * t / u) * (scale / (u * u))
+        ratio, jac = seed_map if t is seeds[3] else _unit_map(t)
+        return f(rows, scale * ratio) * (scale * jac)
 
-    return _refine(sample, n_rows, _row_seeds(n_rows), rel_tol, 0.01,
+    return _refine(sample, n_rows, seeds, rel_tol, 0.01,
                    DEFAULT_INTERVAL_BUDGET)
+
+
+def _unit_map(t):
+    """(t/(1-t), 1/(1-t)^2): the scale-free node and Jacobian of the
+    mapping k = scale*t/(1-t) at the nodes t."""
+    u = 1.0 - t
+    return t / u, 1.0 / (u * u)
 
 
 @functools.lru_cache(maxsize=128)
 def _row_seeds(n_rows):
-    """Read-only :func:`_panels` of the ROW_PANELS seed panels of n_rows rows.
+    """Read-only :func:`_panels` of the ROW_PANELS seed panels of n_rows
+    rows, and the :func:`_unit_map` of their nodes.
 
-    Built once per row count, GK nodes included: a Matsubara call usually
-    ends in one round, which makes the set-up a fixed cost of the call.
-    _refine never writes to its input arrays.
+    Built once per row count, GK nodes and their mapping included: a
+    Matsubara call usually ends in one round, which makes the set-up a
+    fixed cost of the call, and its one round forms k and the Jacobian
+    with one multiply each.  _refine never writes to its input arrays.
     """
     edges = np.linspace(0.0, 1.0, ROW_PANELS + 1)
     seeds = _panels(np.repeat(np.arange(n_rows), ROW_PANELS),
                     np.tile(edges[:-1], n_rows), np.tile(edges[1:], n_rows))
-    for a in seeds:
+    seed_map = _unit_map(seeds[3])
+    for a in seeds + seed_map:
         a.flags.writeable = False
-    return seeds
+    return seeds, seed_map
 
 
 def composite_gk(f, edges, rel_tol, floor_frac=0.01):
@@ -542,10 +566,10 @@ def fit_power_law(points):
     if len(points) < 3:
         raise DegenerateSweep("power-law fit needs at least 3 points")
     xs, ys = np.asarray(points, dtype=float).T
-    if np.any(xs <= 0) or np.any(ys <= 0):
+    if (xs <= 0).any() or (ys <= 0).any():
         raise NonPositiveData("power-law fit needs positive coordinates")
     lx, ly = np.log(xs), np.log(ys)
-    dx, dy = lx - lx.mean(), ly - ly.mean()
+    dx, dy = lx - lx.sum() / lx.size, ly - ly.sum() / ly.size
     sxx = float(dx @ dx)
     if sxx == 0.0:
         raise DegenerateSweep("power-law fit needs distinct x")

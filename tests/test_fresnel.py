@@ -164,10 +164,17 @@ def test_imag_axis_coefficients_match_complex_path():
     model = M.drude(1.37e16, 5.32e13)
     xi, k = 1e14, 1e6
     eps = M.eval_epsilon(model, 1j * xi).real
-    r_te, r_tm = F.imag_axis_coefficients(eps, xi, k)
+    r_te, r_tm = F.imag_axis_coefficients(
+        eps, xi, math.sqrt(k * k + (xi / C) ** 2))
     full = F.reflection(model, 1j * xi, k)
     assert full.r_te.real == pytest.approx(r_te, rel=1e-14)
     assert full.r_tm.real == pytest.approx(r_tm, rel=1e-14)
+    # the quotient kernel on the complex wavevectors k_z = i q, s = i kappa
+    k0sq = (1j * xi / C) ** 2
+    te, tm = F.coefficients(eps, F.branch_sqrt(k0sq - k * k),
+                            F.branch_sqrt(eps * k0sq - k * k))
+    assert te.real == pytest.approx(r_te, rel=1e-14)
+    assert tm.real == pytest.approx(r_tm, rel=1e-14)
 
 
 def test_epsilon_array_on_imaginary_axis_is_real():

@@ -172,8 +172,8 @@ def _scalar_row(cfg, n, pol):
 
     def f(k):
         q = np.sqrt(k * k + (xi / C) ** 2)
-        r1 = fresnel.imag_axis_coefficients(eps1, xi, k)[pol]
-        r2 = fresnel.imag_axis_coefficients(eps2, xi, k)[pol]
+        r1 = fresnel.imag_axis_coefficients(eps1, xi, q)[pol]
+        r2 = fresnel.imag_axis_coefficients(eps2, xi, q)[pol]
         y = r1 * r2 * np.exp(-2.0 * q * cfg.d)
         return k * q * y / (1.0 - y)
 
@@ -202,13 +202,11 @@ def _one_polarization_rows(m1, m2, d, xi, pol):
 
     def f(rows, u):
         x = xi[rows]
-        a = x / C
-        k = np.sqrt(u * (u + 2.0 * a))
-        q = np.sqrt(k * k + a ** 2)
+        q = u + x / C
         r1, r2 = (fresnel.imag_axis_coefficients(
-            None if eps is None else eps[rows], x, k, q=q)[pol]
+            None if eps is None else eps[rows], x, q)[pol]
             for eps in (eps1, eps2))
-        return q * q * L._round_trip(r1, r2, np.exp(-2.0 * q * d))
+        return q * q * L._round_trip(r1, r2, np.exp((-2.0 * d) * q))
 
     return Q.integrate_rows(f, xi.size, 1.0 / d, L.KPERP_REL_TOL)
 
@@ -340,6 +338,69 @@ def test_failed_consumed_row_names_itself(monkeypatch):
     _inject_failures(monkeypatch, cfg, lambda n: n == 3)
     with pytest.raises(Q.NoConvergence, match=r"\(n=3, TE\): injected"):
         L.pressure_matsubara(cfg)
+
+
+def _static_models():
+    return {"plasma": M.plasma(1.37e16),
+            "gplasma": M.generalized_plasma(
+                1.37e16, (M.Oscillator(2e31, 3e15, 1e14),)),
+            "ideal": M.ideal_metal(), "drude": M.drude(1.37e16, 5.32e13),
+            "insulator": M.insulator(3.0), "table": _drude_table()}
+
+
+@pytest.mark.parametrize("pair", [
+    ("plasma", "plasma"), ("gplasma", "gplasma"), ("plasma", "ideal"),
+    ("ideal", "gplasma"), ("plasma", "gplasma")], ids="/".join)
+def test_n0_te_term_is_the_pressure_row(pair):
+    # n0_term and pressure_matsubara take the plasma-like n = 0 TE term
+    # from the same xi = 0 row of the kernel, so they give the same bits
+    models = _static_models()
+    m1, m2 = models[pair[0]], models[pair[1]]
+    for d in (5e-7, 2e-6, 1e-5):
+        for T in (300.0, 77.0) if d > 1e-6 else (300.0,):
+            cfg = L.CavityConfig(m1, m2, d, T)
+            res = L.pressure_matsubara(cfg)
+            assert L.n0_term(cfg, "te") == res.n0_te == res.per_n[0][1]
+            assert res.n0_te < 0.0
+
+
+@pytest.mark.parametrize("pair", [
+    ("plasma", "plasma"), ("gplasma", "gplasma"), ("plasma", "ideal"),
+    ("drude", "drude"), ("insulator", "ideal"), ("table", "plasma")],
+    ids="/".join)
+def test_static_row_is_te_only_and_equals_the_standalone_row(pair):
+    models = _static_models()
+    m1, m2 = models[pair[0]], models[pair[1]]
+    d, T = 1e-6, 300.0
+    xi = np.arange(0, 21) * (2.0 * math.pi * K_B * T / HBAR)
+    n = xi.size
+    res = L._matsubara_rows(m1, m2, d, xi)
+    alone = L._matsubara_rows(m1, m2, d, np.zeros(1))
+    assert not res.failures and not alone.failures
+    # TM of the xi = 0 row is identically 0, with error 0
+    assert (res.values[n], res.errors[n]) == (0.0, 0.0)
+    assert (alone.values[1], alone.errors[1]) == (0.0, 0.0)
+    assert (res.values[0], res.errors[0]) == (alone.values[0],
+                                              alone.errors[0])
+    if L._static_te_row(m1, m2):
+        assert alone.values[0] > 0.0
+    else:   # a finite or 1/omega static r_te is 0
+        assert (alone.values[0], alone.errors[0]) == (0.0, 0.0)
+    # the static row leaves the other rows of its chunk as they were
+    rest = L._matsubara_rows(m1, m2, d, xi[1:])
+    assert np.array_equal(np.delete(res.values, [0, n]), rest.values)
+    assert np.array_equal(np.delete(res.errors, [0, n]), rest.errors)
+
+
+def test_failed_static_row_names_itself(monkeypatch):
+    pl = M.plasma(1.37e16)
+    cfg = L.CavityConfig(pl, pl, 1e-6, 300.0)
+    seen = _inject_failures(monkeypatch, cfg, lambda n: n == 0)
+    for run in (L.pressure_matsubara, lambda c: L.n0_term(c, "te")):
+        seen.clear()
+        with pytest.raises(Q.NoConvergence, match=r"\(n=0, TE\): injected"):
+            run(cfg)
+        assert seen[0] == 0         # the xi = 0 row leads its call
 
 
 # -------------------------------------------------------- real frequency

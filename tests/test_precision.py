@@ -1,7 +1,9 @@
 """Real-axis coefficients and the electric-correlator exponent against
 60-digit mpmath evaluations of the same formulas at the same float inputs,
-and the trilogarithm and the closed-form n = 0 TM terms against 40-digit
-``mpmath.polylog``."""
+the trilogarithm and the closed-form n = 0 TM terms against 40-digit
+``mpmath.polylog``, the imaginary-axis r_te against 40 digits at the same
+float eps, and the plasma-like n = 0 TE term against a 30-digit
+``mpmath.quad``."""
 
 import numpy as np
 import pytest
@@ -173,3 +175,57 @@ def test_closed_n0_tm_matches_40_digit_reference(pair):
                 want = (-mpf(K_B) * mpf(T) / (2 * mpmath.pi)
                         * mpmath.polylog(3, R) / (4 * mpf(d) ** 3))
             assert _rel_err(got, want) <= 1e-15, (d, T)
+
+
+def _mp_static_te(model, k):
+    """Static r_te at k_perp = k in mpmath, from the effective omega_p of a
+    plasma-like model; -1 for the ideal metal."""
+    if model.kind is M.Kind.IDEAL_METAL:
+        return mpf(-1)
+    kp2 = (mpf(M.effective_omega_p(model)) / mpf(C)) ** 2
+    return -kp2 / (k + mpmath.sqrt(k * k + kp2)) ** 2
+
+
+@pytest.mark.parametrize("pair", [
+    ("plasma", "plasma"), ("gplasma", "gplasma"), ("plasma", "ideal")],
+    ids="/".join)
+def test_plasma_like_n0_te_matches_30_digit_reference(pair):
+    # the n = 0 TE term of a plasma-like pair is the xi = 0 row of the
+    # Matsubara kernel; no oracle of the benchmark checks this value
+    m1, m2 = (CATALOG[name] for name in pair)
+    for d in np.geomspace(1e-8, 1e-3, 6).tolist():
+        got = L.n0_term(L.CavityConfig(m1, m2, d, 300.0), "te")
+        with mpmath.workdps(30):
+            dd = mpf(d)
+
+            def f(k):
+                y = (_mp_static_te(m1, k) * _mp_static_te(m2, k)
+                     * mpmath.exp(-2 * k * dd))
+                return k * k * y / (1 - y)
+
+            edges = [0] + [mpf(x) / dd for x in (0.25, 0.5, 1, 2, 4, 8, 16,
+                                                 32, 64)] + [mpmath.inf]
+            want = (-mpf(K_B) * 300 / (2 * mpmath.pi)
+                    * mpmath.quad(f, edges))
+        assert _rel_err(got, want) <= 5e-14, d
+
+
+def test_imaginary_axis_r_te_matches_40_digit_reference():
+    # r_te is small and (q - kappa)/(q + kappa), the quotient used before
+    # -w/(q + kappa)^2, cancels where eps(i xi) -> 1 (Drude gold at
+    # 1e16-1e18 rad/s, eps - 1 down to 2e-4) and where k_perp >> xi/c
+    # (the insulator at 1e10-1e12 rad/s): here that quotient missed this
+    # bound by up to 1.3e-12 and 3.6e-2 relative
+    for model, lo, hi in ((DRUDE, 1e16, 1e18), (INSULATOR, 1e10, 1e12)):
+        for xi in np.geomspace(lo, hi, 9).tolist():
+            eps = float(M.eval_epsilon(model, 1j * xi).real)
+            ks = np.geomspace(1e3, 1e9, 25)
+            got = F.reflection(model, 1j * xi, ks).r_te
+            with mpmath.workdps(40):
+                a2 = (mpf(xi) / mpf(C)) ** 2
+                for k, r in zip(ks.tolist(), got.tolist()):
+                    q = mpmath.sqrt(mpf(k) ** 2 + a2)
+                    kappa = mpmath.sqrt(mpf(k) ** 2 + mpf(eps) * a2)
+                    want = (q - kappa) / (q + kappa)
+                    assert r.imag == 0.0
+                    assert _rel_err(r, want) <= 1e-15, (model.kind, xi, k)

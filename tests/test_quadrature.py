@@ -127,13 +127,9 @@ def test_adaptive_gk_is_the_single_panel_heap_on_n0_integrands(
             L.n0_term(cfg, "te")
             L.n0_term(cfg, "tm")
 
-    heaps = _captured_heaps(monkeypatch, run)
-    # TM and ideal-metal TE are closed forms; only plasma-like TE integrates
-    plasma_like = model.kind in (M.Kind.PLASMA, M.Kind.GENERALIZED_PLASMA)
-    assert len(heaps) == (gaps.size if plasma_like else 0)
-    for heap in heaps:
-        # every n = 0 heap ends inside the tree: one integrand call
-        assert _assert_same_as_reference(*heap) == [TREE_POINTS]
+    # TM and ideal-metal TE are closed forms, and plasma-like TE is a row
+    # of the Matsubara kernel: no n = 0 term is a heap
+    assert _captured_heaps(monkeypatch, run) == []
 
 
 @pytest.mark.parametrize("model", _six_kinds(), ids=lambda m: m.kind.value)
