@@ -23,15 +23,26 @@ KPERP_REL_TOL = 1e-8
 #: Most Matsubara indices, one k_perp row each (TE and TM), per array pass of
 #: the kernel.  It bounds the arrays of a pass and, on sums longer than a
 #: pass, the indices computed past the last summed n.  A pass is one
-#: refinement round of fixed overhead plus work in proportion to its rows;
-#: on the benchmark's Matsubara ops (two seeds, 2-vCPU x86-64) 16, 32 and
-#: 64 indices per pass ran within 3% of each other in total, 64 indices
-#: 1.05x slower than 32 on long sums.
-ROWS_PER_PASS = 32
+#: refinement round of fixed overhead plus work in proportion to its rows.
+#: With rows of 60 points, in process on 2-vCPU x86-64 (best of 25 per
+#: op), the benchmark's Matsubara ops of seeds 1-10 took 115-119 ms at 48
+#: indices per pass against 120 ms at 32 and 119-123 ms at 64, their long
+#: sums 31-32 ms against 33-34 and 32-34 ms; the route digest's 646
+#: converging pressures (best of 11) 147 ms against 160 and 152 ms.
+ROWS_PER_PASS = 48
 #: Indices a chunk adds to the predicted count ceil(nu*ln(1/rel_tol)) + 3.
 #: On the benchmark's 300 K and 77 K pressures n_max lies 1 below to 4 above
 #: the prediction, so one pass computes them all.
 CHUNK_MARGIN = 4
+#: Mapping scale of every Matsubara row, in units of 1/d.  On the 4 seed
+#: panels of quadrature.ROW_PANELS, scales 3/d, 2.5/d and 4/d end 86%, 87%
+#: and 81% of the calls of the route digest's 882 pressures in one round
+#: (92%, 96% and 86% over 615 converging cases of 10 nm-1 mm x 1-3000 K),
+#: at 60-63 points per row.  3/d took the least time per pressure, median
+#: over the 646 converging digest pressures and over the 615 cases
+#: (2-vCPU x86-64); 2.5/d took less in total only over the cases longer
+#: than 10 ms.
+ROW_SCALE = 3.0
 #: Reported relative tolerance of the real-frequency diagnostic route.
 REALFREQ_REL_TOL = 5e-2
 #: Frequency cap of the real-frequency route, in units of c/(2 d).
@@ -202,9 +213,11 @@ def _matsubara_rows(m1, m2, d, xi):
     and TM at len(xi) + i.  Each is written over u = q - xi/c in [0, inf)
     with k dk = q dq: the integrand q^2 * y/(1 - y), y = r1 r2 exp(-2 q d),
     has the envelope exp(-2 u d) on every row, so all rows share the
-    mapping scale 1/d.  Each point takes q = u + xi/c and gets its
-    (r_TE, r_TM) pair from one :func:`fresnel.imag_axis_coefficients` call
-    per material, which needs no k.
+    mapping scale ROW_SCALE/d, on whose seed panels nearly every call
+    meets all its targets in one round.  Each point takes q = u + xi/c and
+    gets its (r_TE, r_TM) pair from one
+    :func:`fresnel.imag_axis_coefficients` call per material, which needs
+    no k.
 
     xi[0] may be 0: that row is the static TE integral of the n = 0 term,
     with the columns of :func:`_coefficient_columns`, and its TM component
@@ -238,7 +251,7 @@ def _matsubara_rows(m1, m2, d, xi):
         out *= q * q
         return out
 
-    return quadrature.integrate_rows(integrand, xi.size, 1.0 / d,
+    return quadrature.integrate_rows(integrand, xi.size, ROW_SCALE / d,
                                      KPERP_REL_TOL)
 
 

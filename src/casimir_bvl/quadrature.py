@@ -7,12 +7,14 @@ Integrand callables must be vectorized (ndarray in, ndarray out).
 :func:`integrate_rows` and :func:`composite_gk` share one batched loop
 that refines a flat panel list of many integrals, each held to its own
 target; every k_perp integral of the Matsubara route, the n = 0 TE term
-of plasma-like models included, is a row of it.  A row may carry several
-components, integrands that share its panels and are each held to their
-own target.  :func:`adaptive_gk`, left to the static magnetic correlator
-of ``bvl`` and the real-frequency route, samples the first four
-bisection levels of its interval in one integrand call, then bisects one
-interval at a time from a heap.
+of plasma-like models included, is a row of it.  A row of
+:func:`integrate_rows` starts from ROW_PANELS equal panels of its mapped
+variable, on which a Matsubara row mostly meets its target in one round.
+A row may carry several components, integrands that share its panels and
+are each held to their own target.  :func:`adaptive_gk`, left to the
+static magnetic correlator of ``bvl`` and the real-frequency route,
+samples the first four bisection levels of its interval in one integrand
+call, then bisects one interval at a time from a heap.
 :func:`polylog3` gives Li_3 on [0, 1] in plain floats.
 """
 
@@ -111,11 +113,13 @@ DEFAULT_INTERVAL_BUDGET = 2000
 #: digits, so a Kronrod-minus-Gauss estimate can fall below the rounding.
 ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
 #: Equal panels each row of :func:`integrate_rows` starts from.  The
-#: Matsubara rows (lifshitz._matsubara_rows) meet their targets on them:
-#: over the benchmark's nine material pairs at gaps of 0.3-20 um and
-#: 30-300 K (933 pressures), 1378 of 1389 calls ended after one round,
-#: with 8.0 panels per row on average.
-ROW_PANELS = 8
+#: Matsubara rows (lifshitz._matsubara_rows, mapped at lifshitz.ROW_SCALE/d)
+#: mostly meet their targets on them.  Over the 882 pressures of
+#: scripts/route_digest.py, 1164 of 1360 calls ended after one round, at
+#: 60.3 points per row (8 panels at scale 1/d: 1348 of 1360, 120.0
+#: points); over 615 converging cases of 10 nm-1 mm x 1-3000 K, 17991 of
+#: 19541 calls, at 61.6 points per row.
+ROW_PANELS = 4
 #: Bisection depth down to which :func:`adaptive_gk` samples [a, b] in one
 #: integrand call.  No Matsubara k_perp integral is a heap.  The static
 #: magnetic correlator of ``bvl`` is: for plasma and generalized-plasma

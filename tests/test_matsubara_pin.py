@@ -59,22 +59,22 @@ PINNED = [
      0.0, -4.0677023093155616e-07),
     ('plasma', 'plasma', 5e-07, 300.0, 1e-09,
      -0.016772354196937976, 3.1787998487549774e-11, 31,
-     -0.0012324702815333074, -0.001584819081551518),
+     -0.0012324702815333165, -0.001584819081551518),
     ('plasma', 'plasma', 1e-06, 300.0, 1e-09,
      -0.0011648535004410755, 2.3134060970821274e-12, 18,
-     -0.0001742201330412272, -0.00019810238519393976),
+     -0.0001742201330412275, -0.00019810238519393976),
     ('plasma', 'plasma', 5e-06, 77.0, 1e-09,
      -2.0418551000767544e-06, 5.164995822611211e-15, 15,
-     -3.962732107952741e-07, -4.0677023093155616e-07),
+     -3.9627321079526736e-07, -4.0677023093155616e-07),
     ('gplasma', 'gplasma', 5e-07, 300.0, 1e-09,
      -0.01678576493706359, 3.200143236273093e-11, 31,
-     -0.0012324702815333074, -0.001584819081551518),
+     -0.0012324702815333165, -0.001584819081551518),
     ('gplasma', 'gplasma', 1e-06, 300.0, 1e-09,
      -0.0011650132396657524, 2.314746721498117e-12, 18,
-     -0.0001742201330412272, -0.00019810238519393976),
+     -0.0001742201330412275, -0.00019810238519393976),
     ('gplasma', 'gplasma', 5e-06, 77.0, 1e-09,
      -2.041857846779545e-06, 5.1650210115910586e-15, 15,
-     -3.962732107952741e-07, -4.0677023093155616e-07),
+     -3.9627321079526736e-07, -4.0677023093155616e-07),
     ('ideal', 'ideal', 5e-07, 300.0, 1e-09,
      -0.02080405510424995, 6.139408746140544e-11, 33,
      -0.001584819081551518, -0.001584819081551518),

@@ -500,8 +500,8 @@ def test_integrate_rows_components_on_seed_panels_are_one_component_runs():
     def g(rows, k):
         return np.exp(-(1.0 + rows) * k) / (1.0 + k)
 
-    res = Q.integrate_rows(_components(f, g), 4, 1.0, 1e-6)
-    alone = [Q.integrate_rows(h, 4, 1.0, 1e-6) for h in (f, g)]
+    res = Q.integrate_rows(_components(f, g), 4, 2.0, 1e-6)
+    alone = [Q.integrate_rows(h, 4, 2.0, 1e-6) for h in (f, g)]
     assert np.all(res.panels == Q.ROW_PANELS) and not res.failures
     for got, want in ((res.values, "values"), (res.errors, "errors"),
                       (res.panels, "panels")):
@@ -521,8 +521,8 @@ def test_integrate_rows_refines_a_row_for_one_missing_component():
         return np.where(rows == 1, w / ((k - 30.0) ** 2 + w * w),
                         smooth(rows, k))
 
-    res = Q.integrate_rows(_components(smooth, peaked), 3, 1.0, rel_tol)
-    alone = Q.integrate_rows(peaked, 3, 1.0, rel_tol)
+    res = Q.integrate_rows(_components(smooth, peaked), 3, 2.0, rel_tol)
+    alone = Q.integrate_rows(peaked, 3, 2.0, rel_tol)
     assert not res.failures
     assert list(res.panels) == 2 * [Q.ROW_PANELS, alone.panels[1],
                                      Q.ROW_PANELS]
