@@ -34,12 +34,13 @@ A change that moves values within tolerance moves ``total`` even when it
 is sound.  ``--against OTHER_SRC`` then runs the pressure and verdict cases
 on both packages and prints the cases whose n_max, failure message or
 verdict differ, the largest |dP| over the ``error_estimate`` of the
-OTHER_SRC package and over |P|, and the cases whose n = 0 terms moved.  It
-also compares the entries of the reflect tables and of the scalar
-reflection calls one by one, and prints the largest relative move of r_te,
-r_tm and r_bar, apart on the imaginary axis and in the static limit.  It
-exits 1 if any n_max, failure message or verdict differs, or if any
-static-limit entry or any r_bar moves.
+OTHER_SRC package and over |P|, the cases whose n = 0 terms moved, and
+the largest relative move of each verdict's ``b_correlator_norm`` and
+``cavity_classical_te``.  It also compares the entries of the reflect
+tables and of the scalar reflection calls one by one, and prints the
+largest relative move of r_te, r_tm and r_bar, apart on the imaginary
+axis and in the static limit.  It exits 1 if any n_max, failure message
+or verdict differs, or if any static-limit entry or any r_bar moves.
 """
 
 import argparse
@@ -157,6 +158,8 @@ def scalar_cases(F, M):
                lambda m=m: [complex(F.static_rte(m, k)) for k in kperps])
 
 
+#: The numbers of a verdict that --against compares, apart from the verdict.
+VERDICT_FIELDS = ("b_correlator_norm", "cavity_classical_te")
 #: The coefficients of a reflection set, in the order of its columns.
 COEFFICIENTS = ("r_te", "r_tm", "r_bar")
 
@@ -189,6 +192,13 @@ def coefficient_entries(pkg):
     return out
 
 
+def relative_move(a, b):
+    """|a - b|/|b|: 0 if a equals b, inf if only b is 0."""
+    if a == b:
+        return 0.0
+    return abs(a - b) / abs(b) if b else math.inf
+
+
 def compare_coefficients(new, old):
     """Print the largest relative move of each (axis, coefficient) entry
     list of :func:`coefficient_entries`; the number of static-limit and
@@ -197,8 +207,7 @@ def compare_coefficients(new, old):
     for key in sorted(old):
         pairs = list(zip(new[key], old[key]))
         moved = [(a, b) for a, b in pairs if a != b]
-        worst = max((abs(a - b) / abs(b) if b else math.inf
-                     for a, b in moved), default=0.0)
+        worst = max((relative_move(a, b) for a, b in moved), default=0.0)
         print(f"{key[1]} {key[0]}: {len(moved)} of {len(pairs)} entries "
               f"moved, largest relative move {worst:.3g}")
         if key[0] == "static" or key[1] == "r_bar":
@@ -260,9 +269,10 @@ def outcomes(pkg):
 def compare(new, old):
     """Print how the outcomes ``new`` differ from ``old``; the number of
     n_max, failure-message and verdict mismatches."""
-    mismatches = converged = 0
+    mismatches = converged = verdicts = 0
     worst_err = worst_rel = 0.0
     moved = []
+    verdict_moves = {field: [] for field in VERDICT_FIELDS}
     for label, a in new.items():
         b = old[label]
         if isinstance(a, str) or isinstance(b, str):
@@ -270,10 +280,15 @@ def compare(new, old):
                 mismatches += 1
                 print(f"failure mismatch  {label}\n  new {a}\n  old {b}")
         elif label.startswith("bvl"):
+            verdicts += 1
             if a.verdict.value != b.verdict.value:
                 mismatches += 1
                 print(f"verdict mismatch  {label}: {a.verdict.value} "
                       f"against {b.verdict.value}")
+            for field, moves in verdict_moves.items():
+                move = relative_move(getattr(a, field), getattr(b, field))
+                if move:
+                    moves.append(move)
         elif a.n_max != b.n_max:
             mismatches += 1
             print(f"n_max mismatch  {label}: {a.n_max} against {b.n_max}")
@@ -291,6 +306,9 @@ def compare(new, old):
           f"{worst_rel:.3g}; {len(moved)} of their n = 0 terms moved")
     for line in moved:
         print(f"  {line}")
+    for field, moves in verdict_moves.items():
+        print(f"{field}: {len(moves)} of {verdicts} verdicts moved, largest "
+              f"relative move {max(moves, default=0.0):.3g}")
     return mismatches
 
 

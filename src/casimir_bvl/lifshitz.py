@@ -110,7 +110,8 @@ def n0_term(config, polarization):
     with the exact static reflection coefficients.  TE vanishes identically
     whenever either material has a finite or 1/omega permittivity at zero
     frequency.  Where r1 r2 = R does not depend on k (TM, and TE of two
-    ideal metals) the integral is Li_3(R)/(4 d^3).
+    ideal metals) the integral is Li_3(R)/(4 d^3).  polarization is "te"
+    or "tm", in any case; anything else raises ValueError.
     """
     return _n0_integral(config, polarization)[0]
 
@@ -155,8 +156,12 @@ def _n0_integral(config, polarization):
     :func:`_matsubara_rows` call at xi = 0, and reports that row's error:
     its Kronrod-minus-Gauss estimate plus the rounding floor of Int|f|.
     """
+    pol = str(polarization).lower()
+    if pol not in ("te", "tm"):
+        raise ValueError(f"polarization must be 'te' or 'tm', got "
+                         f"{polarization!r}")
     m1, m2, d = config.material_1, config.material_2, config.d
-    te = str(polarization).lower().endswith("te")
+    te = pol == "te"
     if te and not (m1.kind is m2.kind is Kind.IDEAL_METAL):
         if _static_te_row(m1, m2):
             return _static_te(_matsubara_rows(m1, m2, d, _STATIC_XI),

@@ -4,17 +4,17 @@ power-law fitting and the trilogarithm of the closed-form n = 0 terms.
 Every integral uses the Gauss-Kronrod 7/15 rule with interval bisection.
 All Kronrod nodes are interior, so integrand endpoints are never evaluated.
 Integrand callables must be vectorized (ndarray in, ndarray out).
-:func:`integrate_rows` and :func:`composite_gk` share one batched loop
-that refines a flat panel list of many integrals, each held to its own
-target; every k_perp integral of the Matsubara route, the n = 0 TE term
-of plasma-like models included, is a row of it.  A row of
-:func:`integrate_rows` starts from ROW_PANELS equal panels of its mapped
-variable, on which a Matsubara row mostly meets its target in one round.
-A row may carry several components, integrands that share its panels and
-are each held to their own target.  :func:`adaptive_gk`, left to the
-static magnetic correlator of ``bvl`` and the real-frequency route,
-samples the first four bisection levels of its interval in one integrand
-call, then bisects one interval at a time from a heap.
+Every integral is refined by one batched loop, :func:`_refine`, over a
+flat panel list of many integrals, each held to its own target; every
+k_perp integral of the Matsubara route, the n = 0 TE term of plasma-like
+models included, is a row of it.  A row of :func:`integrate_rows` starts
+from ROW_PANELS equal panels of its mapped variable, on which a Matsubara
+row mostly meets its target in one round.  A row may carry several
+components, integrands that share its panels and are each held to their
+own target.  :func:`composite_gk` refines one row from the panels it is
+given, and :func:`adaptive_gk` one row from GK_SEED_PANELS equal panels
+of [a, b]; its callers are the static magnetic correlator of ``bvl``
+and the evanescent k_perp integrals of the real-frequency route.
 :func:`polylog3` gives Li_3 on [0, 1] in plain floats.
 """
 
@@ -23,8 +23,6 @@ from __future__ import annotations
 import collections
 import fractions
 import functools
-import heapq
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -120,12 +118,10 @@ ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
 #: points); over 615 converging cases of 10 nm-1 mm x 1-3000 K, 17991 of
 #: 19541 calls, at 61.6 points per row.
 ROW_PANELS = 4
-#: Bisection depth down to which :func:`adaptive_gk` samples [a, b] in one
-#: integrand call.  No Matsubara k_perp integral is a heap.  The static
-#: magnetic correlator of ``bvl`` is: for plasma and generalized-plasma
-#: models at 61 distances z = z' from 1 nm to 1 mm, each of the 122 ends
-#: in one call.
-TREE_DEPTH = 4
+#: Equal panels :func:`adaptive_gk` seeds [a, b] with.  The static
+#: magnetic correlator of ``bvl`` and the evanescent k_perp integrals of
+#: the real-frequency route are its callers.
+GK_SEED_PANELS = 16
 #: Most panels of one :func:`composite_gk` integral.
 COMPOSITE_PANEL_BUDGET = 20000
 #: Weight of the integral of |g| in the tolerance floor of
@@ -154,116 +150,36 @@ def _gk_panels(y, h):
     """(Kronrod value, |Kronrod - Gauss|, Kronrod of |y|) of each panel.
 
     y holds the integrand at the 15 nodes of each panel, shape (..., m, 15),
-    or of one panel, shape (15,); h holds the panels' half-widths, shape
-    (m,) or a float.
+    and h the panels' half-widths, shape (m,).
     """
     kron = h * (y @ _WGK)
     gauss = h * (y[..., _IG] @ _WG)
     return kron, abs(kron - gauss), h * (abs(y) @ _WGK)
 
 
-def _gk_rows(y, h):
-    """:func:`_gk_panels` of each row of a C-contiguous y, bit for bit.
-
-    ``np.vecdot`` on contiguous rows repeats the 1-D ``y @ w`` of a single
-    panel exactly, where a 2-D ``y @ w`` and an uncopied Gauss gather
-    ``y[:, _IG]`` round differently on most rows.
-    """
-    kron = h * np.vecdot(y, _WGK)
-    gauss = h * np.vecdot(np.ascontiguousarray(y[:, _IG]), _WG)
-    return kron, abs(kron - gauss), h * np.vecdot(abs(y), _WGK)
-
-
-@functools.lru_cache(maxsize=32)
-def _dyadic_tree(a, b):
-    """Read-only (nodes, half-widths) of the dyadic panels of [a, b].
-
-    Panel 0 is [a, b] and panel i < 2**TREE_DEPTH - 1 has the halves
-    2i + 1 and 2i + 2, down to depth TREE_DEPTH: 31 panels, whose GK 7/15
-    nodes come flat, shape (31*15,).  Edges follow the bisection rule of
-    :func:`adaptive_gk` and nodes the expression of its single panels, so
-    every point is the one that panel would be sampled at.
-    """
-    lo, hi = [a], [b]
-    for i in range(2 ** TREE_DEPTH - 1):
-        mid = 0.5 * (lo[i] + hi[i])
-        lo += [lo[i], mid]
-        hi += [mid, hi[i]]
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    h = 0.5 * (hi - lo)
-    nodes = ((0.5 * (lo + hi))[:, None] + h[:, None] * _XGK).ravel()
-    for x in (nodes, h):
-        x.flags.writeable = False
-    return nodes, h
-
-
 def adaptive_gk(f, a, b, rel_tol):
     """Adaptive Gauss-Kronrod integration of a vectorized f over [a, b].
 
-    Bisects the interval with the largest local error estimate until the
-    accumulated estimate meets ``rel_tol*|I|`` or a small floor
-    proportional to the integral of |f| (guards against demanding
-    impossible relative accuracy on strongly cancelling integrands).  The
-    first call of f samples every dyadic panel of [a, b] down to depth
-    TREE_DEPTH at once; the heap reads those panels' sums and samples
-    deeper panels one bisection at a time.  The result is the same, bit
-    for bit, as sampling every panel alone.  At most
-    DEFAULT_INTERVAL_BUDGET intervals are used; a non-finite error
-    estimate raises NoConvergence at once.  Returns (value,
-    error_estimate, evaluations), counting every point f was called on.
+    [a, b] is cut into GK_SEED_PANELS equal panels, refined by
+    :func:`_refine` as one row until the summed error estimate meets
+    ``rel_tol*|I|`` or a floor of 0.01*rel_tol times the integral of |f|
+    (guards against demanding impossible relative accuracy on strongly
+    cancelling integrands).  Bounds other than finite a < b raise
+    ValueError.  At most DEFAULT_INTERVAL_BUDGET panels are
+    used; a non-finite integrand or an exhausted budget raises
+    NoConvergence.  Returns (value, error_estimate, evaluations): the
+    estimate adds ROUNDING_FLOOR times the integral of |f|, and the count
+    takes every point f was called on.
     """
-    def panel(lo, hi):
-        h = 0.5 * (hi - lo)
-        y = np.asarray(f(0.5 * (lo + hi) + h * _XGK), dtype=float)
-        return map(float, _gk_panels(y, h))
-
-    nodes, h = _dyadic_tree(a, b)
-    y = np.ascontiguousarray(f(nodes), dtype=float).reshape(h.size, -1)
-    tree = list(zip(*(s.tolist() for s in _gk_rows(y, h))))
-    inner = len(tree) // 2      # panels whose halves are in the tree
-
-    counter = itertools.count()
-    val, err, resabs = tree[0]
-    heap = [(-err, next(counter), a, b, val, err, resabs, 0)]
-    total_val, total_err, total_abs = val, err, resabs
-    nvals = y.size
-    n_intervals = 1
-    while True:
-        target = max(rel_tol * abs(total_val), 0.01 * rel_tol * total_abs)
-        if total_err <= target:
-            return total_val, total_err, nvals
-        if not math.isfinite(total_err):   # a NaN or inf never leaves the sum
-            raise NoConvergence(
-                f"non-finite integrand: {n_intervals} intervals, error "
-                f"{total_err:.3e} against target {target:.3e}")
-        if n_intervals >= DEFAULT_INTERVAL_BUDGET:
-            raise NoConvergence(
-                f"quadrature budget of {DEFAULT_INTERVAL_BUDGET} intervals "
-                f"exhausted (error {total_err:.3e}, target {target:.3e})")
-        _, _, pa, pb, pval, perr, pabs, i = heapq.heappop(heap)
-        mid = 0.5 * (pa + pb)
-        if i < inner:
-            left, right = 2 * i + 1, 2 * i + 2
-            (lval, lerr, labs), (rval, rerr, rabs) = tree[left], tree[right]
-        else:
-            left = right = inner    # a leaf or deeper: no halves cached
-            lval, lerr, labs = panel(pa, mid)
-            rval, rerr, rabs = panel(mid, pb)
-            nvals += 30
-        n_intervals += 1
-        total_val += lval + rval - pval
-        total_err += lerr + rerr - perr
-        total_abs += labs + rabs - pabs
-        heapq.heappush(
-            heap, (-lerr, next(counter), pa, mid, lval, lerr, labs, left))
-        heapq.heappush(
-            heap, (-rerr, next(counter), mid, pb, rval, rerr, rabs, right))
+    with np.errstate(invalid="ignore"):     # an infinite bound gives NaN
+        edges = np.linspace(a, b, GK_SEED_PANELS + 1)
+    return _gk_row(f, edges, rel_tol, 0.01, DEFAULT_INTERVAL_BUDGET)
 
 
 def _check_mapping(scale, rel_tol):
     """Validate the arguments of the semi-infinite integrals."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not 0.0 < scale < math.inf:
+        raise ValueError("scale must be positive and finite")
     if not 1e-14 < rel_tol < 1e-2:
         raise ValueError("rel_tol must lie in (1e-14, 1e-2)")
 
@@ -453,27 +369,35 @@ def composite_gk(f, edges, rel_tol, floor_frac=0.01):
     f : callable
         Vectorized integrand (ndarray in, ndarray out).
     edges : array_like
-        Strictly increasing panel edges; the integral runs over
-        [edges[0], edges[-1]].
+        Finite, strictly increasing panel edges; the integral runs over
+        [edges[0], edges[-1]].  Other edges raise ValueError.
     rel_tol : float
         Relative tolerance.
     floor_frac : float
         Weight of the integral-of-|f| term in the tolerance floor.
     """
-    a = np.asarray(edges[:-1], dtype=float)
-    b = np.asarray(edges[1:], dtype=float)
-    if a.size < 1 or np.any(b <= a):
-        raise ValueError("edges must be strictly increasing with >= 2 entries")
+    return IntegralResult(*_gk_row(f, edges, rel_tol, floor_frac,
+                                   COMPOSITE_PANEL_BUDGET))
+
+
+def _gk_row(f, edges, rel_tol, floor_frac, budget):
+    """(value, error_estimate, evaluations) of a vectorized f over the
+    panels between consecutive edges, refined by :func:`_refine` as one
+    row of at most ``budget`` panels; its NoConvergence is raised."""
+    edges = np.asarray(edges, dtype=float)
+    a, b = edges[:-1], edges[1:]
+    if a.size < 1 or not np.isfinite(edges).all() or np.any(b <= a):
+        raise ValueError("edges must be finite and strictly increasing "
+                         "with >= 2 entries")
 
     def sample(rows, x):
         return np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
 
     res = _refine(sample, 1, _panels(np.zeros(a.size, dtype=int), a, b),
-                  rel_tol, floor_frac, COMPOSITE_PANEL_BUDGET)
+                  rel_tol, floor_frac, budget)
     value, error = res.row(0)
     # every bisection adds one panel and evaluates two
-    return IntegralResult(value, error,
-                          _XGK.size * (2 * int(res.panels[0]) - a.size))
+    return value, error, _XGK.size * (2 * int(res.panels[0]) - a.size)
 
 
 def matsubara_ceiling(d, T):

@@ -117,6 +117,17 @@ def test_n0_te_vanishes_for_finite_and_drude_classes():
         assert L.n0_term(cfg, "tm") < 0.0
 
 
+def test_n0_term_polarization_is_te_or_tm():
+    pl = M.plasma(1.37e16)
+    cfg = L.CavityConfig(pl, pl, 1e-6, 300.0)
+    assert L.n0_term(cfg, "TE") == L.n0_term(cfg, "te") < 0.0
+    assert L.n0_term(cfg, "Tm") == L.n0_term(cfg, "tm") < 0.0
+    # the whole word, in any case: not a suffix, not padded
+    for bad in ("note", "x", "", " te", "tetm", None):
+        with pytest.raises(ValueError, match="polarization"):
+            L.n0_term(cfg, bad)
+
+
 def test_classical_transverse_equals_n0_te():
     pl = M.plasma(1.37e16)
     cfg = L.CavityConfig(pl, pl, 1e-6, 300.0)

@@ -2,8 +2,8 @@
 60-digit mpmath evaluations of the same formulas at the same float inputs,
 the trilogarithm and the closed-form n = 0 TM terms against 40-digit
 ``mpmath.polylog``, the imaginary-axis r_te against 40 digits at the same
-float eps, and the plasma-like n = 0 TE term against a 30-digit
-``mpmath.quad``."""
+float eps, and the plasma-like n = 0 TE term and static magnetic
+correlator against a 30-digit ``mpmath.quad``."""
 
 import numpy as np
 import pytest
@@ -208,6 +208,22 @@ def test_plasma_like_n0_te_matches_30_digit_reference(pair):
             want = (-mpf(K_B) * 300 / (2 * mpmath.pi)
                     * mpmath.quad(f, edges))
         assert _rel_err(got, want) <= 5e-14, d
+
+
+@pytest.mark.parametrize("name", ["plasma", "gplasma"])
+def test_plasma_like_b_correlator_matches_30_digit_reference(name):
+    # B_zz = Int k^2 r_te(0, k) exp(-k (z + z')) dk of the classical
+    # magnetic correlator, at z = z' from 1 nm to 1 mm
+    model = CATALOG[name]
+    for z in np.geomspace(1e-9, 1e-3, 25).tolist():
+        got = B.b_correlator_classical(model, B.SlabPoint(z, z))[2, 2]
+        with mpmath.workdps(30):
+            # over u = k (z + z'), on which the integrand is e^-u u^2 r_te
+            zsum = 2 * mpf(z)
+            want = mpmath.quad(lambda u: u * u * _mp_static_te(model, u / zsum)
+                               * mpmath.exp(-u),
+                               [0, 2, 8, 32, mpmath.inf]) / zsum ** 3
+        assert abs(got - want) <= B.B_REL_TOL * abs(want), z
 
 
 def test_imaginary_axis_r_te_matches_40_digit_reference():

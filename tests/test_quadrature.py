@@ -1,7 +1,5 @@
 """Adaptive quadrature, summation and fitting machinery."""
 
-import heapq
-import itertools
 import math
 
 import numpy as np
@@ -25,48 +23,10 @@ def test_adaptive_gk_polynomial_is_exact():
     assert val == pytest.approx(64.0 / 6.0, rel=1e-14)
 
 
-# ------------------------------------------- heap against the dyadic tree
+# ------------------------------------------------ one row on seed panels
 
-def _reference_adaptive_gk(f, a, b, rel_tol):
-    """adaptive_gk with every panel sampled alone, one bisection at a time."""
-    def panel(lo, hi):
-        h = 0.5 * (hi - lo)
-        y = np.asarray(f(0.5 * (lo + hi) + h * Q._XGK), dtype=float)
-        return map(float, Q._gk_panels(y, h))
-
-    counter = itertools.count()
-    val, err, resabs = panel(a, b)
-    heap = [(-err, next(counter), a, b, val, err, resabs)]
-    total_val, total_err, total_abs = val, err, resabs
-    nvals = 15
-    n_intervals = 1
-    while True:
-        target = max(rel_tol * abs(total_val), 0.01 * rel_tol * total_abs)
-        if total_err <= target:
-            return total_val, total_err, nvals
-        if not math.isfinite(total_err):
-            raise Q.NoConvergence(
-                f"non-finite integrand: {n_intervals} intervals, error "
-                f"{total_err:.3e} against target {target:.3e}")
-        if n_intervals >= Q.DEFAULT_INTERVAL_BUDGET:
-            raise Q.NoConvergence(
-                f"quadrature budget of {Q.DEFAULT_INTERVAL_BUDGET} intervals "
-                f"exhausted (error {total_err:.3e}, target {target:.3e})")
-        _, _, pa, pb, pval, perr, pabs = heapq.heappop(heap)
-        mid = 0.5 * (pa + pb)
-        lval, lerr, labs = panel(pa, mid)
-        rval, rerr, rabs = panel(mid, pb)
-        nvals += 30
-        n_intervals += 1
-        total_val += lval + rval - pval
-        total_err += lerr + rerr - perr
-        total_abs += labs + rabs - pabs
-        heapq.heappush(heap, (-lerr, next(counter), pa, mid, lval, lerr, labs))
-        heapq.heappush(heap, (-rerr, next(counter), mid, pb, rval, rerr, rabs))
-
-
-#: Points of the dyadic tree adaptive_gk samples in its first call.
-TREE_POINTS = (2 ** (Q.TREE_DEPTH + 1) - 1) * Q._XGK.size
+#: Points adaptive_gk samples in its first call: its seed panels.
+SEED_POINTS = Q.GK_SEED_PANELS * Q._XGK.size
 
 
 def _counting(f):
@@ -80,19 +40,7 @@ def _counting(f):
     return g, sizes
 
 
-def _assert_same_as_reference(f, a, b, rel_tol):
-    """adaptive_gk equals the reference bit for bit; returns its f calls."""
-    g, sizes = _counting(f)
-    val, err, nev = Q.adaptive_gk(g, a, b, rel_tol)
-    ref_val, ref_err, _ = _reference_adaptive_gk(f, a, b, rel_tol)
-    assert (val, err) == (ref_val, ref_err)
-    # one call on the tree, then one call per half below it
-    assert sizes[0] == TREE_POINTS and set(sizes[1:]) <= {Q._XGK.size}
-    assert nev == sum(sizes)
-    return sizes
-
-
-def _captured_heaps(monkeypatch, run):
+def _captured_calls(monkeypatch, run):
     """(f, a, b, rel_tol) of every adaptive_gk call made by run()."""
     calls = []
     inner = Q.adaptive_gk
@@ -128,8 +76,8 @@ def test_adaptive_gk_is_the_single_panel_heap_on_n0_integrands(
             L.n0_term(cfg, "tm")
 
     # TM and ideal-metal TE are closed forms, and plasma-like TE is a row
-    # of the Matsubara kernel: no n = 0 term is a heap
-    assert _captured_heaps(monkeypatch, run) == []
+    # of the Matsubara kernel: no n = 0 term calls adaptive_gk
+    assert _captured_calls(monkeypatch, run) == []
 
 
 @pytest.mark.parametrize("model", _six_kinds(), ids=lambda m: m.kind.value)
@@ -139,47 +87,29 @@ def test_adaptive_gk_is_the_single_panel_heap_on_bvl_correlator(
         for z in (1e-9, 1e-7, 1e-5, 1e-3):
             B.b_correlator_classical(model, B.SlabPoint(z, 2.0 * z))
 
-    heaps = _captured_heaps(monkeypatch, run)
+    calls = _captured_calls(monkeypatch, run)
     # only a plasma-like static r_te needs the integral
     plasma_like = model.kind in (M.Kind.PLASMA, M.Kind.GENERALIZED_PLASMA)
-    assert len(heaps) == (4 if plasma_like else 0)
-    for heap in heaps:
-        _assert_same_as_reference(*heap)
-
-
-@pytest.mark.parametrize("f, a, b, rel_tol", [
-    (lambda x: np.exp(-x), 0.0, 50.0, 1e-10),
-    (lambda x: x**5, 0.0, 2.0, 1e-12),
-    (lambda x: np.cos(200.0 * x), 0.0, 1.0, 1e-10),
-], ids=["exp", "x^5", "cos200x"])
-def test_adaptive_gk_is_the_single_panel_heap(f, a, b, rel_tol):
-    _assert_same_as_reference(f, a, b, rel_tol)
+    assert len(calls) == (4 if plasma_like else 0)
+    for f, a, b, rel_tol in calls:
+        g, sizes = _counting(f)
+        assert Q.adaptive_gk(g, a, b, rel_tol)[2] == sum(sizes)
+        assert sizes[0] == SEED_POINTS
 
 
 def test_adaptive_gk_counts_every_point_it_samples():
-    # x^5 is exact on [0, 2]: the heap stops at the root, yet f was called
-    # on the whole tree
+    # x^5 is exact on every seed panel: one call on the seed panels, and
+    # no bisection
     g, sizes = _counting(lambda x: x**5)
-    assert Q.adaptive_gk(g, 0.0, 2.0, 1e-12)[2] == TREE_POINTS == sum(sizes)
-    # cos(200 x) bisects below the tree: 30 more points per bisection
+    assert Q.adaptive_gk(g, 0.0, 2.0, 1e-12)[2] == SEED_POINTS == sum(sizes)
+    # cos(200 x) bisects the seed panels: each later round samples the two
+    # halves of every panel it bisects
     g, sizes = _counting(lambda x: np.cos(200.0 * x))
-    nev = Q.adaptive_gk(g, 0.0, 1.0, 1e-10)[2]
-    assert sizes[0] == TREE_POINTS and set(sizes[1:]) == {Q._XGK.size}
-    assert nev == sum(sizes) == TREE_POINTS + 15 * (len(sizes) - 1)
-
-
-def test_batched_gk_sums_are_the_single_panel_sums():
-    # np.vecdot on contiguous rows must repeat the 1-D dot of one panel;
-    # a numpy or BLAS upgrade that breaks this breaks adaptive_gk's exactness
-    rng = np.random.default_rng(7)
-    m = 5000
-    y = rng.standard_normal((m, Q._XGK.size)) \
-        * 10.0 ** rng.uniform(-30, 30, (m, 1))
-    y[::3] = np.exp(-rng.uniform(0, 50, (y[::3].shape[0], 1)) * Q._XGK)
-    h = 10.0 ** rng.uniform(-10, 10, m)
-    rows = Q._gk_rows(y, h)
-    for i in range(m):
-        assert tuple(r[i] for r in rows) == tuple(Q._gk_panels(y[i], h[i]))
+    val, _, nev = Q.adaptive_gk(g, 0.0, 1.0, 1e-10)
+    assert val == pytest.approx(math.sin(200.0) / 200.0, rel=1e-10)
+    assert len(sizes) > 1 and sizes[0] == SEED_POINTS
+    assert all(n % (2 * Q._XGK.size) == 0 for n in sizes[1:])
+    assert nev == sum(sizes)
 
 
 def _reported_error(exc):
@@ -189,27 +119,28 @@ def _reported_error(exc):
 
 def test_adaptive_gk_budget_exhaustion():
     # some 16000 oscillations need far more than the default budget of
-    # intervals; the integrand stays finite, and so does the error
+    # panels; the integrand stays finite, and so does the error
     budget = Q.DEFAULT_INTERVAL_BUDGET
     with pytest.raises(Q.NoConvergence,
-                       match=f"budget of {budget} intervals exhausted") as info:
+                       match=f"budget of {budget} panels exhausted: "
+                             f"{budget} panels") as info:
         Q.adaptive_gk(lambda x: np.cos(1e5 * x), 0.0, 1.0, 1e-10)
     assert math.isfinite(_reported_error(info.value))
 
 
 def test_adaptive_gk_non_finite_integrand_stops_at_once():
-    # bisection of [0, 1] reaches the singular point 1/3 exactly as a node
+    # 1/32 is the midpoint node of the first seed panel of [0, 1]
     calls = []
 
     def f(x):
         calls.append(x.size)
         with np.errstate(divide="ignore"):
-            return abs(x - 1.0 / 3.0) ** -0.9
+            return abs(x - 1.0 / 32.0) ** -0.9
 
     with np.errstate(invalid="ignore"), pytest.raises(
-            Q.NoConvergence, match=r"non-finite integrand: \d+ intervals"):
+            Q.NoConvergence, match=r"non-finite integrand: \d+ panels"):
         Q.adaptive_gk(f, 0.0, 1.0, 1e-14)
-    assert len(calls) < Q.DEFAULT_INTERVAL_BUDGET // 10
+    assert calls == [SEED_POINTS]
 
 
 def test_semi_infinite_gamma_integral():
@@ -230,8 +161,11 @@ def test_semi_infinite_zeta3_integral():
 
 
 def test_semi_infinite_parameter_validation():
+    for scale in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="scale"):
+            Q.integrate_semi_infinite(lambda k: k, scale, 1e-8)
     with pytest.raises(ValueError):
-        Q.integrate_semi_infinite(lambda k: k, -1.0, 1e-8)
+        Q.integrate_semi_infinite(lambda k: k, 1.0, math.nan)
     with pytest.raises(ValueError):
         Q.integrate_semi_infinite(lambda k: k, 1.0, 0.5)
     with pytest.raises(ValueError):
@@ -394,8 +328,15 @@ def test_composite_gk_polynomial_is_exact():
 
 
 def test_composite_gk_bad_edges():
-    with pytest.raises(ValueError):
-        Q.composite_gk(lambda x: x, [1.0, 0.5], 1e-8)
+    for edges in ([1.0, 0.5], [1.0], [0.0, 1.0, 1.0], [0.0, math.nan],
+                  [math.nan, 1.0], [0.0, 0.5, math.inf], [-math.inf, 0.0]):
+        with pytest.raises(ValueError, match="edges"):
+            Q.composite_gk(lambda x: x, edges, 1e-8)
+    # adaptive_gk's seed panels of [a, b] go through the same check
+    for a, b in ((1.0, 0.5), (1.0, 1.0), (0.0, math.nan), (-math.inf, 0.0),
+                 (0.0, math.inf)):
+        with pytest.raises(ValueError, match="edges"):
+            Q.adaptive_gk(lambda x: x, a, b, 1e-8)
 
 
 def test_composite_gk_budget():
@@ -606,8 +547,9 @@ def test_integrate_rows_budget_keeps_the_missing_components_largest_errors(
 
 
 def test_integrate_rows_validation():
-    with pytest.raises(ValueError):
-        Q.integrate_rows(lambda rows, k: k, 1, -1.0, 1e-8)
+    for scale in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="scale"):
+            Q.integrate_rows(lambda rows, k: k, 1, scale, 1e-8)
     with pytest.raises(ValueError):
         Q.integrate_rows(lambda rows, k: k, 1, 1.0, 0.5)
 
