@@ -5,10 +5,10 @@ The Matsubara sum (production route) and the real-frequency integral
 (diagnostic route) must agree; the real-frequency integrand oscillates with
 an envelope that dwarfs the net pressure, so the diagnostic tolerance is a
 few percent.  The real-frequency route takes nearly all of the runtime:
-some 35-42 s for the default gold-like Drude cavity at 1 um and 300 K on
+some 21-30 s for the default gold-like Drude cavity at 1 um and 300 K on
 a 2-core x86-64 machine, against a few milliseconds for the Matsubara sum.
 Most of it goes to the propagating k_z integrals, with up to some 350
-seed panels at each frequency node.
+seed panels at each frequency node of its one frequency pass.
 
 Usage:
     python3 scripts/representation_check.py [--d 1e-6] [--T 300]

@@ -39,8 +39,15 @@ the largest relative move of each verdict's ``b_correlator_norm`` and
 ``cavity_classical_te``.  It also compares the entries of the reflect
 tables and of the scalar reflection calls one by one, and prints the
 largest relative move of r_te, r_tm and r_bar, apart on the imaginary
-axis and in the static limit.  It exits 1 if any n_max, failure message
-or verdict differs, or if any static-limit entry or any r_bar moves.
+axis and in the static limit.  It runs ``pressure_real_frequency`` on
+both packages for a low-omega_p Drude pair (1e15, 1e13 rad/s) at 1 um
+and 300 K, about 4 s each, and prints |dP| over the ``error_estimate`` of
+the OTHER_SRC package and the relative moves of the pressure, the
+evanescent part and the propagating part.  It exits 1 if any n_max,
+failure message or verdict differs, if any static-limit entry or any
+r_bar moves, or if either package's evanescent + propagating misses its
+real-frequency pressure by more than 1e-12 of |evanescent| +
+|propagating|.
 """
 
 import argparse
@@ -158,6 +165,9 @@ def scalar_cases(F, M):
                lambda m=m: [complex(F.static_rte(m, k)) for k in kperps])
 
 
+#: (omega_p [rad/s], gamma [rad/s], d [m], T [K]) of the Drude pair whose
+#: real-frequency pressure --against compares.
+REALFREQ_CASE = (1e15, 1e13, 1e-6, 300.0)
 #: The numbers of a verdict that --against compares, apart from the verdict.
 VERDICT_FIELDS = ("b_correlator_norm", "cavity_classical_te")
 #: The coefficients of a reflection set, in the order of its columns.
@@ -213,6 +223,35 @@ def compare_coefficients(new, old):
         if key[0] == "static" or key[1] == "r_bar":
             forbidden += len(moved) + abs(len(new[key]) - len(old[key]))
     return forbidden
+
+
+def real_frequency(pkg):
+    """pkg's ``pressure_real_frequency`` of the REALFREQ_CASE pair."""
+    omega_p, gamma, d, T = REALFREQ_CASE
+    m = pkg.materials.drude(omega_p, gamma)
+    return pkg.lifshitz.pressure_real_frequency(
+        pkg.lifshitz.CavityConfig(m, m, d, T))
+
+
+def compare_real_frequency(new, old):
+    """Print how the real-frequency result ``new`` moved from ``old``; the
+    number of the two whose evanescent + propagating misses the pressure."""
+    moves = ", ".join(
+        f"{f} {relative_move(getattr(new, f), getattr(old, f)):.3g}"
+        for f in ("pressure", "evanescent", "propagating"))
+    omega_p, gamma, d, T = REALFREQ_CASE
+    print(f"real-frequency drude:{omega_p:g},{gamma:g} d={d:g} T={T:g}: "
+          f"|dP|/error_estimate "
+          f"{abs(new.pressure - old.pressure) / old.error_estimate:.3g}; "
+          f"relative move of {moves}")
+    broken = 0
+    for name, r in (("new", new), ("old", old)):
+        e, p = r.evanescent, r.propagating
+        if not abs(e + p - r.pressure) <= 1e-12 * (abs(e) + abs(p)):
+            broken += 1
+            print(f"{name}: evanescent + propagating {e + p!r} misses the "
+                  f"pressure {r.pressure!r}")
+    return broken
 
 
 def digest(thunk):
@@ -323,11 +362,14 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.against is not None:
         pkg = load(args.src)
-        new, new_r = outcomes(pkg), coefficient_entries(pkg)
+        new, new_r, new_f = (outcomes(pkg), coefficient_entries(pkg),
+                             real_frequency(pkg))
         pkg = load(args.against)
-        old, old_r = outcomes(pkg), coefficient_entries(pkg)
+        old, old_r, old_f = (outcomes(pkg), coefficient_entries(pkg),
+                             real_frequency(pkg))
         bad = compare(new, old)
         bad += compare_coefficients(new_r, old_r)
+        bad += compare_real_frequency(new_f, old_f)
         sys.exit(1 if bad else 0)
     pkg = load(args.src)
 

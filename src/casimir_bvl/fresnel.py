@@ -6,7 +6,6 @@ and :func:`imag_axis_coefficients` the same pair on either frequency axis
 with r_te in a form free of the cancellation of (k_z - s)/(k_z + s), and
 :func:`scalar_coefficient` gives r_bar.  eps None, which :func:`epsilon`
 returns for the ideal metal, stands for (r_te, r_tm, r_bar) = (-1, 1, 1).
-Every caller uses the kernel.
 
 Branch convention: every square root of a complex radicand is taken with
 non-negative imaginary part, so that evanescent waves decay away from the
@@ -48,16 +47,13 @@ class ReflectionSet:
 def branch_sqrt(z):
     """Complex square root with Im >= 0.
 
-    A real negative radicand maps exactly onto +i*sqrt(|z|); otherwise the
-    principal root is taken and its sign flipped if the imaginary part is
-    negative.  Accepts scalars or ndarrays.
+    The principal root is taken and negated where its imaginary part is
+    negative; 0.0 - r keeps the real part at +0.0 where the root's is 0.0.
+    A real negative radicand, imaginary part +0.0 or -0.0, so maps exactly
+    onto +0.0 + i*sqrt(|z|).  Accepts scalars or ndarrays.
     """
-    z = np.asarray(z, dtype=complex)
-    r = np.sqrt(z)
-    r = np.where(r.imag < 0.0, -r, r)
-    neg_real = (z.imag == 0.0) & (z.real < 0.0)
-    if neg_real.any():
-        r = np.where(neg_real, 1j * np.sqrt(np.where(neg_real, -z.real, 1.0)), r)
+    r = np.sqrt(np.asarray(z, dtype=complex))
+    r = np.where(r.imag < 0.0, 0.0 - r, r)
     if r.ndim == 0:
         return complex(r)
     return r

@@ -383,8 +383,9 @@ def pressure_real_frequency(config):
     over [omega_cap, 2*omega_cap]) after the slab reflectivities have
     decayed.  ``omega_cap`` is the larger of ``OMEGA_CAP_FACTOR * c/(2 d)``
     and 1.5x the larger plasma frequency.
-    The breakdown reports the evanescent/propagating split instead of
-    per-index terms.
+    The total and its evanescent part are two components of one frequency
+    integral on shared panels, and the breakdown reports the evanescent
+    part and propagating = total - evanescent instead of per-index terms.
 
     Each material must be a Drude model or vacuum; others raise a
     MaterialError before any integration.  Tabulated models carry no
@@ -403,53 +404,42 @@ def pressure_real_frequency(config):
                     1.5 * max(m1.omega_p, m2.omega_p))
     omega_total = 2.0 * omega_cap
 
-    def inner(omega, propagating):
-        """k_perp integral at omega: evanescent, plus propagating if asked."""
+    def inner(omega):
+        """(total, evanescent) k_perp integrals at omega."""
         eps1, eps2 = fresnel.epsilon(m1, omega), fresnel.epsilon(m2, omega)
         kc = omega / C
-        total = 0.0
-        if propagating:
-            # k_perp dk_perp = -k_z dk_z absorbs the grazing-incidence
-            # blow-up at k_perp -> omega/c and makes the round-trip phase
-            # uniform in the integration variable
-            n_seed = max(4, math.ceil(2.0 * d * omega / (math.pi * C) * 4))
-            res = quadrature.composite_gk(
-                lambda kz: kz * _im_round_trip(eps1, eps2, omega, d, kz),
-                np.linspace(0.0, kc, n_seed + 1), _INNER_REL_TOL)
-            total += res.value
+        # k_perp dk_perp = -k_z dk_z absorbs the grazing-incidence blow-up
+        # at k_perp -> omega/c and makes the round-trip phase uniform in
+        # the integration variable
+        n_seed = max(4, math.ceil(2.0 * d * omega / (math.pi * C) * 4))
+        propagating = quadrature.composite_gk(
+            lambda kz: kz * _im_round_trip(eps1, eps2, omega, d, kz),
+            np.linspace(0.0, kc, n_seed + 1), _INNER_REL_TOL).value
 
         def evanescent(u):
             k = kc + u
             kz = fresnel.branch_sqrt(kc * kc - k * k)
             return k * _im_round_trip(eps1, eps2, omega, d, kz)
-        res = quadrature.integrate_semi_infinite(
-            evanescent, 0.5 / d, _INNER_REL_TOL)
-        return total + res.value
+        evan = quadrature.integrate_semi_infinite(
+            evanescent, 0.5 / d, _INNER_REL_TOL).value
+        return propagating + evan, evan
 
-    def g(propagating):
-        def fn(w):
-            if w <= omega_cap:
-                taper = 1.0
-            else:
-                taper = 0.5 * (1.0 + math.cos(
-                    math.pi * (w - omega_cap) / (omega_total - omega_cap)))
-                if taper == 0.0:
-                    return 0.0
-            return taper * _energy_per_omega(w, T) * inner(w, propagating)
-        return fn
+    def g(w):
+        taper = 1.0 if w <= omega_cap else 0.5 * (1.0 + math.cos(
+            math.pi * (w - omega_cap) / (omega_total - omega_cap)))
+        if taper == 0.0:
+            return np.zeros(2)
+        return taper * _energy_per_omega(w, T) * np.array(inner(w))
 
     # one seed panel per half oscillation of the cavity round-trip phase
     n_seed = max(16, math.ceil(omega_total * 2.0 * d / (math.pi * C) * 2))
-    res_total = quadrature.integrate_real_frequency(
-        g(True), omega_total, _OMEGA_REL_TOL, seed_panels=n_seed)
-    res_evan = quadrature.integrate_real_frequency(
-        g(False), omega_total, _OMEGA_REL_TOL, seed_panels=n_seed)
+    res = quadrature.integrate_real_frequency(
+        g, omega_total, _OMEGA_REL_TOL, seed_panels=n_seed)
     pref = -1.0 / math.pi ** 2
-    total = pref * res_total.value
-    evan = pref * res_evan.value
+    total, evan = (pref * res.value).tolist()
     return PressureResult(
         pressure=total,
-        error_estimate=abs(pref) * res_total.error_estimate
+        error_estimate=abs(pref) * float(res.error_estimate[0])
         + abs(total) * REALFREQ_REL_TOL,
         n0_te=0.0, n0_tm=0.0, per_n=[], n_max=0,
         evanescent=evan, propagating=total - evan)

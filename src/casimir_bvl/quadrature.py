@@ -12,9 +12,11 @@ from ROW_PANELS equal panels of its mapped variable, on which a Matsubara
 row mostly meets its target in one round.  A row may carry several
 components, integrands that share its panels and are each held to their
 own target.  :func:`composite_gk` refines one row from the panels it is
-given, and :func:`adaptive_gk` one row from GK_SEED_PANELS equal panels
-of [a, b]; its callers are the static magnetic correlator of ``bvl``
-and the evanescent k_perp integrals of the real-frequency route.
+given: the (total, evanescent) pair of :func:`integrate_real_frequency`
+and the propagating k_z integrals of the real-frequency route.
+:func:`adaptive_gk` refines one row from GK_SEED_PANELS equal panels of
+[a, b]: the static magnetic correlator of ``bvl`` and the evanescent
+k_perp integrals of the real-frequency route.
 :func:`polylog3` gives Li_3 on [0, 1] in plain floats.
 """
 
@@ -367,7 +369,9 @@ def composite_gk(f, edges, rel_tol, floor_frac=0.01):
     Parameters
     ----------
     f : callable
-        Vectorized integrand (ndarray in, ndarray out).
+        Vectorized integrand: N points in, N values out, or a (P, N) array
+        for P components that share the panels, each held to its own
+        target; value and error_estimate are then arrays of P entries.
     edges : array_like
         Finite, strictly increasing panel edges; the integral runs over
         [edges[0], edges[-1]].  Other edges raise ValueError.
@@ -383,7 +387,8 @@ def composite_gk(f, edges, rel_tol, floor_frac=0.01):
 def _gk_row(f, edges, rel_tol, floor_frac, budget):
     """(value, error_estimate, evaluations) of a vectorized f over the
     panels between consecutive edges, refined by :func:`_refine` as one
-    row of at most ``budget`` panels; its NoConvergence is raised."""
+    row of at most ``budget`` panels; arrays of P entries for an f of P
+    components.  The first failed component's NoConvergence is raised."""
     edges = np.asarray(edges, dtype=float)
     a, b = edges[:-1], edges[1:]
     if a.size < 1 or not np.isfinite(edges).all() or np.any(b <= a):
@@ -391,11 +396,15 @@ def _gk_row(f, edges, rel_tol, floor_frac, budget):
                          "with >= 2 entries")
 
     def sample(rows, x):
-        return np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+        return np.asarray(f(x.ravel()), dtype=float).reshape((-1,) + x.shape)
 
     res = _refine(sample, 1, _panels(np.zeros(a.size, dtype=int), a, b),
                   rel_tol, floor_frac, budget)
-    value, error = res.row(0)
+    if res.failures:
+        raise res.failures[min(res.failures)]
+    value, error = res.values, res.errors
+    if value.size == 1:
+        value, error = float(value[0]), float(error[0])
     # every bisection adds one panel and evaluates two
     return value, error, _XGK.size * (2 * int(res.panels[0]) - a.size)
 
@@ -509,13 +518,15 @@ def fit_power_law(points):
 
 
 def integrate_real_frequency(g, omega_cap, rel_tol, seed_panels=16):
-    """Integrate a scalar g over [0, omega_cap] with plateau handling at 0.
+    """Integrate g over [0, omega_cap] with plateau handling at 0.
 
-    g must be bounded toward omega -> 0; the lower panel edge omega_min is
-    pushed down until g settles (g(omega_min), g(2*omega_min) and
-    g(4*omega_min) pairwise within rel_tol) or until the remaining strip is
-    negligible against the integrand scale (covers integrands that decay to
-    zero, e.g. like sqrt(omega), without ever satisfying a relative test).
+    g returns a float, or an ndarray of P components (value and error are
+    then arrays), bounded toward omega -> 0.  The lower panel edge
+    omega_min is pushed down until each component settles (g(omega_min),
+    g(2*omega_min) and g(4*omega_min) pairwise within rel_tol) or its
+    remaining strip is negligible against its integrand scale (covers
+    integrands that decay to zero, e.g. like sqrt(omega), without ever
+    satisfying a relative test).
     The [0, omega_min] strip then contributes the plateau rectangle
     g(omega_min)*omega_min.  The panel-wise integration over
     [omega_min, omega_cap] is seeded with ``seed_panels`` uniform panels
@@ -541,13 +552,13 @@ def integrate_real_frequency(g, omega_cap, rel_tol, seed_panels=16):
         if scale is None:
             # magnitude reference for the negligible-strip test, frozen at
             # the first probe so a divergent integrand cannot inflate it
-            scale = max(abs(g_lo), abs(g_hi), abs(g_hi2))
-        if close(g_lo, g_hi) and close(g_hi, g_hi2):
-            plateau_err = abs(g_lo - g_hi) * w
-            break
+            scale = np.abs([g_lo, g_hi, g_hi2]).max(axis=0)
+        settled = close(g_lo, g_hi) & close(g_hi, g_hi2)
         strip_bound = (abs(g_lo) + abs(g_hi)) * w
-        if strip_bound <= rel_tol * FREQUENCY_FLOOR_FRAC * scale * omega_cap:
-            plateau_err = strip_bound
+        negligible = (strip_bound
+                      <= rel_tol * FREQUENCY_FLOOR_FRAC * scale * omega_cap)
+        if np.all(settled | negligible):
+            plateau_err = np.where(settled, abs(g_lo - g_hi) * w, strip_bound)
             break
         w *= 0.5
     else:
@@ -555,7 +566,7 @@ def integrate_real_frequency(g, omega_cap, rel_tol, seed_panels=16):
                         "the model may be singular there")
 
     def gv(xs):
-        return np.array([g(x) for x in np.atleast_1d(xs)])
+        return np.array([g(x) for x in np.atleast_1d(xs)]).T
 
     first = omega_cap / seed_panels
     if w < first:
@@ -565,7 +576,8 @@ def integrate_real_frequency(g, omega_cap, rel_tol, seed_panels=16):
     else:
         edges = np.linspace(w, omega_cap, seed_panels + 1)
     res = composite_gk(gv, edges, rel_tol, FREQUENCY_FLOOR_FRAC)
-    plateau = g_lo * w
-    return IntegralResult(res.value + plateau,
+    if np.ndim(plateau_err) == 0:
+        plateau_err = float(plateau_err)
+    return IntegralResult(res.value + g_lo * w,
                           res.error_estimate + plateau_err,
                           res.evaluations + nvals)

@@ -26,6 +26,19 @@ def test_branch_sqrt_negative_real_is_exactly_positive_imaginary():
     assert r.real == 0.0
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_branch_sqrt_negative_real_with_signed_zero_is_exact(sign):
+    x = np.geomspace(1e-300, 1e300, 2001)
+    z = np.empty(x.shape, dtype=complex)
+    z.real, z.imag = -x, math.copysign(0.0, sign)
+    r = F.branch_sqrt(z)
+    assert not np.signbit(r.real).any() and (r.real == 0.0).all()
+    assert np.array_equal(r.imag, np.sqrt(x))
+    for v, root in ((-9.0, 3.0), (-2.0, math.sqrt(2.0))):
+        rs = F.branch_sqrt(complex(v, math.copysign(0.0, sign)))
+        assert math.copysign(1.0, rs.real) == 1.0 and rs == complex(0.0, root)
+
+
 def test_branch_sqrt_array():
     out = F.branch_sqrt(np.array([4.0, -4.0, 2.0 + 2.0j]))
     assert out[0] == 2.0

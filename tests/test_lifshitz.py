@@ -447,11 +447,31 @@ def test_real_frequency_rejects_lossless_models_up_front(model):
             L.pressure_real_frequency(L.CavityConfig(*pair, 1e-6, 300.0))
 
 
-def test_real_frequency_vacuum_is_zero():
+def test_real_frequency_vacuum_is_zero(monkeypatch):
+    calls = []
+    inner = Q.integrate_real_frequency
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(Q, "integrate_real_frequency", spy)
     vac = M.insulator(1.0)
     res = L.pressure_real_frequency(L.CavityConfig(vac, vac, 1e-6, 300.0))
     assert res.pressure == 0.0
     assert res.evanescent == 0.0 and res.propagating == 0.0
+    # total and evanescent part are two components of the one integral
+    assert len(calls) == 1
+
+
+def test_real_frequency_parts_add_up_to_the_pressure(monkeypatch):
+    # a short frequency cap keeps the test fast; the identity holds at any
+    dr = M.drude(1e14, 1e13)
+    monkeypatch.setattr(L, "OMEGA_CAP_FACTOR", 10.0)
+    res = L.pressure_real_frequency(L.CavityConfig(dr, dr, 1e-6, 300.0))
+    e, p = res.evanescent, res.propagating
+    assert e != 0.0 and p != 0.0
+    assert abs(e + p - res.pressure) <= 1e-12 * (abs(e) + abs(p))
 
 
 # ----------------------------------------------------------- stress split

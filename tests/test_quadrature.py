@@ -357,6 +357,93 @@ def test_composite_gk_non_finite_integrand():
         Q.composite_gk(f, np.linspace(0.0, 1.0, 5), 1e-8)
 
 
+# ------------------------------------------------- components on one row
+
+W0 = 0.37
+
+
+def _decay(x):
+    return np.exp(-x / W0)
+
+
+def _plateau(x):
+    return 1.0 / (1.0 + x)
+
+
+def _both(x):
+    """The components (_decay, _plateau) stacked, shape (2, N) or (2,)."""
+    return np.array([_decay(x), _plateau(x)])
+
+
+def test_composite_gk_components_match_one_component_runs():
+    edges = np.linspace(0.0, 10.0, 5)
+    res = Q.composite_gk(_both, edges, 1e-10)
+    assert res.value.shape == res.error_estimate.shape == (2,)
+    for p, f in enumerate((_decay, _plateau)):
+        alone = Q.composite_gk(f, edges, 1e-10)
+        assert isinstance(alone.value, float)
+        assert isinstance(alone.error_estimate, float)
+        assert abs(res.value[p] - alone.value) <= (res.error_estimate[p]
+                                                   + alone.error_estimate)
+    assert res.value == pytest.approx(
+        [W0 * (1.0 - math.exp(-10.0 / W0)), math.log(11.0)], rel=1e-10)
+
+
+def test_composite_gk_raises_the_first_failed_component():
+    def f(x):
+        with np.errstate(divide="ignore"):
+            return np.array([np.exp(-x), np.where(x < 0.3, np.nan, x),
+                             abs(x - 1.0 / 3.0) ** -0.9])
+
+    with np.errstate(invalid="ignore"), pytest.raises(
+            Q.NoConvergence, match="non-finite integrand"):
+        Q.composite_gk(f, np.linspace(0.0, 1.0, 3), 1e-14)
+
+
+def _first_edges(monkeypatch, g, omega_cap, rel_tol):
+    """(integrate_real_frequency result, lower edge of its panels)."""
+    edges = []
+    inner = Q.composite_gk
+
+    def spy(f, e, *args):
+        edges.append(e[0])
+        return inner(f, e, *args)
+
+    monkeypatch.setattr(Q, "composite_gk", spy)
+    res = Q.integrate_real_frequency(g, omega_cap, rel_tol)
+    monkeypatch.undo()
+    return res, edges[0]
+
+
+def test_integrate_real_frequency_components_wait_for_every_plateau(
+        monkeypatch):
+    cap, tol = 40.0, 1e-8
+    res, lowest = _first_edges(monkeypatch, _both, cap, tol)
+    assert res.value.shape == res.error_estimate.shape == (2,)
+    edges = []
+    for p, f in enumerate((_decay, _plateau)):
+        alone, edge = _first_edges(monkeypatch, lambda w: float(f(w)), cap,
+                                   tol)
+        edges.append(edge)
+        assert isinstance(alone.value, float)
+        assert abs(res.value[p] - alone.value) <= (res.error_estimate[p]
+                                                   + alone.error_estimate)
+    # the components settle at different omega_min, and the pair at the
+    # smaller one
+    assert edges[0] != edges[1] and lowest == min(edges)
+    assert res.value == pytest.approx(
+        [W0 * (1.0 - math.exp(-cap / W0)), math.log(1.0 + cap)], rel=1e-7)
+
+
+def test_integrate_real_frequency_failing_component_raises():
+    def g(w):
+        return np.array([math.exp(-w),
+                         math.nan if 0.4 < w < 0.5 else math.exp(-w)])
+
+    with pytest.raises(Q.NoConvergence, match="non-finite"):
+        Q.integrate_real_frequency(g, 1.0, 1e-6)
+
+
 # ------------------------------------------------------------ rows kernel
 
 def _gamma_rows(p, a):
