@@ -86,14 +86,22 @@ def _is_str(v):
 #: Number fields each subcommand reads from a config file.
 _NUMBER_FIELDS = {"pressure": ("d", "T"), "sweep": ("d", "T"),
                   "bvl-check": ("d", "T", "z"), "reflect": ()}
+#: Every other field it reads besides subcommand, materials and output.
+_OTHER_FIELDS = {"pressure": ("method", "rel_tol"),
+                 "sweep": ("method", "rel_tol", "sweep"),
+                 "bvl-check": (), "reflect": ("probe",)}
 
 
 def _check_object(value, name, spec):
-    """ConfigParse unless value is a dict whose keys in spec pass their
-    type test."""
+    """ConfigParse unless value is a dict whose keys are those of spec,
+    each passing its type test."""
     if not isinstance(value, dict):
         raise ConfigParse(f"config field {name!r} must be an object, "
                           f"got {value!r}")
+    unread = sorted(value.keys() - spec.keys())
+    if unread:
+        raise ConfigParse(f"config field {name}.{unread[0]} is not read by "
+                          f"this subcommand")
     for key, ok in spec.items():
         if not ok(value.get(key)):
             raise ConfigParse(f"config field {name}.{key} is missing or "
@@ -106,6 +114,12 @@ def _check_fields(config):
     sc = config.subcommand
     if sc not in _NUMBER_FIELDS:
         raise ConfigParse(f"unknown subcommand {sc!r}")
+    reads = {"subcommand", "materials", "output", *_NUMBER_FIELDS[sc],
+             *_OTHER_FIELDS[sc]}
+    for name, value in config.to_dict().items():
+        # every output echoes the default method
+        if name not in reads and (name, value) != ("method", "matsubara"):
+            raise ConfigParse(f"{sc} does not read config field {name!r}")
     n = 2 if sc in ("pressure", "sweep") else 1
     if not (isinstance(config.materials, list)
             and len(config.materials) == n
@@ -127,15 +141,15 @@ def _check_fields(config):
                        "to": _is_number, "points": _is_int})
     if sc == "reflect":
         probe = config.probe
+        static = isinstance(probe, dict) and probe.get("axis") == "static"
         _check_object(probe, "probe", {
             "axis": lambda v: v in ("xi", "omega", "static"),
-            "kperp": _is_str})
-        if probe["axis"] != "static":
-            _check_object(probe, "probe", {"value": _is_number})
+            "kperp": _is_str, **({} if static else {"value": _is_number})})
     if config.output is not None:
-        _check_object(config.output, "output", {
-            "path": lambda v: v is None or _is_str(v),
-            "format": lambda v: v in (None, "csv", "json")})
+        output = {"path": lambda v: v is None or _is_str(v)}
+        if sc in ("pressure", "sweep"):
+            output["format"] = lambda v: v in (None, "csv", "json")
+        _check_object(config.output, "output", output)
 
 
 def parse_material(spec):
@@ -195,6 +209,10 @@ def _config_comments(config):
 
 def _fmt(x):
     return FLOAT_FMT % x
+
+
+def _failure_text(exc):
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _pressure_payload(result):
@@ -274,23 +292,38 @@ def run_sweep(config):
         return _compute_pressure(
             dataclasses.replace(config, **{param: value}), *models)
 
-    rows = [(v, at(v)) for v in map(float, values)]
+    rows = []
+    for v in map(float, values):
+        try:
+            rows.append((v, at(v)))
+        except quadrature.QuadratureError as exc:
+            rows.append((v, exc))
+    failures = [r for _, r in rows if isinstance(r, Exception)]
     fmt = (config.output or {}).get("format", "csv")
     if fmt == "json":
-        doc = {"config": config.to_dict(),
-               "result": [{param: v, **_pressure_payload(r)} for v, r in rows]}
-        for entry in doc["result"]:
-            entry.pop("per_n")
+        result = []
+        for v, r in rows:
+            if isinstance(r, Exception):
+                result.append({param: v, "error": _failure_text(r)})
+            else:
+                result.append({param: v, **_pressure_payload(r)})
+                result[-1].pop("per_n")
+        doc = {"config": config.to_dict(), "result": result}
         _emit([json.dumps(doc, indent=2, sort_keys=True)], config.output)
     else:
         lines = _config_comments(config)
         lines.append(f"{param},pressure_pa,error_estimate_pa,"
                      "n0_te_pa,n0_tm_pa,n_max")
         for v, r in rows:
-            lines.append(",".join([_fmt(v), _fmt(r.pressure),
-                                   _fmt(r.error_estimate), _fmt(r.n0_te),
-                                   _fmt(r.n0_tm), str(r.n_max)]))
+            if isinstance(r, Exception):
+                lines.append(f"# {param}={_fmt(v)}: {_failure_text(r)}")
+            else:
+                lines.append(",".join([_fmt(v), _fmt(r.pressure),
+                                       _fmt(r.error_estimate), _fmt(r.n0_te),
+                                       _fmt(r.n0_tm), str(r.n_max)]))
         _emit(lines, config.output)
+    if failures:
+        raise failures[0]
     return 0
 
 
@@ -476,8 +509,8 @@ def main(argv=None):
         print(f"casimir-bvl: config error: {exc}", file=sys.stderr)
         return 2
     except quadrature.QuadratureError as exc:
-        print(f"casimir-bvl: numerical failure: "
-              f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"casimir-bvl: numerical failure: {_failure_text(exc)}",
+              file=sys.stderr)
         return 3
 
 

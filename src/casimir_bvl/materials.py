@@ -101,10 +101,18 @@ class MaterialModel:
             raise ValueError("eps0, omega_p and gamma must be finite")
         if k is Kind.INSULATOR and self.eps0 < 1.0:
             raise ValueError("insulator requires eps0 >= 1")
-        if k in (Kind.DRUDE, Kind.PLASMA, Kind.GENERALIZED_PLASMA) and self.omega_p <= 0:
+        metal = k in (Kind.DRUDE, Kind.PLASMA, Kind.GENERALIZED_PLASMA)
+        if metal and self.omega_p <= 0:
             raise ValueError("omega_p must be positive")
         if k is Kind.DRUDE and self.gamma <= 0:
             raise ValueError("gamma must be positive")
+        # eps is one expression of all fields: a kind leaves its others unset
+        if self.omega_p and not metal:
+            raise ValueError(f"omega_p must be 0 for a {k.value} model")
+        if self.gamma and k is not Kind.DRUDE:
+            raise ValueError(f"gamma must be 0 for a {k.value} model")
+        if self.oscillators and k in (Kind.DRUDE, Kind.PLASMA):
+            raise ValueError(f"oscillators must be () for a {k.value} model")
         if k is Kind.TABULATED:
             if len(self.table) < 2:
                 raise EmptyTable("tabulated model needs >= 2 points")
@@ -155,16 +163,6 @@ def tabulated(table, extrapolation):
     return MaterialModel(Kind.TABULATED, table=table, extrapolation=extrapolation)
 
 
-def _osc_sum_imag(oscillators, xi):
-    return sum(o.strength / (o.center ** 2 + xi * xi + o.width * xi)
-               for o in oscillators)
-
-
-def _osc_sum_real(oscillators, w):
-    return sum(o.strength / (o.center ** 2 - w * w - 1j * o.width * w)
-               for o in oscillators)
-
-
 def eval_epsilon(model, w):
     """Evaluate eps(w) on the real axis or the positive imaginary axis.
 
@@ -200,43 +198,43 @@ def eval_epsilon(model, w):
 def eval_imag_axis(model, xi):
     """eps(i xi) as a float ndarray of the shape of an ndarray xi > 0.
 
-    The model's expression in one array pass, without the checks and the
-    complex conversion of :func:`eval_epsilon`, whose imaginary-axis values
-    it gives bit for bit.  The ideal metal has no permittivity.
+    One array pass of eps_b + omega_p^2/(xi (xi + gamma)) + sum_j g_j/(w_j^2
+    + xi^2 + gamma_j xi), eps_b = eps0 for an insulator and 1 for a metal
+    (plasma is Drude at gamma = 0), without the checks and the complex
+    conversion of :func:`eval_epsilon`, whose imaginary-axis values it
+    gives bit for bit.  The ideal metal has no permittivity.
     """
-    k = model.kind
-    if k is Kind.INSULATOR:
-        return (np.full(xi.shape, model.eps0)
-                + _osc_sum_imag(model.oscillators, xi))
-    if k is Kind.DRUDE:
-        return 1.0 + model.omega_p ** 2 / (xi * (xi + model.gamma))
-    if k is Kind.PLASMA:
-        return 1.0 + (model.omega_p / xi) ** 2
-    if k is Kind.GENERALIZED_PLASMA:
-        return (1.0 + (model.omega_p / xi) ** 2
-                + _osc_sum_imag(model.oscillators, xi))
-    if k is Kind.TABULATED:
+    if model.omega_p > 0:
+        g = model.gamma  # a plasma (g = 0) skips the add: xi + 0 is xi
+        eps = 1.0 + model.omega_p ** 2 / (xi * (xi + g if g else xi))
+    elif model.kind is Kind.INSULATOR:
+        eps = np.full(xi.shape, model.eps0)
+    elif model.kind is Kind.TABULATED:
         return eval_epsilon_tabulated(model, xi)
-    raise IdealMetalHasNoEpsilon("ideal metal has no permittivity")
+    else:
+        raise IdealMetalHasNoEpsilon("ideal metal has no permittivity")
+    if model.oscillators:
+        eps += sum(o.strength / (o.center ** 2 + xi * xi + o.width * xi)
+                   for o in model.oscillators)
+    return eps
 
 
 def _eval_real_axis(model, w):
-    """eps(w) for an ndarray of real w."""
-    k = model.kind
-    if k is not Kind.INSULATOR and (w == 0.0).any():
+    """eps(w) for an ndarray of real w: eval_imag_axis's expression at
+    xi = -i w."""
+    if model.kind is not Kind.INSULATOR and (w == 0.0).any():
         raise EvalAtZero("model is singular (or undefined) at omega = 0")
-    if k is Kind.INSULATOR:
-        return model.eps0 + _osc_sum_real(model.oscillators, w)
-    if k is Kind.DRUDE:
-        return 1.0 - model.omega_p ** 2 / (w * (w + 1j * model.gamma))
-    if k is Kind.PLASMA:
-        return 1.0 - (model.omega_p / w) ** 2
-    if k is Kind.GENERALIZED_PLASMA:
-        return (1.0 - (model.omega_p / w) ** 2
-                + _osc_sum_real(model.oscillators, w))
-    if k is Kind.TABULATED:
+    if model.kind is Kind.TABULATED:
         raise TabulatedOutOfRange("tabulated models are imaginary-axis only")
-    raise AssertionError(k)
+    if model.omega_p > 0:
+        g = model.gamma
+        eps = 1.0 - model.omega_p ** 2 / (w * (w + 1j * g if g else w))
+    else:
+        eps = model.eps0
+    if model.oscillators:
+        eps = eps + sum(o.strength / (o.center ** 2 - w * w - 1j * o.width * w)
+                        for o in model.oscillators)
+    return eps
 
 
 def eval_epsilon_tabulated(model, xi):
@@ -310,8 +308,7 @@ def static_epsilon(model):
     if zero_freq_class(model) is not ZeroFreqClass.FINITE:
         raise ValueError("static permittivity requires a finite-class model")
     if model.kind is Kind.INSULATOR:
-        return model.eps0 + sum(o.strength / o.center ** 2
-                                for o in model.oscillators)
+        return eval_imag_axis(model, np.zeros(1)).item()
     return model.table[0][1]
 
 

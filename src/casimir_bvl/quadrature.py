@@ -76,12 +76,6 @@ class RowsResult:
     panels: np.ndarray     # GK 7/15 panels each row ended with
     failures: dict         # row -> NoConvergence, for rows out of budget
 
-    def row(self, i):
-        """(value, error_estimate) of row i; raises the row's NoConvergence."""
-        if i in self.failures:
-            raise self.failures[i]
-        return float(self.values[i]), float(self.errors[i])
-
 
 # Gauss-Kronrod 7/15 nodes and weights on [-1, 1].
 _XGK = np.array([
@@ -522,11 +516,11 @@ def integrate_real_frequency(g, omega_cap, rel_tol, seed_panels=16):
 
     g returns a float, or an ndarray of P components (value and error are
     then arrays), bounded toward omega -> 0.  The lower panel edge
-    omega_min is pushed down until each component settles (g(omega_min),
-    g(2*omega_min) and g(4*omega_min) pairwise within rel_tol) or its
-    remaining strip is negligible against its integrand scale (covers
-    integrands that decay to zero, e.g. like sqrt(omega), without ever
-    satisfying a relative test).
+    omega_min is halved until each component settles (g(omega_min),
+    g(2*omega_min) and g(4*omega_min) pairwise within rel_tol; a halving
+    samples only the new omega_min) or its remaining strip is negligible
+    against its integrand scale (covers integrands that decay to zero,
+    e.g. like sqrt(omega), without ever satisfying a relative test).
     The [0, omega_min] strip then contributes the plateau rectangle
     g(omega_min)*omega_min.  The panel-wise integration over
     [omega_min, omega_cap] is seeded with ``seed_panels`` uniform panels
@@ -542,13 +536,14 @@ def integrate_real_frequency(g, omega_cap, rel_tol, seed_panels=16):
     def close(p, q):
         return abs(p - q) <= rel_tol * 0.5 * (abs(p) + abs(q)) + 1e-300
 
-    nvals = 0
     w = omega_cap / 16.0
     floor = omega_cap * 1e-12
     scale = None
+    g_hi, g_hi2 = g(2.0 * w), g(4.0 * w)
+    nvals = 2
     while w > floor:
-        g_lo, g_hi, g_hi2 = g(w), g(2.0 * w), g(4.0 * w)
-        nvals += 3
+        g_lo = g(w)
+        nvals += 1
         if scale is None:
             # magnitude reference for the negligible-strip test, frozen at
             # the first probe so a divergent integrand cannot inflate it
@@ -560,7 +555,9 @@ def integrate_real_frequency(g, omega_cap, rel_tol, seed_panels=16):
         if np.all(settled | negligible):
             plateau_err = np.where(settled, abs(g_lo - g_hi) * w, strip_bound)
             break
+        # halving w makes the old w and 2w the new 2w and 4w
         w *= 0.5
+        g_hi, g_hi2 = g_lo, g_hi
     else:
         raise NoPlateau("integrand does not settle toward omega = 0; "
                         "the model may be singular there")

@@ -1,8 +1,11 @@
 """Command-line interface: material grammar, subcommands, emission formats."""
 
+import ast
 import dataclasses
 import json
 import math
+import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -12,6 +15,7 @@ import pytest
 
 from casimir_bvl import cli
 from casimir_bvl import fresnel as F
+from casimir_bvl import lifshitz as L
 from casimir_bvl import materials as M
 
 
@@ -430,6 +434,66 @@ def test_config_file_missing_or_mistyped_field_exits_2(config, names,
     assert names in err and "config error" in err
 
 
+@pytest.mark.parametrize("config, name", [
+    ({"subcommand": "reflect", "materials": [DRUDE],
+      "probe": {"axis": "xi", "value": 1e14, "kperp": "1e6"},
+      "output": {"format": "json"}}, "output.format"),
+    ({"subcommand": "reflect", "materials": [DRUDE],
+      "probe": {"axis": "static", "value": 1e14, "kperp": "1e6"}},
+     "probe.value"),
+    ({"subcommand": "reflect", "materials": [DRUDE], "d": 1e-6,
+      "probe": {"axis": "xi", "value": 1e14, "kperp": "1e6"}}, "'d'"),
+    ({"subcommand": "bvl-check", "materials": ["plasma:1.37e16"], "d": 1e-6,
+      "T": 300.0, "z": 1e-7, "output": {"format": "csv"}}, "output.format"),
+    ({"subcommand": "bvl-check", "materials": ["plasma:1.37e16"], "d": 1e-6,
+      "T": 300.0, "z": 1e-7, "method": "realfreq"}, "'method'"),
+    ({"subcommand": "bvl-check", "materials": ["plasma:1.37e16"], "d": 1e-6,
+      "T": 300.0, "z": 1e-7, "rel_tol": 1e-3}, "'rel_tol'"),
+    ({"subcommand": "pressure", "materials": ["ideal", "ideal"], "d": 1e-6,
+      "T": 300.0, "z": 1e-7}, "'z'"),
+    ({"subcommand": "sweep", "materials": ["ideal", "ideal"], "d": 1e-6,
+      "T": 300.0, "sweep": {"param": "d", "from": 1e-6, "to": 2e-6,
+                            "points": 2, "step": 1}}, "sweep.step"),
+])
+def test_config_file_field_the_subcommand_ignores_exits_2(config, name,
+                                                         tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    code, out, err = main_in_process(capsys, "--config", str(path))
+    assert code == 2 and out == ""
+    assert name in err and "not read" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("pressure", "--mat1", "ideal", "--mat2", "ideal", "--d", "2e-6",
+     "--T", "300", "--rel-tol", "1e-6"),
+    ("sweep", "--mat1", "ideal", "--mat2", "ideal", "--d", "1e-6", "--T",
+     "300", "--sweep-param", "d", "--sweep-from", "1e-6", "--sweep-to",
+     "2e-6", "--sweep-points", "2", "--format", "json"),
+    ("bvl-check", "--mat", "plasma:1.37e16", "--d", "1e-6", "--T", "300",
+     "--z", "1e-7"),
+    ("reflect", "--mat", DRUDE, "--xi", "1e14", "--kperp", "1e6"),
+    ("reflect", "--mat", DRUDE, "--static", "--kperp", "1e6"),
+])
+def test_echoed_config_parses_back(argv, tmp_path, capsys):
+    code, out, _ = main_in_process(capsys, *argv)
+    assert code == 0
+    if argv[0] == "reflect":
+        # CSV: one "# key = value" comment per field, a string value bare
+        # and lists and dicts as Python literals
+        echoed = dict(line[2:].split(" = ", 1)
+                      for line in out.splitlines()[1:] if " = " in line)
+        echoed = {k: v if k in ("subcommand", "method") else
+                  ast.literal_eval(v) for k, v in echoed.items()}
+    else:
+        echoed = json.loads(out)["config"]
+    config = cli.RunConfig.from_dict(echoed)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(echoed))
+    assert main_in_process(capsys, "--config", str(path)) == (code, out, "")
+    assert config.to_dict() == echoed
+
+
 def test_output_file(tmp_path):
     out = tmp_path / "report.json"
     proc = run_cli("pressure", "--mat1", "insulator:3.0", "--mat2",
@@ -495,6 +559,40 @@ def test_sweep_rows_are_pressure_runs_at_each_value(param, lo, hi, capsys):
         assert row == f"{cli._fmt(v)},{out.splitlines()[-1]}"
 
 
+#: The README's gap sweep, started at 0.3 um, where the 300 K sum of the
+#: ideal metal stops at the index ceiling.
+FAILING_SWEEP = ("sweep", "--mat1", "ideal", "--mat2", "ideal", "--d",
+                 "1e-6", "--T", "300", "--sweep-param", "d", "--sweep-from",
+                 "3e-7", "--sweep-to", "1e-5", "--sweep-points", "9")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_keeps_the_gaps_that_converge(fmt, capsys):
+    code, out, err = main_in_process(capsys, *FAILING_SWEEP, "--format", fmt)
+    assert code == 3
+    assert err.count("\n") == 1
+    assert err.startswith("casimir-bvl: numerical failure: NoConvergence: ")
+    message = err.split("numerical failure: ", 1)[1].strip()
+    gaps = np.geomspace(3e-7, 1e-5, 9).tolist()
+    if fmt == "json":
+        entries = json.loads(out)["result"]
+        assert entries[0] == {"d": gaps[0], "error": message}
+        rows = [(e["d"], e["pressure_pa"], e["error_estimate_pa"],
+                 e["n_max"]) for e in entries[1:]]
+    else:
+        lines = out.splitlines()
+        failed = f"# d={cli._fmt(gaps[0])}: {message}"
+        assert lines[lines.index(failed) - 1].startswith("d,pressure_pa")
+        rows = [(float(r[0]), float(r[1]), float(r[2]), int(r[5]))
+                for r in (row.split(",") for row in _sweep_rows(out))]
+    assert len(rows) == 8
+    for d, (v, p, err_est, n_max) in zip(gaps[1:], rows):
+        alone = L.pressure_matsubara(L.CavityConfig(
+            M.ideal_metal(), M.ideal_metal(), d, 300.0, rel_tol=1e-9))
+        assert (v, p, err_est, n_max) == (d, alone.pressure,
+                                          alone.error_estimate, alone.n_max)
+
+
 def test_omega_p_sweep_of_other_materials_exits_2(capsys):
     code, out, err = main_in_process(
         capsys, "sweep", "--mat1", "ideal", "--mat2", "plasma:1e16", "--d",
@@ -513,3 +611,32 @@ def test_bvl_check_vacuum_passes_with_infinite_exponent(capsys):
     doc = json.loads(out)
     jsonschema.validate(doc, cli.BVL_REPORT_SCHEMA)
     assert doc["verdict"] == "Pass"
+
+
+# ------------------------------------------------------------ README examples
+
+def _readme_commands():
+    """The casimir-bvl commands of the README's Examples block, with their
+    backslash continuations joined."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("Examples:", 1)[1].split("```sh", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line) for line in block.splitlines()
+            if line.startswith("casimir-bvl ")]
+
+
+def test_readme_lists_its_example_commands():
+    assert [argv[1] for argv in _readme_commands()] == [
+        "pressure", "pressure", "sweep", "bvl-check", "reflect"]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(argv, id=" ".join(argv[1:3]))
+    for argv in _readme_commands()
+    # the --method realfreq example takes 21-30 s on 2 cores; the
+    # real-frequency route has its own tests
+    if "realfreq" not in argv])
+def test_readme_example_exits_0(argv, capsys):
+    code, out, err = main_in_process(capsys, *argv[1:])
+    assert code == 0, err
+    assert out and err == ""

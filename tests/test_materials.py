@@ -315,3 +315,105 @@ def test_scalar_is_the_one_entry_array_bit_for_bit():
         for x in (w, 1j * w):
             want = [M.eval_epsilon(model, np.array([v]))[0] for v in x]
             assert [M.eval_epsilon(model, v) for v in x.tolist()] == want
+
+
+# ------------------------------------- one expression against the textbook
+
+OSC = (M.Oscillator(2e31, 3e15, 1e14), M.Oscillator(5e30, 7e15, 3e13))
+TABLE = [(1e13, 50.0), (1e14, 10.0), (1e15, 3.0), (1e16, 1.5)]
+
+
+def _textbook(model, x, imag_axis):
+    """(eps, the largest magnitude among its terms) as the textbook writes
+    each kind, at i x on the imaginary axis or at real x."""
+    wp, gam, oscs = model.omega_p, model.gamma, model.oscillators
+    if imag_axis:
+        drude, plasma = wp ** 2 / (x * (x + gam)), wp ** 2 / x ** 2
+        lorentz = sum(o.strength / (o.center ** 2 + x ** 2 + o.width * x)
+                      for o in oscs)
+    else:
+        drude, plasma = -wp ** 2 / (x * (x + 1j * gam)), -wp ** 2 / x ** 2
+        lorentz = sum(o.strength / (o.center ** 2 - x ** 2 - 1j * o.width * x)
+                      for o in oscs)
+    terms = {M.Kind.INSULATOR: [model.eps0, lorentz],
+             M.Kind.DRUDE: [1.0, drude],
+             M.Kind.PLASMA: [1.0, plasma],
+             M.Kind.GENERALIZED_PLASMA: [1.0, plasma, lorentz]}[model.kind]
+    scale = np.max(np.abs(np.broadcast_arrays(*terms)), axis=0)
+    return sum(terms[1:], terms[0]), scale
+
+
+def _table_textbook(xi):
+    """Log-log interpolation inside TABLE, A/xi below it (drude-like), and
+    1 + C/xi^2 above it."""
+    (x1, e1), (x2, e2), (xn, en) = TABLE[0], TABLE[1], TABLE[-1]
+    a = (e1 - e2) / (1.0 / x1 - 1.0 / x2)
+    inside = np.exp(np.interp(np.log(xi), *np.log(np.array(TABLE).T)))
+    return np.where(xi < x1, e1 + a * (1.0 / xi - 1.0 / x1),
+                    np.where(xi > xn, 1.0 + (en - 1.0) * xn ** 2 / xi ** 2,
+                             inside))
+
+
+def _same_bits(got, want):
+    got = np.asarray(got, dtype=complex)
+    want = np.broadcast_to(np.asarray(want, dtype=complex), got.shape)
+    return got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("model, exact", [
+    (M.insulator(3.0), True), (M.insulator(2.0, OSC[:1]), True),
+    (M.insulator(1.5, OSC), True), (M.drude(1.37e16, 5.32e13), True),
+    (M.drude(1e15, 1e13), True), (M.plasma(1.37e16), False),
+    (M.generalized_plasma(1.37e16, OSC[:1]), False)])
+def test_both_axes_are_the_textbook_expressions(model, exact):
+    # plasma and gplasma may differ from the textbook by 2 ulp of their
+    # largest term (eps itself cancels near its zeros on the real axis);
+    # every other kind gives the textbook's bits
+    xi = np.geomspace(1e9, 1e19, 301)
+    w = np.concatenate([xi, -xi])
+    for x, imag_axis, got in (
+            (xi, True, M.eval_imag_axis(model, xi)),
+            (xi, True, M.eval_epsilon(model, 1j * xi)),
+            (w, False, M.eval_epsilon(model, w))):
+        want, scale = _textbook(model, x, imag_axis)
+        if exact:
+            assert _same_bits(got, want)
+        else:
+            assert np.all(np.abs(got - want) <= 2 * np.spacing(scale))
+    if model.kind is M.Kind.INSULATOR:
+        static = model.eps0 + sum(o.strength / o.center ** 2
+                                  for o in model.oscillators)
+        assert _same_bits(M.static_epsilon(model), static)
+
+
+def test_tabulated_is_the_textbook_interpolation():
+    model = M.tabulated(TABLE, M.Extrapolation.DRUDE_LIKE)
+    xi = np.geomspace(1e11, 1e18, 301)
+    assert _same_bits(M.eval_imag_axis(model, xi), _table_textbook(xi))
+    assert _same_bits(M.eval_epsilon(model, 1j * xi), _table_textbook(xi))
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: M.MaterialModel(M.Kind.PLASMA, omega_p=1e16, gamma=1e13),
+     "gamma"),
+    (lambda: M.MaterialModel(M.Kind.GENERALIZED_PLASMA, omega_p=1e16,
+                             gamma=1e13), "gamma"),
+    (lambda: M.MaterialModel(M.Kind.INSULATOR, eps0=3.0, gamma=1e13),
+     "gamma"),
+    (lambda: M.MaterialModel(M.Kind.IDEAL_METAL, gamma=1e13), "gamma"),
+    (lambda: M.MaterialModel(M.Kind.INSULATOR, eps0=3.0, omega_p=1e16),
+     "omega_p"),
+    (lambda: M.MaterialModel(M.Kind.IDEAL_METAL, omega_p=1e16), "omega_p"),
+    (lambda: M.MaterialModel(M.Kind.TABULATED, omega_p=1e16,
+                             table=tuple(TABLE),
+                             extrapolation=M.Extrapolation.FINITE),
+     "omega_p"),
+    (lambda: M.MaterialModel(M.Kind.DRUDE, omega_p=1e16, gamma=1e13,
+                             oscillators=OSC), "oscillators"),
+    (lambda: M.MaterialModel(M.Kind.PLASMA, omega_p=1e16,
+                             oscillators=OSC[:1]), "oscillators"),
+])
+def test_fields_the_kind_does_not_carry_are_rejected(make, field):
+    # the one expression reads every field, so a stray one would change eps
+    with pytest.raises(ValueError, match=field):
+        make()

@@ -435,6 +435,21 @@ def test_integrate_real_frequency_components_wait_for_every_plateau(
         [W0 * (1.0 - math.exp(-cap / W0)), math.log(1.0 + cap)], rel=1e-7)
 
 
+@pytest.mark.parametrize("g", [_plateau, _both])
+def test_integrate_real_frequency_samples_each_omega_once(g):
+    probed = []
+
+    def spy(w):
+        probed.append(w)
+        return g(w)
+
+    res = Q.integrate_real_frequency(spy, 40.0, 1e-8)
+    # the plateau search halved omega_min from 40/16 some 28 times, and
+    # each halving sampled only the new omega_min
+    assert min(probed) < 40.0 / 16.0 / 2.0 ** 20
+    assert len(set(probed)) == len(probed) == res.evaluations
+
+
 def test_integrate_real_frequency_failing_component_raises():
     def g(w):
         return np.array([math.exp(-w),
@@ -462,7 +477,7 @@ def test_integrate_rows_meets_each_row_target():
     res = Q.integrate_rows(f, 4, 1.0, 1e-10)
     assert not res.failures
     for i, want in enumerate(exact):
-        value, err = res.row(i)
+        value, err = res.values[i], res.errors[i]
         assert value == pytest.approx(want, rel=1e-10)
         # positive rows: Int|f| is the value, so the rounding floor shows
         assert Q.ROUNDING_FLOOR * value <= err <= 1e-10 * value
@@ -484,11 +499,11 @@ def test_integrate_rows_refines_only_failing_rows():
     res = Q.integrate_rows(f, 3, 1.0, 1e-8)
     alone = Q.integrate_rows(smooth, 1, 1.0, 1e-8)
     assert res.panels[0] == Q.ROW_PANELS
-    assert res.row(0)[0] == pytest.approx(1.0, rel=1e-14)
+    assert res.values[0] == pytest.approx(1.0, rel=1e-14)
     assert res.panels[1] == alone.panels[0] < 2 * Q.ROW_PANELS
-    assert res.row(1)[0] == pytest.approx(alone.row(0)[0], rel=1e-15)
+    assert res.values[1] == pytest.approx(alone.values[0], rel=1e-15)
     assert res.panels[2] > 30
-    assert res.row(2)[0] == pytest.approx(
+    assert res.values[2] == pytest.approx(
         math.pi / 2.0 + math.atan(30.0 / w), rel=1e-8)
 
 
@@ -502,9 +517,9 @@ def test_integrate_rows_budget_fails_only_its_row():
     res = Q.integrate_rows(f, 2, 1.0, 1e-12)
     budget = Q.DEFAULT_INTERVAL_BUDGET
     assert list(res.failures) == [1]
-    assert res.row(0)[0] == pytest.approx(1.0, rel=1e-12)
+    assert res.values[0] == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(Q.NoConvergence, match=f"exhausted: {budget} panels"):
-        res.row(1)
+        raise res.failures[1]
     assert res.panels[1] == budget
 
 
@@ -513,8 +528,8 @@ def test_integrate_rows_non_finite_row_fails():
         lambda rows, k: np.where(rows == 0, np.nan, np.exp(-k)), 2, 1.0, 1e-8)
     assert list(res.failures) == [0]
     with pytest.raises(Q.NoConvergence, match="non-finite"):
-        res.row(0)
-    assert res.row(1)[0] == pytest.approx(1.0, rel=1e-8)
+        raise res.failures[0]
+    assert res.values[1] == pytest.approx(1.0, rel=1e-8)
 
 
 def _components(*fs):
@@ -574,10 +589,10 @@ def test_integrate_rows_component_failures_keep_their_keys(monkeypatch):
     res = Q.integrate_rows(_components(smooth, nan_row_1), 3, 1.0, 1e-8)
     assert list(res.failures) == [3 + 1]
     with pytest.raises(Q.NoConvergence, match="non-finite"):
-        res.row(4)
+        raise res.failures[4]
     assert np.all(res.panels == Q.ROW_PANELS)
     for j in (0, 1, 2, 3, 5):
-        assert res.row(j)[0] == pytest.approx(1.0, rel=1e-8)
+        assert res.values[j] == pytest.approx(1.0, rel=1e-8)
 
     # row 2's component 0 needs more panels than the budget allows
     budget, w = 40, 1e-9
@@ -590,10 +605,10 @@ def test_integrate_rows_component_failures_keep_their_keys(monkeypatch):
     res = Q.integrate_rows(_components(peak_row_2, smooth), 3, 1.0, 1e-12)
     assert list(res.failures) == [0 * 3 + 2]
     with pytest.raises(Q.NoConvergence, match=f"exhausted: {budget} panels"):
-        res.row(2)
+        raise res.failures[2]
     assert list(res.panels) == 2 * [Q.ROW_PANELS, Q.ROW_PANELS, budget]
     for j in (0, 1, 3, 4):
-        assert res.row(j)[0] == pytest.approx(1.0, rel=1e-12)
+        assert res.values[j] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_integrate_rows_budget_keeps_the_missing_components_largest_errors(
