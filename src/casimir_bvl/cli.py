@@ -83,13 +83,14 @@ def _is_str(v):
     return isinstance(v, str)
 
 
-#: Number fields each subcommand reads from a config file.
-_NUMBER_FIELDS = {"pressure": ("d", "T"), "sweep": ("d", "T"),
-                  "bvl-check": ("d", "T", "z"), "reflect": ()}
-#: Every other field it reads besides subcommand, materials and output.
-_OTHER_FIELDS = {"pressure": ("method", "rel_tol"),
-                 "sweep": ("method", "rel_tol", "sweep"),
-                 "bvl-check": (), "reflect": ("probe",)}
+#: Every top-level field each subcommand reads from a config file.
+_READS = {
+    "pressure": ("subcommand", "materials", "d", "T", "method", "rel_tol",
+                 "output"),
+    "sweep": ("subcommand", "materials", "d", "T", "method", "rel_tol",
+              "sweep", "output"),
+    "bvl-check": ("subcommand", "materials", "d", "T", "z", "output"),
+    "reflect": ("subcommand", "materials", "probe", "output")}
 
 
 def _check_object(value, name, spec):
@@ -112,10 +113,9 @@ def _check_fields(config):
     """ConfigParse naming the first field the subcommand reads that is
     missing or has the wrong JSON type."""
     sc = config.subcommand
-    if sc not in _NUMBER_FIELDS:
+    if sc not in _READS:
         raise ConfigParse(f"unknown subcommand {sc!r}")
-    reads = {"subcommand", "materials", "output", *_NUMBER_FIELDS[sc],
-             *_OTHER_FIELDS[sc]}
+    reads = _READS[sc]
     for name, value in config.to_dict().items():
         # every output echoes the default method
         if name not in reads and (name, value) != ("method", "matsubara"):
@@ -126,8 +126,8 @@ def _check_fields(config):
             and all(map(_is_str, config.materials))):
         raise ConfigParse(f"{sc} needs 'materials' to be a list of {n} "
                           f"material spec strings, got {config.materials!r}")
-    for name in _NUMBER_FIELDS[sc]:
-        if not _is_number(getattr(config, name)):
+    for name in ("d", "T", "z"):
+        if name in reads and not _is_number(getattr(config, name)):
             raise ConfigParse(f"{sc} needs a number for {name!r}, "
                               f"got {getattr(config, name)!r}")
     if not (config.rel_tol is None or _is_number(config.rel_tol)):

@@ -196,7 +196,9 @@ def eval_epsilon(model, w):
 
 
 def eval_imag_axis(model, xi):
-    """eps(i xi) as a float ndarray of the shape of an ndarray xi > 0.
+    """eps(i xi) as a float ndarray of the shape of an ndarray xi > 0;
+    an insulator, which divides by no xi, also takes xi = 0 (its
+    :func:`static_epsilon`).
 
     One array pass of eps_b + omega_p^2/(xi (xi + gamma)) + sum_j g_j/(w_j^2
     + xi^2 + gamma_j xi), eps_b = eps0 for an insulator and 1 for a metal

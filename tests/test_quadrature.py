@@ -498,6 +498,7 @@ def test_integrate_rows_refines_only_failing_rows():
 
     res = Q.integrate_rows(f, 3, 1.0, 1e-8)
     alone = Q.integrate_rows(smooth, 1, 1.0, 1e-8)
+    assert not res.failures and not alone.failures
     assert res.panels[0] == Q.ROW_PANELS
     assert res.values[0] == pytest.approx(1.0, rel=1e-14)
     assert res.panels[1] == alone.panels[0] < 2 * Q.ROW_PANELS
