@@ -22,6 +22,14 @@ each, and ``materials.eval_epsilon`` at the five imaginary frequencies.
 Each value enters as the ``repr`` of a Python complex, so the total reads
 the bits of the values and not their Python or numpy types.
 
+A fourth total, ``cli-total``, digests the text of ``cli.main`` (exit code,
+standard output and standard error) on a fixed list of argvs: ``pressure``
+with JSON and with CSV output, ``sweep`` with JSON and with CSV output (the
+CSV one with a gap that fails), ``bvl-check`` on each of the six models, and
+the argvs of ``tests/cli_texts.json``, which cover help, usage and error
+texts.  An argparse exit counts as the exit code its ``SystemExit`` carries,
+and help is formatted 80 columns wide.
+
 Usage:
     python3 scripts/route_digest.py [--src DIR] | grep total
     python3 scripts/route_digest.py [--src DIR] --against OTHER_SRC
@@ -43,7 +51,9 @@ axis and in the static limit.  It runs ``pressure_real_frequency`` on
 both packages for a low-omega_p Drude pair (1e15, 1e13 rad/s) at 1 um
 and 300 K, about 4 s each, and prints |dP| over the ``error_estimate`` of
 the OTHER_SRC package and the relative moves of the pressure, the
-evanescent part and the propagating part.  It exits 1 if any n_max,
+evanescent part and the propagating part.  It lists the ``cli-total``
+argvs whose text differs, with the first line that differs.  It exits 1 if
+any n_max,
 failure message or verdict differs, if any static-limit entry or any
 r_bar moves, or if either package's evanescent + propagating misses its
 real-frequency pressure by more than 1e-12 of |evanescent| +
@@ -57,7 +67,9 @@ import hashlib
 import importlib
 import io
 import itertools
+import json
 import math
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -77,6 +89,8 @@ REFLECT_PROBES = (["--xi", "1e12"], ["--xi", "1e14"], ["--xi", "1e16"],
 REFLECT_KPERP = "1e3:1e9:61"
 #: Imaginary frequencies [rad/s] of the scalar calls.
 SCALAR_XI = (1e10, 1e12, 1e14, 1e16, 1e18)
+#: The argv table of tests/test_cli.py, whose argvs ``cli-total`` runs too.
+CLI_TEXTS = Path(__file__).resolve().parents[1] / "tests" / "cli_texts.json"
 
 
 def models(M):
@@ -127,21 +141,69 @@ def reflect_specs(M, table_path):
     }
 
 
+def cli_text(cli, argv, table_path):
+    """Exit code, standard output and standard error of ``cli.main(argv)``
+    in this process, with the table path written as ``<table>``.
+
+    An argparse exit gives the code of its ``SystemExit``; help is
+    formatted for 80 columns, whatever the terminal.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
+    text = f"exit {code}\n{out.getvalue()}{err.getvalue()}"
+    return text.replace(str(table_path), "<table>")
+
+
 def reflect_cases(cli, specs, table_path):
     """(label, thunk) of every reflect table; the thunk returns its text."""
-
-    def run(argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
-        text = f"exit {code}\n{out.getvalue()}{err.getvalue()}"
-        return text.replace(str(table_path), "<table>")
-
     for name, spec in specs.items():
         for flags in REFLECT_PROBES:
             argv = ["reflect", "--mat", spec, *flags, "--kperp", REFLECT_KPERP]
             yield (f"reflect {name} {' '.join(flags)}",
-                   lambda argv=argv: run(argv))
+                   lambda argv=argv: cli_text(cli, argv, table_path))
+
+
+def cli_argvs(specs):
+    """The argvs of ``cli-total``, in a fixed order."""
+    drude, plasma = specs["drude"], specs["plasma"]
+    argvs = [
+        ["pressure", "--mat1", drude, "--mat2", plasma, "--d", "1e-6",
+         "--T", "300"],
+        ["pressure", "--mat1", specs["gplasma"], "--mat2", specs["table"],
+         "--d", "2e-6", "--T", "77", "--format", "csv"],
+        ["sweep", "--mat1", drude, "--mat2", drude, "--d", "1e-6", "--T",
+         "300", "--sweep-param", "T", "--sweep-from", "77", "--sweep-to",
+         "300", "--sweep-points", "3", "--format", "json"],
+        # the sum of the first gap stops at the index ceiling
+        ["sweep", "--mat1", "ideal", "--mat2", "ideal", "--d", "1e-6", "--T",
+         "300", "--sweep-param", "d", "--sweep-from", "3e-7", "--sweep-to",
+         "1e-5", "--sweep-points", "5"],
+    ]
+    argvs += [["bvl-check", "--mat", spec, "--d", "1e-6", "--T", "300",
+               "--z", "1e-7"] for spec in specs.values()]
+    table = json.loads(CLI_TEXTS.read_text())
+    return argvs + [row["argv"] for row in table]
+
+
+def cli_cases(cli, specs, table_path):
+    """(label, thunk) of every ``cli-total`` argv; the thunk returns its
+    text."""
+    for argv in cli_argvs(specs):
+        label = " ".join(argv).replace(str(table_path), "<table>")
+        yield (f"cli {label}",
+               lambda argv=argv: cli_text(cli, argv, table_path))
 
 
 def scalar_cases(F, M):
@@ -200,6 +262,27 @@ def coefficient_entries(pkg):
             for i, name in enumerate(COEFFICIENTS):
                 out[axis, name] += values[i::3]
     return out
+
+
+def cli_texts(pkg):
+    """Label -> text of every ``cli-total`` case of pkg."""
+    with tempfile.TemporaryDirectory() as tmp:
+        table_path = Path(tmp) / "eps.dat"
+        specs = reflect_specs(pkg.materials, table_path)
+        return {label: thunk()
+                for label, thunk in cli_cases(pkg.cli, specs, table_path)}
+
+
+def compare_cli(new, old):
+    """Print the ``cli-total`` argvs whose text differs, with the first
+    line that differs."""
+    differ = [label for label in old if new[label] != old[label]]
+    print(f"cli: {len(differ)} of {len(old)} argvs print other text")
+    for label in differ:
+        pairs = itertools.zip_longest(new[label].splitlines(),
+                                      old[label].splitlines(), fillvalue="")
+        a, b = next((a, b) for a, b in pairs if a != b)
+        print(f"  {label}\n    new {a}\n    old {b}")
 
 
 def relative_move(a, b):
@@ -362,13 +445,14 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.against is not None:
         pkg = load(args.src)
-        new, new_r, new_f = (outcomes(pkg), coefficient_entries(pkg),
-                             real_frequency(pkg))
+        new, new_r, new_c, new_f = (outcomes(pkg), coefficient_entries(pkg),
+                                    cli_texts(pkg), real_frequency(pkg))
         pkg = load(args.against)
-        old, old_r, old_f = (outcomes(pkg), coefficient_entries(pkg),
-                             real_frequency(pkg))
+        old, old_r, old_c, old_f = (outcomes(pkg), coefficient_entries(pkg),
+                                    cli_texts(pkg), real_frequency(pkg))
         bad = compare(new, old)
         bad += compare_coefficients(new_r, old_r)
+        compare_cli(new_c, old_c)
         bad += compare_real_frequency(new_f, old_f)
         sys.exit(1 if bad else 0)
     pkg = load(args.src)
@@ -380,7 +464,9 @@ def main(argv=None):
         table_path = Path(tmp) / "eps.dat"
         specs = reflect_specs(pkg.materials, table_path)
         total, n = digest_all(reflect_cases(pkg.cli, specs, table_path))
-    print(f"reflect-total {total}  ({n} tables, package at {where})")
+        print(f"reflect-total {total}  ({n} tables, package at {where})")
+        total, n = digest_all(cli_cases(pkg.cli, specs, table_path))
+    print(f"cli-total {total}  ({n} argvs, package at {where})")
     total, n = digest_all(scalar_cases(pkg.fresnel, pkg.materials))
     print(f"scalar-total {total}  ({n} cases, package at {where})")
 

@@ -242,6 +242,25 @@ def test_reflect_real_axis_rows_are_the_array_call_row_by_row(spec, capsys):
                     if not l.startswith(("#", "k_"))] == want
 
 
+#: argv, exit code, standard output and standard error of cli.main for the
+#: help of every subcommand and the usage and error texts, with help 80
+#: columns wide; scripts/route_digest.py runs these argvs too.
+CLI_TEXTS = json.loads(
+    (pathlib.Path(__file__).parent / "cli_texts.json").read_text())
+
+
+@pytest.mark.parametrize("row", CLI_TEXTS,
+                         ids=lambda row: " ".join(row["argv"]) or "none")
+def test_cli_texts_byte_for_byte(row, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = cli.main(list(row["argv"]))
+    except SystemExit as exc:     # argparse's help and usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (row["exit"], row["stdout"], row["stderr"])
+
+
 def test_table_rows_tell_signed_zeros_apart():
     cols = [np.array([1.0, 2.0, 3.0]), np.array([0.0, -0.0, 0.0]),
             np.full(3, -0.0), np.zeros(3), np.full(3, 0.5)]
