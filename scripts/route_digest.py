@@ -43,8 +43,8 @@ is sound.  ``--against OTHER_SRC`` then runs the pressure and verdict cases
 on both packages and prints the cases whose n_max, failure message or
 verdict differ, the largest |dP| over the ``error_estimate`` of the
 OTHER_SRC package and over |P|, the cases whose n = 0 terms moved, and
-the largest relative move of each verdict's ``b_correlator_norm`` and
-``cavity_classical_te``.  It also compares the entries of the reflect
+the largest relative move of each verdict's ``b_correlator_norm``,
+``e_limit_exponent`` and ``cavity_classical_te``.  It also compares the entries of the reflect
 tables and of the scalar reflection calls one by one, and prints the
 largest relative move of r_te, r_tm and r_bar, apart on the imaginary
 axis and in the static limit.  It runs ``pressure_real_frequency`` on
@@ -231,7 +231,8 @@ def scalar_cases(F, M):
 #: real-frequency pressure --against compares.
 REALFREQ_CASE = (1e15, 1e13, 1e-6, 300.0)
 #: The numbers of a verdict that --against compares, apart from the verdict.
-VERDICT_FIELDS = ("b_correlator_norm", "cavity_classical_te")
+VERDICT_FIELDS = ("b_correlator_norm", "e_limit_exponent",
+                  "cavity_classical_te")
 #: The coefficients of a reflection set, in the order of its columns.
 COEFFICIENTS = ("r_te", "r_tm", "r_bar")
 

@@ -191,6 +191,70 @@ def parse_material(spec):
         raise ConfigParse(f"bad material spec {spec!r}: {exc}") from None
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x):
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
+
+
+#: JSON text of a scalar, by exact type.
+_JSON_SCALARS = {str: _ESCAPE, float: _json_float, np.float64: _json_float,
+                 int: int.__repr__, bool: lambda b: "true" if b else "false",
+                 type(None): lambda _: "null"}
+
+
+def _json(value):
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
+    dicts with str keys, lists, tuples, str, int, bool, None and floats.
+
+    json falls back to its pure-Python encoder whenever ``indent`` is set;
+    this writer does the same work in one recursive pass.
+    """
+    parts = []
+    _json_parts(value, "\n", parts)
+    return "".join(parts)
+
+
+def _json_parts(value, pad, parts):
+    """Append the JSON text of value to the list parts; pad is the newline
+    and indentation that precede its closing bracket."""
+    scalar = _JSON_SCALARS.get(type(value))
+    if scalar is not None:
+        parts.append(scalar(value))
+        return
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            parts.append(f"{sep}{_ESCAPE(key)}: ")
+            _json_parts(item, inner, parts)
+            sep = "," + inner
+        parts.append(pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            _json_parts(item, inner, parts)
+            sep = "," + inner
+        parts.append(pad + "]")
+    else:
+        for kind in (str, int, float):  # subclasses; bool has its own entry
+            if isinstance(value, kind):
+                parts.append(_JSON_SCALARS[kind](value))
+                return
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        f"is not JSON serializable")
+
+
 def _emit(lines, output):
     text = "\n".join(lines) + "\n"
     if output and output.get("path"):
@@ -245,7 +309,7 @@ def run_pressure(config):
     fmt = (config.output or {}).get("format", "json")
     if fmt == "json":
         doc = {"config": config.to_dict(), "result": _pressure_payload(result)}
-        _emit([json.dumps(doc, indent=2, sort_keys=True)], config.output)
+        _emit([_json(doc)], config.output)
     else:
         lines = _config_comments(config)
         lines.append("n,te_pa,tm_pa")
@@ -309,7 +373,7 @@ def run_sweep(config):
                 result.append({param: v, **_pressure_payload(r)})
                 result[-1].pop("per_n")
         doc = {"config": config.to_dict(), "result": result}
-        _emit([json.dumps(doc, indent=2, sort_keys=True)], config.output)
+        _emit([_json(doc)], config.output)
     else:
         lines = _config_comments(config)
         lines.append(f"{param},pressure_pa,error_estimate_pa,"
@@ -340,7 +404,7 @@ def run_bvl_check(config):
         "reference_scale": report.reference_scale,
         "verdict": report.verdict.value,
     }
-    _emit([json.dumps(doc, indent=2, sort_keys=True)], config.output)
+    _emit([_json(doc)], config.output)
     return 0
 
 
@@ -396,9 +460,14 @@ def _table_rows(columns):
     return [template % row for row in zip(*varying)]
 
 
-@functools.cache
 def build_parser():
     """The argument parser, built once per process; parsing leaves it as is."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers():
+    """(the top-level parser, subcommand -> its parser), built once."""
     parser = argparse.ArgumentParser(
         prog="casimir-bvl",
         description="Casimir pressure between plane-parallel slabs and "
@@ -450,7 +519,26 @@ def build_parser():
     p.add_argument("--kperp", required=True,
                    help="value, comma list, or lo:hi:points")
     p.add_argument("--output")
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv):
+    """The namespace of argv; argparse prints usage and exits on an error.
+
+    A subcommand's own parser parses its arguments once; the top-level
+    parser handles help, a missing or unknown subcommand and the arguments
+    that the subcommand's parser leaves, in the words it would use when it
+    hands the arguments on itself.
+    """
+    parser, subparsers = _parsers()
+    sub = subparsers.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.subcommand = argv[0]
+    return args
 
 
 def _config_from_args(args):
@@ -501,7 +589,7 @@ def main(argv=None):
             with open(argv[1]) as fh:
                 config = RunConfig.from_dict(json.load(fh))
         else:
-            args = build_parser().parse_args(argv)
+            args = _parse_args(argv)
             config = _config_from_args(args)
         return _DISPATCH[config.subcommand](config)
     except (ConfigParse, ValueError, OSError, json.JSONDecodeError,

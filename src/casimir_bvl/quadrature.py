@@ -483,12 +483,34 @@ def polylog3(R):
                       -mu2 * mu / 12.0, tail * mu2 * mu2))
 
 
-def fit_power_law(points):
-    """Least-squares slope of log y versus log x.
+def power_law_slopes(x, y):
+    """Least-squares slope of log y against log x for each row of y.
 
-    points is a sequence of (x, y) pairs or an (n, 2) array.  The slope is
-    the centred closed form sum(dx dy)/sum(dx^2), dx and dy the deviations
-    of log x and log y from their means.
+    x holds n positive abscissae and y an (rows, n) array of positive
+    ordinates.  The slope is the centred closed form sum(dx dy)/sum(dx^2),
+    dx and dy the deviations of log x and of each row of log y from their
+    means.
+
+    Returns
+    -------
+    (slopes, dx, dy)
+    """
+    if (x <= 0).any() or (y <= 0).any():
+        raise NonPositiveData("power-law fit needs positive coordinates")
+    lx, ly = np.log(x), np.log(y)
+    dx = lx - lx.sum() / lx.size
+    dy = ly - ly.sum(axis=1, keepdims=True) / lx.size
+    sxx = float(dx @ dx)
+    if sxx == 0.0:
+        raise DegenerateSweep("power-law fit needs distinct x")
+    return dy @ dx / sxx, dx, dy
+
+
+def fit_power_law(points):
+    """Least-squares slope of log y versus log x, by
+    :func:`power_law_slopes` on one row.
+
+    points is a sequence of (x, y) pairs or an (n, 2) array.
 
     Returns
     -------
@@ -497,14 +519,8 @@ def fit_power_law(points):
     if len(points) < 3:
         raise DegenerateSweep("power-law fit needs at least 3 points")
     xs, ys = np.asarray(points, dtype=float).T
-    if (xs <= 0).any() or (ys <= 0).any():
-        raise NonPositiveData("power-law fit needs positive coordinates")
-    lx, ly = np.log(xs), np.log(ys)
-    dx, dy = lx - lx.sum() / lx.size, ly - ly.sum() / ly.size
-    sxx = float(dx @ dx)
-    if sxx == 0.0:
-        raise DegenerateSweep("power-law fit needs distinct x")
-    slope = float(dx @ dy) / sxx
+    (slope,), dx, (dy,) = power_law_slopes(xs, ys[None])
+    slope = float(slope)
     ss_res = float(np.sum((dy - slope * dx) ** 2))
     ss_tot = float(dy @ dy)
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot

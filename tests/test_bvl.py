@@ -110,6 +110,25 @@ def test_e_limit_exponent_ideal_metal():
     assert exponent == pytest.approx(2.0, abs=1e-9)
 
 
+#: e_limit_exponent of bvl_verdict at d = 1 um, T = 300 K and the probe
+#: distances 0.1 um and 10 um; perfbench's cli-mixed oracle never reads it.
+E_LIMIT_PINS = {
+    "insulator": (INSULATOR, 2.0000135285447644, 2.0000135285447644),
+    "drude": (DRUDE, 1.9091247620726275, 1.5856641287911808),
+    "plasma": (PLASMA, 2.000001652455583, 2.0000000169155134),
+    "gplasma": (GPLASMA, 2.0000014766108367, 2.000000016915333),
+    "ideal": (IDEAL, 2.0, 1.9999999999999998),
+}
+
+
+@pytest.mark.parametrize("name", list(E_LIMIT_PINS))
+def test_verdict_e_limit_exponent_pinned(name):
+    model, *pins = E_LIMIT_PINS[name]
+    for z, pin in zip((1e-7, 1e-5), pins):
+        got = B.bvl_verdict(model, 1e-6, 300.0, z).e_limit_exponent
+        assert got == pytest.approx(pin, rel=1e-12, abs=0.0), z
+
+
 def test_e_limit_exponent_guards():
     with pytest.raises(DegenerateSweep):
         B.e_correlator_limit_exponent(PLASMA, 1e7, [1e12, 1e11, 1e10])
@@ -174,3 +193,8 @@ def test_piece_zero_at_some_frequencies_still_raises():
     assert B._vanishing_rate(omega, omega ** 2) == pytest.approx(2.0)
     with pytest.raises(NonPositiveData):
         B._vanishing_rate(omega, np.where(omega < 1e11, 0.0, omega))
+    # several pieces: the smallest rate of those not 0 at every omega
+    assert B._vanishing_rate(omega, omega ** 3, np.zeros(6),
+                             omega ** 2) == pytest.approx(2.0)
+    with pytest.raises(NonPositiveData):
+        B._vanishing_rate(omega, omega, np.where(omega < 1e11, 0.0, omega))

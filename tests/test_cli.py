@@ -12,6 +12,8 @@ import sys
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from casimir_bvl import cli
 from casimir_bvl import fresnel as F
@@ -270,6 +272,19 @@ def test_table_rows_tell_signed_zeros_apart():
     assert "-0.00000000000000000e+00" in want[1].split(",")[1]
     assert cli._table_rows([np.full(2, -0.0), np.ones(2)]) == \
         ["-0.00000000000000000e+00,1.00000000000000000e+00"] * 2
+
+
+_JSON_SCALARS = st.one_of(
+    st.text(), st.integers(), st.booleans(), st.none(), st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf]))
+
+
+@given(st.recursive(_JSON_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.tuples(inner, inner),
+    st.dictionaries(st.text(), inner, max_size=4)), max_leaves=24))
+def test_json_writer_is_indented_sorted_json_dumps(doc):
+    assert cli._json(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
 def test_config_dict_is_the_asdict_view():
