@@ -264,10 +264,16 @@ def _emit(lines, output):
         sys.stdout.write(text)
 
 
+#: Compact JSON text of one config value.
+_COMPACT_JSON = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def _config_comments(config):
+    """The config of a CSV report as "# key = value" lines, each value in
+    compact JSON, so the lines give back a ``--config`` document."""
     out = ["# casimir-bvl report"]
     for key, val in sorted(config.to_dict().items()):
-        out.append(f"# {key} = {val}")
+        out.append(f"# {key} = {_COMPACT_JSON(val)}")
     return out
 
 
@@ -593,7 +599,8 @@ def main(argv=None):
             config = _config_from_args(args)
         return _DISPATCH[config.subcommand](config)
     except (ConfigParse, ValueError, OSError, json.JSONDecodeError,
-            materials.MaterialError, fresnel.ZeroFrequency) as exc:
+            materials.MaterialError, fresnel.ZeroFrequency,
+            bvl.SurfaceContact) as exc:
         print(f"casimir-bvl: config error: {exc}", file=sys.stderr)
         return 2
     except quadrature.QuadratureError as exc:

@@ -1,6 +1,5 @@
 """Command-line interface: material grammar, subcommands, emission formats."""
 
-import ast
 import dataclasses
 import json
 import math
@@ -168,11 +167,11 @@ def test_main_calls_share_the_parser_and_carry_no_state(capsys):
     reflect = ["reflect", "--mat", DRUDE, "--kperp", "1e6"]
     code, out, _ = main_in_process(capsys, *reflect, "--xi", "1e14")
     assert code == 0
-    assert "# probe = {'axis': 'xi', 'value': 100000000000000.0, " \
-           "'kperp': '1e6'}" in out.splitlines()
+    assert '# probe = {"axis":"xi","value":100000000000000.0,' \
+           '"kperp":"1e6"}' in out.splitlines()
     code, out, _ = main_in_process(capsys, *reflect, "--static")
     assert code == 0
-    assert "# probe = {'axis': 'static', 'kperp': '1e6'}" in out.splitlines()
+    assert '# probe = {"axis":"static","kperp":"1e6"}' in out.splitlines()
     assert out.splitlines()[-1] == _per_k_rows(
         cli.parse_material(DRUDE), "static", None, [1e6])[-1]
 
@@ -199,6 +198,8 @@ def test_main_calls_share_the_parser_and_carry_no_state(capsys):
       "--kperp", "1e6"], "finite"),
     (["bvl-check", "--mat", "drude:1e16,inf", "--d", "1e-6", "--T", "300",
       "--z", "1e-7"], "finite"),
+    (["bvl-check", "--mat", "plasma:1e16", "--d", "1e-6", "--T", "300",
+      "--z", "4e-13"], "z + z' below 1e-12 m"),
     (["reflect", "--mat", DRUDE, "--xi", "1e14", "--kperp", "1e3:inf:3"],
      "finite positive ends"),
     (["reflect", "--mat", DRUDE, "--xi", "1e14", "--kperp=-1e3:1e6:3"],
@@ -513,12 +514,10 @@ def test_echoed_config_parses_back(argv, tmp_path, capsys):
     code, out, _ = main_in_process(capsys, *argv)
     assert code == 0
     if argv[0] == "reflect":
-        # CSV: one "# key = value" comment per field, a string value bare
-        # and lists and dicts as Python literals
+        # CSV: one "# key = value" comment per field, the value in JSON
         echoed = dict(line[2:].split(" = ", 1)
                       for line in out.splitlines()[1:] if " = " in line)
-        echoed = {k: v if k in ("subcommand", "method") else
-                  ast.literal_eval(v) for k, v in echoed.items()}
+        echoed = {k: json.loads(v) for k, v in echoed.items()}
     else:
         echoed = json.loads(out)["config"]
     config = cli.RunConfig.from_dict(echoed)
