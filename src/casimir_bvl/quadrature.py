@@ -167,9 +167,20 @@ def adaptive_gk(f, a, b, rel_tol):
     estimate adds ROUNDING_FLOOR times the integral of |f|, and the count
     takes every point f was called on.
     """
+    return _gk_row(f, _gk_seeds(float(a), float(b)), rel_tol, 0.01,
+                   DEFAULT_INTERVAL_BUDGET)
+
+
+@functools.lru_cache(maxsize=128)
+def _gk_seeds(a, b):
+    """Read-only :func:`_seed_panels` of GK_SEED_PANELS equal panels of
+    [a, b], built once per (a, b): the callers integrate over [0, 1], and
+    the set-up would otherwise be a large part of a short call."""
     with np.errstate(invalid="ignore"):     # an infinite bound gives NaN
-        edges = np.linspace(a, b, GK_SEED_PANELS + 1)
-    return _gk_row(f, edges, rel_tol, 0.01, DEFAULT_INTERVAL_BUDGET)
+        seeds = _seed_panels(np.linspace(a, b, GK_SEED_PANELS + 1))
+    for arr in seeds:
+        arr.flags.writeable = False
+    return seeds
 
 
 def _check_mapping(scale, rel_tol):
@@ -374,33 +385,39 @@ def composite_gk(f, edges, rel_tol, floor_frac=0.01):
     floor_frac : float
         Weight of the integral-of-|f| term in the tolerance floor.
     """
-    return IntegralResult(*_gk_row(f, edges, rel_tol, floor_frac,
-                                   COMPOSITE_PANEL_BUDGET))
+    return IntegralResult(*_gk_row(f, _seed_panels(edges), rel_tol,
+                                   floor_frac, COMPOSITE_PANEL_BUDGET))
 
 
-def _gk_row(f, edges, rel_tol, floor_frac, budget):
-    """(value, error_estimate, evaluations) of a vectorized f over the
-    panels between consecutive edges, refined by :func:`_refine` as one
-    row of at most ``budget`` panels; arrays of P entries for an f of P
-    components.  The first failed component's NoConvergence is raised."""
+def _seed_panels(edges):
+    """:func:`_panels` of one row, a panel between each two consecutive
+    edges; ValueError unless the edges are finite and strictly
+    increasing, with at least two of them."""
     edges = np.asarray(edges, dtype=float)
     a, b = edges[:-1], edges[1:]
     if a.size < 1 or not np.isfinite(edges).all() or np.any(b <= a):
         raise ValueError("edges must be finite and strictly increasing "
                          "with >= 2 entries")
+    return _panels(np.zeros(a.size, dtype=int), a, b)
+
+
+def _gk_row(f, seeds, rel_tol, floor_frac, budget):
+    """(value, error_estimate, evaluations) of a vectorized f over the
+    :func:`_seed_panels` seeds, refined by :func:`_refine` as one row of
+    at most ``budget`` panels; arrays of P entries for an f of P
+    components.  The first failed component's NoConvergence is raised."""
 
     def sample(rows, x):
         return np.asarray(f(x.ravel()), dtype=float).reshape((-1,) + x.shape)
 
-    res = _refine(sample, 1, _panels(np.zeros(a.size, dtype=int), a, b),
-                  rel_tol, floor_frac, budget)
+    res = _refine(sample, 1, seeds, rel_tol, floor_frac, budget)
     if res.failures:
         raise res.failures[min(res.failures)]
     value, error = res.values, res.errors
     if value.size == 1:
         value, error = float(value[0]), float(error[0])
     # every bisection adds one panel and evaluates two
-    return value, error, _XGK.size * (2 * int(res.panels[0]) - a.size)
+    return value, error, _XGK.size * (2 * int(res.panels[0]) - seeds[0].size)
 
 
 def matsubara_ceiling(d, T):

@@ -112,6 +112,21 @@ def test_adaptive_gk_counts_every_point_it_samples():
     assert nev == sum(sizes)
 
 
+def test_adaptive_gk_is_composite_gk_on_cached_seed_panels():
+    # the seed panels of [a, b] are built once and shared read-only; every
+    # call gives the bits of composite_gk on the same edges
+    def f(x):
+        return np.cos(200.0 * x)
+
+    for a, b in ((0.0, 1.0), (0, 1), (-2.0, 3.0)):
+        edges = np.linspace(a, b, Q.GK_SEED_PANELS + 1)
+        want = Q.composite_gk(f, edges, 1e-10)
+        for _ in range(2):
+            assert Q.adaptive_gk(f, a, b, 1e-10) == (
+                want.value, want.error_estimate, want.evaluations)
+    assert not any(arr.flags.writeable for arr in Q._gk_seeds(0.0, 1.0))
+
+
 def _reported_error(exc):
     """The error estimate a NoConvergence message reports."""
     return float(str(exc).split("error ")[1].split()[0].rstrip(","))
@@ -334,7 +349,7 @@ def test_composite_gk_bad_edges():
             Q.composite_gk(lambda x: x, edges, 1e-8)
     # adaptive_gk's seed panels of [a, b] go through the same check
     for a, b in ((1.0, 0.5), (1.0, 1.0), (0.0, math.nan), (-math.inf, 0.0),
-                 (0.0, math.inf)):
+                 (0.0, math.inf)) * 2:     # a second call is no cache hit
         with pytest.raises(ValueError, match="edges"):
             Q.adaptive_gk(lambda x: x, a, b, 1e-8)
 
