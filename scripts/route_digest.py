@@ -38,26 +38,24 @@ Usage:
 default it is the one of this checkout, so the script can be pointed at
 another checkout to compare the two.
 
-A change that moves values within tolerance moves ``total`` even when it
-is sound.  ``--against OTHER_SRC`` then runs the pressure and verdict cases
-on both packages and prints the cases whose n_max, failure message or
-verdict differ, the largest |dP| over the ``error_estimate`` of the
-OTHER_SRC package and over |P|, the cases whose n = 0 terms moved, and
-the largest relative move of each verdict's ``b_correlator_norm``,
-``e_limit_exponent`` and ``cavity_classical_te``.  It also compares the entries of the reflect
+A change that moves values within tolerance moves ``total`` even when it is
+sound.  ``--against OTHER_SRC`` then runs the pressure and verdict cases on
+both packages and prints the cases whose n_max, failure message or verdict
+differ, the largest |dP| over the ``error_estimate`` of the OTHER_SRC
+package and over |P|, the cases whose n = 0 terms moved, and the largest
+relative move of each verdict's ``b_correlator_norm``, ``e_limit_exponent``
+and ``cavity_classical_te``.  It also compares the entries of the reflect
 tables and of the scalar reflection calls one by one, and prints the
-largest relative move of r_te, r_tm and r_bar, apart on the imaginary
-axis and in the static limit.  It runs ``pressure_real_frequency`` on
-both packages for a low-omega_p Drude pair (1e15, 1e13 rad/s) at 1 um
-and 300 K, about 4 s each, and prints |dP| over the ``error_estimate`` of
-the OTHER_SRC package and the relative moves of the pressure, the
-evanescent part and the propagating part.  It lists the ``cli-total``
-argvs whose text differs, with the first line that differs.  It exits 1 if
-any n_max,
-failure message or verdict differs, if any static-limit entry or any
-r_bar moves, or if either package's evanescent + propagating misses its
-real-frequency pressure by more than 1e-12 of |evanescent| +
-|propagating|.
+largest relative move of r_te, r_tm and r_bar, apart on the imaginary axis
+and in the static limit.  It runs ``pressure_real_frequency`` on both
+packages for a low-omega_p Drude pair (1e15, 1e13 rad/s) at 1 um and 300 K,
+about 4 s each, and prints |dP| over the ``error_estimate`` of the
+OTHER_SRC package and the relative moves of the pressure, the evanescent
+part and the propagating part.  It lists the ``cli-total`` argvs whose text
+differs, with the first line that differs.  It exits 1 if any n_max,
+failure message or verdict differs, if any static-limit entry or any r_bar
+moves, or if either package's evanescent + propagating misses its
+real-frequency pressure by more than 1e-12 of |evanescent| + |propagating|.
 """
 
 import argparse
@@ -73,6 +71,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -149,19 +148,12 @@ def cli_text(cli, argv, table_path):
     formatted for 80 columns, whatever the terminal.
     """
     out, err = io.StringIO(), io.StringIO()
-    columns = os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = "80"
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:
-                code = exc.code
-    finally:
-        if columns is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = columns
+    with mock.patch.dict(os.environ, COLUMNS="80"), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
     text = f"exit {code}\n{out.getvalue()}{err.getvalue()}"
     return text.replace(str(table_path), "<table>")
 

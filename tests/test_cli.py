@@ -198,8 +198,6 @@ def test_main_calls_share_the_parser_and_carry_no_state(capsys):
       "--kperp", "1e6"], "finite"),
     (["bvl-check", "--mat", "drude:1e16,inf", "--d", "1e-6", "--T", "300",
       "--z", "1e-7"], "finite"),
-    (["bvl-check", "--mat", "plasma:1e16", "--d", "1e-6", "--T", "300",
-      "--z", "4e-13"], "z + z' below 1e-12 m"),
     (["reflect", "--mat", DRUDE, "--xi", "1e14", "--kperp", "1e3:inf:3"],
      "finite positive ends"),
     (["reflect", "--mat", DRUDE, "--xi", "1e14", "--kperp=-1e3:1e6:3"],
@@ -210,6 +208,8 @@ def test_main_calls_share_the_parser_and_carry_no_state(capsys):
     (["sweep", "--mat1", "ideal", "--mat2", "ideal", "--d", "1e-6", "--T",
       "300", "--sweep-param", "T", "--sweep-from", "nan", "--sweep-to",
       "300", "--sweep-points", "3"], "finite positive ends"),
+    (["bvl-check", "--mat", "plasma:1e16", "--d", "1e-6", "--T", "300",
+      "--z", "4e-13"], "z + z' below 1e-12 m"),
 ])
 def test_non_finite_or_empty_input_exits_2(args, names, capsys):
     # tier-1 turns a RuntimeWarning into an error, so none may be raised
