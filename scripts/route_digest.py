@@ -3,7 +3,9 @@
 
 Runs ``pressure_matsubara`` on every unordered pair of six models (21
 pairs) x 7 gaps from 0.3 to 20 um x T in {30, 77, 300} K x rel_tol in
-{1e-9, 1e-6}, and ``bvl_verdict`` on the six models at four geometries.
+{1e-9, 1e-6}, on the nine pairs of the benchmark's matsubara-grid workload
+at d in {1, 2} um x T in {5, 10} K with rel_tol 2e-3 (its long sums), and
+``bvl_verdict`` on the six models at four geometries.
 For each case it prints the SHA-256 of ``repr`` of the result, or of the
 exception's type and message, then one total over all cases.  Two
 checkouts that print the same total give bit-identical results on every
@@ -44,7 +46,9 @@ both packages and prints the cases whose n_max, failure message or verdict
 differ, the largest |dP| over the ``error_estimate`` of the OTHER_SRC
 package and over |P|, the cases whose n = 0 terms moved, and the largest
 relative move of each verdict's ``b_correlator_norm``, ``e_limit_exponent``
-and ``cavity_classical_te``.  It also compares the entries of the reflect
+and ``cavity_classical_te``.  For each package it prints how many
+``integrate_rows`` calls of the pressures took more than one refinement
+round.  It also compares the entries of the reflect
 tables and of the scalar reflection calls one by one, and prints the
 largest relative move of r_te, r_tm and r_bar, apart on the imaginary axis
 and in the static limit.  It runs ``pressure_real_frequency`` on both
@@ -78,6 +82,14 @@ import numpy as np
 GAPS = np.geomspace(0.3e-6, 20e-6, 7)
 TEMPERATURES = (30.0, 77.0, 300.0)
 REL_TOLS = (1e-9, 1e-6)
+#: The material pairs of the benchmark's matsubara-grid workload, and the
+#: (d [m], T [K]) and rel_tol of their long sums.
+LONG_SUM_PAIRS = [("insulator", "insulator"), ("drude", "drude"),
+                  ("plasma", "plasma"), ("gplasma", "gplasma"),
+                  ("ideal", "ideal"), ("table", "table"), ("drude", "plasma"),
+                  ("insulator", "ideal"), ("table", "drude")]
+LONG_SUMS = list(itertools.product((1e-6, 2e-6), (5.0, 10.0)))
+LONG_SUM_REL_TOL = 2e-3
 #: (d [m], T [K], z_probe [m]) of the verdicts.
 VERDICT_GEOMETRIES = [(1e-6, 300.0, 1e-7), (1e-7, 300.0, 1e-8),
                       (1e-5, 77.0, 1e-6), (1e-4, 30.0, 1e-5)]
@@ -117,6 +129,11 @@ def cases(L, M, bvl):
             cfg = L.CavityConfig(m1, m2, float(d), T, tol)
             yield (f"pressure {n1}/{n2} d={d:.4g} T={T:g} rel_tol={tol:g}",
                    lambda cfg=cfg: L.pressure_matsubara(cfg))
+    for (n1, n2), (d, T) in itertools.product(LONG_SUM_PAIRS, LONG_SUMS):
+        cfg = L.CavityConfig(mods[n1], mods[n2], d, T, LONG_SUM_REL_TOL)
+        yield (f"pressure {n1}/{n2} d={d:.4g} T={T:g} "
+               f"rel_tol={LONG_SUM_REL_TOL:g}",
+               lambda cfg=cfg: L.pressure_matsubara(cfg))
     for name, m in mods.items():
         for d, T, z in VERDICT_GEOMETRIES:
             yield (f"bvl {name} d={d:g} T={T:g} z={z:g}",
@@ -364,21 +381,40 @@ def load(src):
     try:
         return argparse.Namespace(**{
             m: importlib.import_module(f"casimir_bvl.{m}")
-            for m in ("bvl", "cli", "fresnel", "lifshitz", "materials")})
+            for m in ("bvl", "cli", "fresnel", "lifshitz", "materials",
+                      "quadrature")})
     finally:
         sys.path.remove(path)
 
 
 def outcomes(pkg):
     """Label -> outcome of every case of :func:`cases`: the result, or the
-    exception's type and message as a string."""
+    exception's type and message as a string; and the refinement rounds of
+    every ``integrate_rows`` call they made, one per integrand sample."""
+    Q = pkg.quadrature
+    original = Q.integrate_rows
+    rounds = []
+
+    def counted(f, *args):
+        rounds.append(0)
+
+        def sampled(rows, k):
+            rounds[-1] += 1
+            return f(rows, k)
+
+        return original(sampled, *args)
+
     out = {}
-    for label, thunk in cases(pkg.lifshitz, pkg.materials, pkg.bvl):
-        try:
-            out[label] = thunk()
-        except Exception as exc:   # a failure is an output too
-            out[label] = f"{type(exc).__name__}: {exc}"
-    return out
+    Q.integrate_rows = counted
+    try:
+        for label, thunk in cases(pkg.lifshitz, pkg.materials, pkg.bvl):
+            try:
+                out[label] = thunk()
+            except Exception as exc:   # a failure is an output too
+                out[label] = f"{type(exc).__name__}: {exc}"
+    finally:
+        Q.integrate_rows = original
+    return out, rounds
 
 
 def compare(new, old):
@@ -443,7 +479,11 @@ def main(argv=None):
         pkg = load(args.against)
         old, old_r, old_c, old_f = (outcomes(pkg), coefficient_entries(pkg),
                                     cli_texts(pkg), real_frequency(pkg))
-        bad = compare(new, old)
+        for name, side in (("new", new), ("old", old)):
+            more = sum(r > 1 for r in side[1])
+            print(f"{name}: {more} of {len(side[1])} integrate_rows calls "
+                  f"took more than one round")
+        bad = compare(new[0], old[0])
         bad += compare_coefficients(new_r, old_r)
         compare_cli(new_c, old_c)
         bad += compare_real_frequency(new_f, old_f)

@@ -595,7 +595,10 @@ def main(argv=None):
             with open(argv[1]) as fh:
                 config = RunConfig.from_dict(json.load(fh))
         else:
-            args = _parse_args(argv)
+            try:
+                args = _parse_args(argv)
+            except SystemExit as exc:   # argparse's help or usage error
+                return exc.code
             config = _config_from_args(args)
         return _DISPATCH[config.subcommand](config)
     except (ConfigParse, ValueError, OSError, json.JSONDecodeError,

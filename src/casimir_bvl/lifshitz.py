@@ -20,20 +20,30 @@ from .materials import (Kind, MaterialError, TabulatedOutOfRange,
 
 #: Default relative tolerance of the transverse-wavenumber integrals.
 KPERP_REL_TOL = 1e-8
-#: Most Matsubara indices, one k_perp row each (TE and TM), per array pass of
-#: the kernel.  It bounds the arrays of a pass and, on sums longer than a
-#: pass, the indices computed past the last summed n.  A pass is one
-#: refinement round of fixed overhead plus work in proportion to its rows.
-#: With rows of 60 points, in process on 2-vCPU x86-64 (best of 25 per
-#: op), the benchmark's Matsubara ops of seeds 1-10 took 115-119 ms at 48
-#: indices per pass against 120 ms at 32 and 119-123 ms at 64, their long
-#: sums 31-32 ms against 33-34 and 32-34 ms; the route digest's 646
-#: converging pressures (best of 11) 147 ms against 160 and 152 ms.
+#: Most Matsubara indices, one k_perp row each (TE and TM), of the first
+#: array pass of the kernel.  A pass is one refinement round of fixed
+#: overhead plus work in proportion to its rows.  With rows of 60 points,
+#: in process on 2-vCPU x86-64 (best of 25 per op), the benchmark's
+#: Matsubara ops of seeds 1-10 took 115-119 ms at 48 indices per pass
+#: against 120 ms at 32 and 119-123 ms at 64; the route digest's 646
+#: converging pressures (best of 11) 147 ms against 160 and 152 ms.  A sum
+#: longer than the first pass goes on in passes sized by
+#: :func:`_predicted_stop`: the benchmark's 30 long sums of seeds 1-10
+#: (5-10 K, rel_tol 2e-3) take 2 passes and 166.6 rows for a mean n_max of
+#: 161.3, where passes of 48 took 3.83 passes and 174.7 rows.
 ROWS_PER_PASS = 48
-#: Indices a chunk adds to the predicted count ceil(nu*ln(1/rel_tol)) + 3.
-#: On the benchmark's 300 K and 77 K pressures n_max lies 1 below to 4 above
-#: the prediction, so one pass computes them all.
+#: Indices a pass adds to its predicted count: to ceil(nu*ln(1/rel_tol)) + 3
+#: for the first pass and, with ceil(nu/20) more, to :func:`_predicted_stop`
+#: for a later one.  On the benchmark's 300 K and 77 K pressures n_max lies
+#: 1 below to 4 above the first prediction, so one pass computes them all.
+#: Over 250 sums of the benchmark's nine material pairs at 0.5-3 um, 3-12 K
+#: and rel_tol 1e-6 to 1e-2 that outrun their first pass, the second ends 1
+#: to 28 indices past n_max, within max(8, n_max/10) of it, but for three
+#: of 579-993 terms, which MAX_ROWS_PER_PASS cuts short.
 CHUNK_MARGIN = 4
+#: Most indices of a later pass: it bounds the arrays of one pass at 2048
+#: panels per component on equal seed panels.
+MAX_ROWS_PER_PASS = 512
 #: Mapping scale of every Matsubara row, in units of 1/d.  On the 4 seed
 #: panels of quadrature.ROW_PANELS, scales 3/d, 2.5/d and 4/d end 86%, 87%
 #: and 81% of the calls of the route digest's 882 pressures in one round
@@ -43,6 +53,15 @@ CHUNK_MARGIN = 4
 #: (2-vCPU x86-64); 2.5/d took less in total only over the cases longer
 #: than 10 ms.
 ROW_SCALE = 3.0
+#: Rows with (xi_n/c) d below this, of any pair but two ideal metals, start
+#: from seed panels graded toward u = xi_n/c (quadrature.integrate_rows'
+#: knees), where their r(q) turns: on the 4 equal panels the lowest of them
+#: took up to six refinement rounds (228 of the route digest's 1522 calls,
+#: all at (xi_1/c) d < 0.41), graded they take one (0 of 1272).  It stays
+#: below (xi_1/c) d = 0.41 of 300 K at 0.5 um, so no 300 K or 77 K
+#: pressure of the benchmark has a graded row, and above the 0.21 of 77 K
+#: at 1 um, whose first row needs a second round on equal panels.
+GRADE_BELOW = 0.3
 #: Reported relative tolerance of the real-frequency diagnostic route.
 REALFREQ_REL_TOL = 5e-2
 #: Frequency cap of the real-frequency route, in units of c/(2 d).
@@ -218,9 +237,12 @@ def _matsubara_rows(m1, m2, d, xi):
     and TM at len(xi) + i.  Each is written over u = q - xi/c in [0, inf)
     with k dk = q dq: the integrand q^2 * y/(1 - y), y = r1 r2 exp(-2 q d),
     has the envelope exp(-2 u d) on every row, so all rows share the
-    mapping scale ROW_SCALE/d, on whose seed panels nearly every call
-    meets all its targets in one round.  Each point takes q = u + xi/c and
-    gets its (r_TE, r_TM) pair from one
+    mapping scale ROW_SCALE/d, on whose seed panels every call of the route
+    digest meets all its targets in one round.  Rows with (xi/c) d below
+    GRADE_BELOW, unless both materials are ideal metals, turn at
+    u ~ xi/c, and their seed panels are graded toward it; a row's panels
+    and bits do not depend on the other rows of its call.  Each point
+    takes q = u + xi/c and gets its (r_TE, r_TM) pair from one
     :func:`fresnel.imag_axis_coefficients` call per material, which needs
     no k.
 
@@ -256,8 +278,10 @@ def _matsubara_rows(m1, m2, d, xi):
         out *= q * q
         return out
 
+    graded = 0 if m1.kind is m2.kind is Kind.IDEAL_METAL else int(
+        np.searchsorted(a, GRADE_BELOW / d))
     return quadrature.integrate_rows(integrand, xi.size, ROW_SCALE / d,
-                                     KPERP_REL_TOL)
+                                     KPERP_REL_TOL, a[:graded].tolist())
 
 
 def pressure_matsubara(config):
@@ -266,9 +290,11 @@ def pressure_matsubara(config):
     Returns a :class:`PressureResult` whose ``per_n`` list carries the
     as-summed (half-weighted for n = 0) TE and TM contributions.  The n >= 1
     terms are computed a chunk of indices at a time by
-    :func:`_matsubara_rows`, in chunks of at most ROWS_PER_PASS indices
-    sized from the predicted index count plus CHUNK_MARGIN; a failed k_perp
-    integral raises only if the sum consumes its index.  Where the n = 0 TE
+    :func:`_matsubara_rows`: a first chunk of at most ROWS_PER_PASS indices
+    sized from the predicted index count plus CHUNK_MARGIN, then chunks of
+    at most MAX_ROWS_PER_PASS sized by :func:`_predicted_stop` from the
+    terms so far; a failed k_perp integral raises only if the sum consumes
+    its index.  Where the n = 0 TE
     term is an integral (a plasma-like model facing a plasma-like model or
     the ideal metal), its xi = 0 row leads the first chunk, so it is the
     same number, bit for bit, as :func:`n0_term`'s; a failure of that row
@@ -282,22 +308,32 @@ def pressure_matsubara(config):
     ceiling = quadrature.matsubara_ceiling(d, T)
     # terms fall like exp(-n/nu); about nu*ln(1/rel_tol) + 3 are summed
     nu = C / (2.0 * d * xi1)
-    step = min(ROWS_PER_PASS,
-               math.ceil(-nu * math.log(config.rel_tol)) + 3 + CHUNK_MARGIN)
+    first = min(ROWS_PER_PASS,
+                math.ceil(-nu * math.log(config.rel_tol)) + 3 + CHUNK_MARGIN)
     static = _static_te_row(m1, m2)
     tm0, tm0_err = _n0_integral(config, "tm")
-    # per index n: TE, TM, the term as summed, and its k_perp error
-    te, tm, terms, errors = [], [], [], []
+    terms = []      # per index n, the term as summed
+    n0 = []         # the n = 0 TE term and its error
+    chunks = []     # per chunk, its (TE, TM) rows and their k_perp errors
+    sums = []       # per chunk, the sum of its terms
     failed = {}     # n -> (polarization, NoConvergence) of a failed row
 
     def add_n0(te0, te0_err):
-        te.append(te0)
-        tm.append(tm0)
         terms.append(2.0 * (te0 + tm0))
-        errors.append(te0_err + tm0_err)
+        n0.extend((te0, te0_err))
 
     def extend(n):
-        size = min(step, ceiling + 1 - n)
+        rest = ceiling + 1 - n      # indices up to the ceiling
+        if n == 1:
+            size = first
+        elif rest <= 3 * CHUNK_MARGIN:
+            size = rest     # fewer rows than a prediction costs
+        else:
+            horizon = min(ceiling, n - 1 + MAX_ROWS_PER_PASS)
+            total = 0.5 * terms[0] + math.fsum(sums)
+            size = (_predicted_stop(terms, total, nu, config.rel_tol, horizon)
+                    - n + 1 + CHUNK_MARGIN + math.ceil(nu / 20.0))
+        size = min(size, MAX_ROWS_PER_PASS, rest)
         head = int(n == 1 and static)   # the xi = 0 row leads chunk one
         res = _matsubara_rows(m1, m2, d, np.arange(n - head, n + size) * xi1)
         if head:
@@ -306,32 +342,81 @@ def pressure_matsubara(config):
         for j, exc in sorted(res.failures.items()):
             failed.setdefault(n - head + j % width,
                               ("TM" if j >= width else "TE", exc))
-        te_n, tm_n = pref * res.values.reshape(2, -1)[:, head:]
-        te.extend(te_n.tolist())
-        tm.extend(tm_n.tolist())
-        terms.extend((te_n + tm_n).tolist())
-        errors.extend((abs(pref) * res.errors.reshape(2, -1)[:, head:]
-                       .sum(axis=0)).tolist())
+        values = pref * res.values.reshape(2, -1)[:, head:]
+        chunks.append((values, res.errors.reshape(2, -1)[:, head:]))
+        summed = values[0] + values[1]
+        sums.append(float(summed.sum()))
+        terms.extend(summed.tolist())
 
     if not static:
         add_n0(*_n0_integral(config, "te"))
 
     def term(n):
-        if n == len(terms):
+        try:
+            t = terms[n]
+        except IndexError:
             extend(max(n, 1))   # a xi = 0 row comes with chunk one
-        if n in failed:
+            t = terms[n]
+        if failed and n in failed:
             pol, exc = failed[n]
             raise _row_failure(n, pol, exc) from exc
-        return terms[n]
+        return t
 
     summed = quadrature.matsubara_sum(term, d, T, config.rel_tol)
-    n = summed.n_max + 1
+    n = summed.n_max
+    values, errors = chunks[0] if len(chunks) == 1 else (
+        np.concatenate(a, axis=1) for a in zip(*chunks))
+    te, tm = values[:, :n].tolist()
+    error = n0[1] + tm0_err     # the k_perp errors, summed left to right
+    for e in (abs(pref) * errors[:, :n].sum(axis=0)).tolist():
+        error += e
     return PressureResult(
-        pressure=summed.value,
-        error_estimate=summed.tail_bound + np.cumsum(errors[:n])[-1],
-        n0_te=te[0], n0_tm=tm0,
-        per_n=list(zip(range(n), te[:n], tm[:n])),
-        n_max=summed.n_max)
+        pressure=summed.value, error_estimate=summed.tail_bound + error,
+        n0_te=n0[0], n0_tm=tm0,
+        per_n=list(zip(range(n + 1), [n0[0]] + te, [tm0] + tm)),
+        n_max=n)
+
+
+def _predicted_stop(terms, total, nu, rel_tol, horizon):
+    """Index at which :func:`quadrature.matsubara_sum` is predicted to stop
+    on the terms so far, of sum total, and their continuation; horizon if
+    not before it.
+
+    The continuation takes the last term n times I(k/nu)/I(n/nu), I the
+    k-th term of two ideal metals up to a constant,
+    I(x) = sum_m exp(-m x) (x^2/m + 2 x/m^2 + 2/m^3), times the power of
+    k/n that the ratio of the terms to I followed over the last 8 indices
+    (the slow drift of the reflection coefficients).  The series in m is
+    cut where exp(-m x) < exp(-8) at the first of those indices.  Over the
+    250 long sums of the CHUNK_MARGIN comment the prediction lies 3
+    indices below to 0.75 nu above the true stop; the last two terms'
+    decay ratio, continued geometrically, lay up to 41 indices (0.14
+    n_max) above it.  Terms that vanish or underflow predict no stop.
+    """
+    n = len(terms) - 1
+    back = min(8, n // 2)
+    x = np.arange(n - back, horizon + 1) / nu
+    m = np.arange(1.0, min(64, math.ceil(8.0 / x[0])) + 1)
+    a = _SHAPE_WEIGHTS[:, :m.size] @ np.exp(np.multiply.outer(-m, x))
+    shape = (a[0] * x + a[1]) * x + a[2]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        drift = np.log(abs(terms[n] * shape[0])
+                       / abs(terms[n - back] * shape[back])) / math.log(
+                           n / (n - back))
+        t = (terms[n] / shape[back]) * shape[back + 1:] * (
+            x[back + 1:] / x[back]) ** drift
+        mag = np.abs(t)
+        ratio = mag[1:] / mag[:-1]
+        done = np.flatnonzero(mag[1:] * ratio / (1.0 - ratio) <= rel_tol
+                              * np.abs(np.cumsum(t) + total)[1:])
+    return n + 2 + int(done[0]) if done.size else horizon
+
+
+#: Rows (1/m, 2/m^2, 2/m^3), m = 1..64, of the series of
+#: :func:`_predicted_stop`.
+_SHAPE_WEIGHTS = np.array([[1.0 / m, 2.0 / m ** 2, 2.0 / m ** 3]
+                           for m in range(1, 65)]).T.copy()
+_SHAPE_WEIGHTS.flags.writeable = False
 
 
 def _im_round_trip(eps1, eps2, omega, d, kz, pols=(0, 1)):

@@ -8,8 +8,9 @@ Every integral is refined by one batched loop, :func:`_refine`, over a
 flat panel list of many integrals, each held to its own target; every
 k_perp integral of the Matsubara route, the n = 0 TE term of plasma-like
 models included, is a row of it.  A row of :func:`integrate_rows` starts
-from ROW_PANELS equal panels of its mapped variable, on which a Matsubara
-row mostly meets its target in one round.  A row may carry several
+from ROW_PANELS equal panels of its mapped variable, or from panels graded
+toward a knee where it turns, on which a Matsubara row meets its target in
+one round.  A row may carry several
 components, integrands that share its panels and are each held to their
 own target.  :func:`composite_gk` refines one row from the panels it is
 given: the (total, evanescent) pair of :func:`integrate_real_frequency`
@@ -22,7 +23,6 @@ k_perp integrals of the real-frequency route.
 
 from __future__ import annotations
 
-import collections
 import fractions
 import functools
 import math
@@ -105,19 +105,25 @@ DEFAULT_INTERVAL_BUDGET = 2000
 #: Rounding floor of a reported error estimate, relative to the integral of
 #: |f|: 50 machine epsilons, as in QUADPACK.  The GK 7/15 tables carry 15
 #: digits, so a Kronrod-minus-Gauss estimate can fall below the rounding.
-ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
-#: Equal panels each row of :func:`integrate_rows` starts from.  The
-#: Matsubara rows (lifshitz._matsubara_rows, mapped at lifshitz.ROW_SCALE/d)
-#: mostly meet their targets on them.  Over the 882 pressures of
-#: scripts/route_digest.py, 1164 of 1360 calls ended after one round, at
-#: 60.3 points per row (8 panels at scale 1/d: 1348 of 1360, 120.0
-#: points); over 615 converging cases of 10 nm-1 mm x 1-3000 K, 17991 of
-#: 19541 calls, at 61.6 points per row.
+ROUNDING_FLOOR = 50.0 * float(np.finfo(float).eps)
+#: Equal panels each row of :func:`integrate_rows` starts from, but for
+#: the rows it grades toward a knee.  The Matsubara rows
+#: (lifshitz._matsubara_rows, mapped at lifshitz.ROW_SCALE/d) meet their
+#: targets on them, low rows graded: over the 942 pressures of
+#: scripts/route_digest.py, all 1272 calls end after one round, at 62.2
+#: points per row (60.4 with equal seed panels for every row, where 228 of
+#: 1522 calls took more rounds; 8 panels at scale 1/d: 120 points).
 ROW_PANELS = 4
 #: Equal panels :func:`adaptive_gk` seeds [a, b] with.  The static
 #: magnetic correlator of ``bvl`` and the evanescent k_perp integrals of
 #: the real-frequency route are its callers.
 GK_SEED_PANELS = 16
+#: Reach of the first seed panel of a graded row of :func:`integrate_rows`,
+#: in units of the knee's mapped point t: the panel ends at the first
+#: power-of-two fraction of 1/ROW_PANELS within GRADE_FIRST*t.  At 2 the
+#: lowest rows of the route's long sums (insulator 3.0 at 1 um, 5 K: first
+#: panel 1.7 t) end in one round; at 3 or 4, 15 of 652 calls need a second.
+GRADE_FIRST = 2.0
 #: Most panels of one :func:`composite_gk` integral.
 COMPOSITE_PANEL_BUDGET = 20000
 #: Weight of the integral of |g| in the tolerance floor of
@@ -306,12 +312,16 @@ def _key_offsets(n_rows, n_comp):
     return offsets
 
 
-def integrate_rows(f, n_rows, scale, rel_tol):
+def integrate_rows(f, n_rows, scale, rel_tol, knees=()):
     """Integrate n_rows integrands over [0, inf) at once, each to its target.
 
     Each row is mapped as in :func:`integrate_semi_infinite`, onto t in
     [0, 1] with k = scale*t/(1-t), and starts from ROW_PANELS equal GK 7/15
-    panels.  The panels of all rows are refined together by
+    panels.  Row i < len(knees) with knees[i] > 0, a row that turns at
+    k = knees[i], starts instead from the panels of :func:`_graded_seeds`,
+    graded toward t_i = knees[i]/(knees[i] + scale): its first equal panel
+    is cut down to the first power-of-two fraction of it within
+    GRADE_FIRST*t_i.  The panels of all rows are refined together by
     :func:`_refine`, which calls ``f(rows, k)`` once per round, where
     ``rows`` (shape (m, 1)) names each panel's row and k has shape (m, 15).
     f returns shape (m, 15), or (P, m, 15) for P components per row that
@@ -323,7 +333,14 @@ def integrate_rows(f, n_rows, scale, rel_tol):
     caller decides whether it is needed.
     """
     _check_mapping(scale, rel_tol)
-    seeds, seed_map = _row_seeds(n_rows)
+    halvings = tuple(
+        max(0, math.ceil(math.log2((k + scale) / (ROW_PANELS * GRADE_FIRST
+                                                  * k)))) if k > 0 else 0
+        for k in knees)
+    if any(halvings):
+        seeds, seed_map = _graded_seeds(halvings, n_rows)
+    else:
+        seeds, seed_map = _row_seeds(n_rows)
 
     def sample(rows, t):
         ratio, jac = seed_map if t is seeds[3] else _unit_map(t)
@@ -345,14 +362,55 @@ def _row_seeds(n_rows):
     """Read-only :func:`_panels` of the ROW_PANELS seed panels of n_rows
     rows, and the :func:`_unit_map` of their nodes.
 
-    Built once per row count, GK nodes and their mapping included: a
-    Matsubara call usually ends in one round, which makes the set-up a
-    fixed cost of the call, and its one round forms k and the Jacobian
-    with one multiply each.  _refine never writes to its input arrays.
+    Views of the first n_rows rows of :func:`_row_seed_table`, kept per
+    row count: a Matsubara call usually ends in one round, which makes the
+    set-up a fixed cost of the call, and its one round forms k and the
+    Jacobian with one multiply each.  _refine never writes to its input
+    arrays.
     """
+    seeds, seed_map = _row_seed_table(1 << max(6, (n_rows - 1).bit_length()))
+    m = ROW_PANELS * n_rows
+    return (tuple(a[:m] for a in seeds), tuple(a[:m] for a in seed_map))
+
+
+@functools.lru_cache(maxsize=None)
+def _row_seed_table(capacity):
+    """:func:`_row_seeds` of capacity rows, a power of two, built once, GK
+    nodes and their mapping included."""
     edges = np.linspace(0.0, 1.0, ROW_PANELS + 1)
-    seeds = _panels(np.repeat(np.arange(n_rows), ROW_PANELS),
-                    np.tile(edges[:-1], n_rows), np.tile(edges[1:], n_rows))
+    seeds = _panels(np.repeat(np.arange(capacity), ROW_PANELS),
+                    np.tile(edges[:-1], capacity),
+                    np.tile(edges[1:], capacity))
+    seed_map = _unit_map(seeds[3])
+    for a in seeds + seed_map:
+        a.flags.writeable = False
+    return seeds, seed_map
+
+
+@functools.lru_cache(maxsize=32)
+def _graded_seeds(halvings, n_rows):
+    """Read-only :func:`_panels` and :func:`_unit_map` of the seed panels of
+    n_rows rows, of which row i < len(halvings) has its first equal panel
+    [0, 1/ROW_PANELS] cut at J points spaced evenly in log down to
+    2^-h/ROW_PANELS, h = halvings[i] and J the least multiple of
+    ROW_PANELS not below h, so consecutive cuts lie at most a factor 2
+    apart.  Every row keeps a multiple of ROW_PANELS panels, so a call's
+    panel count stays one too: the BLAS sums of :func:`_gk_panels` then
+    take each panel alike wherever it lies in the call, and a row has the
+    same bits in any call."""
+    h = np.zeros(n_rows, dtype=int)
+    h[:len(halvings)] = halvings
+    cuts = -(-h // ROW_PANELS) * ROW_PANELS
+    count = ROW_PANELS + cuts
+    rows = np.repeat(np.arange(n_rows), count)
+    first = np.cumsum(count) - count
+    k = np.arange(count.sum()) - np.repeat(first + cuts, count)
+    step = np.repeat(h / np.maximum(cuts, 1), count)
+    hi = np.where(k < 0, np.exp2(np.minimum(k, 0) * step) / ROW_PANELS,
+                  (k + 1.0) / ROW_PANELS)
+    lo = np.concatenate([[0.0], hi[:-1]])
+    lo[first] = 0.0
+    seeds = _panels(rows, lo, hi)
     seed_map = _unit_map(seeds[3])
     for a in seeds + seed_map:
         a.flags.writeable = False
@@ -445,23 +503,26 @@ def matsubara_sum(term, d, T, rel_tol):
     total = 0.5 * term(0)
     streak = 0
     last = 0.0      # |previous term|
-    recent = collections.deque(maxlen=3)    # |term|/|sum| of the last three
-    n = 0
-    while n < ceiling:
-        n += 1
+    near = ceiling - 3
+    recent = []     # |term|/|sum| of the last three indices
+    for n in range(1, ceiling + 1):
         t = term(n)
         total += t
         mag, mag_total = abs(t), abs(total)
-        streak = streak + 1 if mag <= rel_tol * mag_total else 0
-        recent.append(mag / mag_total if mag_total else math.inf)
-        if last and mag < last:
-            ratio = mag / last
-            tail = mag * ratio / (1.0 - ratio)
+        if mag <= rel_tol * mag_total:
+            streak += 1
         else:
-            ratio = None
-            tail = mag
-        if streak >= 3 and tail <= rel_tol * mag_total:
-            return SumResult(total, n, tail)
+            streak = 0
+        if streak >= 3 or n > near:
+            if last and mag < last:     # the geometric tail of the decay
+                ratio = mag / last
+                tail = mag * ratio / (1.0 - ratio)
+            else:
+                ratio, tail = None, mag
+            if streak >= 3 and tail <= rel_tol * mag_total:
+                return SumResult(total, n, tail)
+            if n > near:
+                recent.append(mag / mag_total if mag_total else math.inf)
         last = mag
     met = max(*recent, tail / mag_total if mag_total else math.inf)
     decay = "no decay" if ratio is None else f"decay ratio {ratio:.4g}"

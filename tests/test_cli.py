@@ -413,6 +413,19 @@ def test_bvl_check_missing_z_exits_2():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0), (["pressure", "--help"], 0),
+    (["pressure", "--mat1", "ideal", "--mat2", "ideal", "--d", "1e-6"], 2),
+    (["no-such-subcommand"], 2), (["pressure", "--d"], 2)])
+def test_argparse_exits_return_their_code_in_process(argv, code, capsys):
+    # help and usage errors return argparse's code instead of raising
+    # SystemExit, like every other config error
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    assert ("usage: casimir-bvl" in out) if code == 0 else \
+        ("usage: casimir-bvl" in err and out == "")
+
+
 # ---------------------------------------------------------------- config file
 
 def test_config_file_round_trip(tmp_path):

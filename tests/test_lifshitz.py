@@ -277,12 +277,33 @@ def _count_row_passes(monkeypatch):
     passes = []
     original = Q.integrate_rows
 
-    def counted(f, n_rows, scale, rel_tol):
+    def counted(f, n_rows, scale, rel_tol, knees=()):
         passes.append(n_rows)       # one row per index, TE and TM
-        return original(f, n_rows, scale, rel_tol)
+        return original(f, n_rows, scale, rel_tol, knees)
 
     monkeypatch.setattr(Q, "integrate_rows", counted)
     return passes
+
+
+def _count_samples(monkeypatch):
+    """Record (indices, integrand samples, panels) of every integrate_rows
+    call; one sample is one refinement round."""
+    calls = []
+    original = Q.integrate_rows
+
+    def counted(f, n_rows, scale, rel_tol, knees=()):
+        samples = [0]
+
+        def g(rows, u):
+            samples[0] += 1
+            return f(rows, u)
+
+        res = original(g, n_rows, scale, rel_tol, knees)
+        calls.append((n_rows, samples[0], res.panels))
+        return res
+
+    monkeypatch.setattr(Q, "integrate_rows", counted)
+    return calls
 
 
 def test_chunk_schedule_follows_predicted_index_count(monkeypatch):
@@ -293,14 +314,15 @@ def test_chunk_schedule_follows_predicted_index_count(monkeypatch):
     res = L.pressure_matsubara(L.CavityConfig(dr, dr, 1e-6, 300.0))
     assert len(passes) == 1
     assert res.n_max <= sum(passes) <= res.n_max + 8
-    # a long sum runs in chunks of ROWS_PER_PASS indices
+    # a long sum takes a first chunk of ROWS_PER_PASS indices, then one
+    # chunk sized from the decay of its terms, which ends a few indices
+    # past n_max
     ideal = M.ideal_metal()
     passes.clear()
     res = L.pressure_matsubara(
         L.CavityConfig(ideal, ideal, 1.5e-6, 5.0, rel_tol=2e-3))
-    half = L.ROWS_PER_PASS
-    assert len(passes) <= math.ceil(res.n_max / half) + 2
-    assert max(passes) == half
+    assert len(passes) == 2 and passes[0] == L.ROWS_PER_PASS
+    assert res.n_max <= sum(passes) <= res.n_max + max(8, res.n_max // 10)
 
 
 @pytest.mark.parametrize("pair", [
@@ -321,21 +343,7 @@ def test_matsubara_rows_converge_on_seed_panels(monkeypatch, pair, d, T):
               "gplasma": M.generalized_plasma(
                   1.37e16, (M.Oscillator(2e31, 3e15, 1e14),)),
               "ideal": M.ideal_metal(), "table": _drude_table()}
-    calls = []
-    original = Q.integrate_rows
-
-    def counted(f, n_rows, scale, rel_tol):
-        samples = [0]
-
-        def g(rows, u):
-            samples[0] += 1
-            return f(rows, u)
-
-        res = original(g, n_rows, scale, rel_tol)
-        calls.append((n_rows, samples[0], res.panels))
-        return res
-
-    monkeypatch.setattr(Q, "integrate_rows", counted)
+    calls = _count_samples(monkeypatch)
     L.pressure_matsubara(
         L.CavityConfig(models[pair[0]], models[pair[1]], d, T))
     assert calls
@@ -343,6 +351,71 @@ def test_matsubara_rows_converge_on_seed_panels(monkeypatch, pair, d, T):
         assert samples == 1
         assert panels.shape == (2 * indices,)     # TE, then TM, per index
         assert np.all(panels == Q.ROW_PANELS)
+
+
+#: The nine material pairs of the benchmark's matsubara-grid workload.
+GRID_PAIRS = [("insulator", "insulator"), ("drude", "drude"),
+              ("plasma", "plasma"), ("gplasma", "gplasma"), ("ideal", "ideal"),
+              ("table", "table"), ("drude", "plasma"), ("insulator", "ideal"),
+              ("table", "drude")]
+
+
+@pytest.mark.parametrize("pair", GRID_PAIRS, ids="/".join)
+def test_rows_do_not_depend_on_the_chunking(pair):
+    # a long sum's rows, its graded low rows and the xi = 0 row included,
+    # have the same bits in one call as in uneven pieces, so the chunk
+    # schedule moves no result
+    m1, m2 = (_static_models()[name] for name in pair)
+    d, T = 1.03e-6, 7.2
+    start = 0 if L._static_te_row(m1, m2) else 1
+    xi = np.arange(start, 241) * (2.0 * math.pi * K_B * T / HBAR)
+    whole = L._matsubara_rows(m1, m2, d, xi)
+    cuts = [0, 49 - start, 97 - start, 180 - start, xi.size]
+    pieces = [L._matsubara_rows(m1, m2, d, xi[a:b])
+              for a, b in zip(cuts, cuts[1:])]
+    assert not whole.failures
+    if pair != ("ideal", "ideal"):
+        assert whole.panels.max() > Q.ROW_PANELS     # graded low rows
+    for field in ("values", "errors", "panels"):
+        want = np.concatenate([getattr(p, field).reshape(2, -1)
+                               for p in pieces], axis=1)
+        assert np.array_equal(getattr(whole, field).reshape(2, -1), want)
+
+
+@pytest.mark.parametrize("pair", GRID_PAIRS, ids="/".join)
+@pytest.mark.parametrize("d, T", [(1e-6, 5.0), (2e-6, 10.0)])
+def test_long_sum_is_two_one_round_passes(monkeypatch, pair, d, T):
+    # the first chunk's graded low rows meet their targets on their seed
+    # panels, and the second chunk, sized from the decay of the terms,
+    # reaches n_max and ends a few indices past it
+    m1, m2 = (_static_models()[name] for name in pair)
+    calls = _count_samples(monkeypatch)
+    res = L.pressure_matsubara(L.CavityConfig(m1, m2, d, T, rel_tol=2e-3))
+    assert len(calls) == 2 and calls[0][0] <= L.ROWS_PER_PASS + 1
+    assert all(samples == 1 for _, samples, _ in calls)
+    computed = sum(n for n, _, _ in calls) - L._static_te_row(m1, m2)
+    assert res.n_max <= computed <= res.n_max + max(8, res.n_max // 10)
+
+
+@pytest.mark.parametrize("pair", [p for p in GRID_PAIRS
+                                  if p != ("ideal", "ideal")], ids="/".join)
+def test_graded_rows_agree_with_tightly_refined_rows(monkeypatch, pair):
+    # the rows below GRADE_BELOW, on their graded seed panels, agree within
+    # their reported errors with the same rows refined from equal panels to
+    # a 1e-12 target
+    m1, m2 = (_static_models()[name] for name in pair)
+    d, T = 1e-6, 5.0
+    xi1 = 2.0 * math.pi * K_B * T / HBAR
+    xi = np.arange(1, math.ceil(L.GRADE_BELOW * C / (d * xi1))) * xi1
+    calls = _count_samples(monkeypatch)
+    res = L._matsubara_rows(m1, m2, d, xi)
+    assert np.all(res.panels > Q.ROW_PANELS)
+    monkeypatch.setattr(L, "KPERP_REL_TOL", 1e-12)
+    monkeypatch.setattr(L, "GRADE_BELOW", 0.0)
+    ref = L._matsubara_rows(m1, m2, d, xi)
+    assert calls[0][1] == 1
+    assert calls[1][1] > 1 and not ref.failures
+    assert np.all(np.abs(res.values - ref.values) <= res.errors)
 
 
 def test_failed_row_beyond_n_max_does_not_fail_pressure(monkeypatch):

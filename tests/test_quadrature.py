@@ -523,6 +523,33 @@ def test_integrate_rows_refines_only_failing_rows():
         math.pi / 2.0 + math.atan(30.0 / w), rel=1e-8)
 
 
+def test_integrate_rows_grades_rows_toward_their_knees():
+    # row i is kappa_i/(k + kappa_i)^2, of integral 1, which turns at
+    # k = kappa_i; seeded toward kappa_i, each meets its target in one
+    # round, where equal seed panels take several; a row without a knee
+    # keeps its equal seed panels and their bits
+    kappa = np.array([1e-4, 3e-3, 0.1, 1.0])
+    samples = []
+
+    def f(rows, k):
+        samples.append(k.shape[0])
+        return kappa[rows] / (k + kappa[rows]) ** 2
+
+    knees = np.where(kappa < 1.0, kappa, 0.0)
+    res = Q.integrate_rows(f, 4, 1.0, 1e-8, knees)
+    assert len(samples) == 1 and not res.failures
+    equal = Q.integrate_rows(f, 4, 1.0, 1e-8)
+    assert len(samples) > 3
+    assert np.all(res.panels % Q.ROW_PANELS == 0)
+    assert list(res.panels > Q.ROW_PANELS) == [True, True, True, False]
+    assert res.values == pytest.approx(np.ones(4), rel=1e-8)
+    alone = Q.integrate_rows(f, 4, 1.0, 1e-8, np.zeros(4))
+    for got, want in ((res.values[3], equal.values[3]),
+                      (res.errors[3], equal.errors[3]),
+                      (alone.values, equal.values)):
+        assert np.array_equal(got, want)
+
+
 def test_integrate_rows_budget_fails_only_its_row():
     w = 1e-9
 
