@@ -1,5 +1,5 @@
 """Shared numerical machinery: adaptive quadrature, Matsubara summation,
-power-law fitting and the trilogarithm of the closed-form n = 0 terms.
+power-law slopes and the trilogarithm of the closed-form n = 0 terms.
 
 Every integral uses the Gauss-Kronrod 7/15 rule with interval bisection.
 All Kronrod nodes are interior, so integrand endpoints are never evaluated.
@@ -10,10 +10,10 @@ k_perp integral of the Matsubara route, the n = 0 TE term of plasma-like
 models included, is a row of it.  A row of :func:`integrate_rows` starts
 from ROW_PANELS equal panels of its mapped variable, or from panels graded
 toward a knee where it turns, on which a Matsubara row meets its target in
-one round.  A row may carry several
-components, integrands that share its panels and are each held to their
-own target.  :func:`composite_gk` refines one row from the panels it is
-given: the (total, evanescent) pair of :func:`integrate_real_frequency`
+one round, both views of one bounded cache of seed tables.  A row may carry
+several components, integrands that share its panels and are each held to
+their own target.  :func:`composite_gk` refines one row from the panels it
+is given: the (total, evanescent) pair of :func:`integrate_real_frequency`
 and the propagating k_z integrals of the real-frequency route.
 :func:`adaptive_gk` refines one row from GK_SEED_PANELS equal panels of
 [a, b]: the static magnetic correlator of ``bvl`` and the evanescent
@@ -106,8 +106,8 @@ DEFAULT_INTERVAL_BUDGET = 2000
 #: |f|: 50 machine epsilons, as in QUADPACK.  The GK 7/15 tables carry 15
 #: digits, so a Kronrod-minus-Gauss estimate can fall below the rounding.
 ROUNDING_FLOOR = 50.0 * float(np.finfo(float).eps)
-#: Equal panels each row of :func:`integrate_rows` starts from, but for
-#: the rows it grades toward a knee.  The Matsubara rows
+#: Equal seed panels of a row of :func:`integrate_rows`, the first of them
+#: cut finer on a row graded toward a knee.  The Matsubara rows
 #: (lifshitz._matsubara_rows, mapped at lifshitz.ROW_SCALE/d) meet their
 #: targets on them, low rows graded: over the 942 pressures of
 #: scripts/route_digest.py, all 1272 calls end after one round, at 62.2
@@ -120,9 +120,10 @@ ROW_PANELS = 4
 GK_SEED_PANELS = 16
 #: Reach of the first seed panel of a graded row of :func:`integrate_rows`,
 #: in units of the knee's mapped point t: the panel ends at the first
-#: power-of-two fraction of 1/ROW_PANELS within GRADE_FIRST*t.  At 2 the
-#: lowest rows of the route's long sums (insulator 3.0 at 1 um, 5 K: first
-#: panel 1.7 t) end in one round; at 3 or 4, 15 of 652 calls need a second.
+#: power-of-two fraction of 1/ROW_PANELS within GRADE_FIRST*t (the row's
+#: halvings in :func:`_row_seed_table`).  At 2 the lowest rows of the
+#: route's long sums (insulator 3.0 at 1 um, 5 K: first panel 1.7 t) end in
+#: one round; at 3 or 4, 15 of 652 calls need a second.
 GRADE_FIRST = 2.0
 #: Most panels of one :func:`composite_gk` integral.
 COMPOSITE_PANEL_BUDGET = 20000
@@ -318,10 +319,10 @@ def integrate_rows(f, n_rows, scale, rel_tol, knees=()):
     Each row is mapped as in :func:`integrate_semi_infinite`, onto t in
     [0, 1] with k = scale*t/(1-t), and starts from ROW_PANELS equal GK 7/15
     panels.  Row i < len(knees) with knees[i] > 0, a row that turns at
-    k = knees[i], starts instead from the panels of :func:`_graded_seeds`,
-    graded toward t_i = knees[i]/(knees[i] + scale): its first equal panel
-    is cut down to the first power-of-two fraction of it within
-    GRADE_FIRST*t_i.  The panels of all rows are refined together by
+    k = knees[i], starts instead from panels graded toward
+    t_i = knees[i]/(knees[i] + scale), down to within GRADE_FIRST*t_i.
+    More knees than rows, or a knee that is not finite and >= 0, raise
+    ValueError.  The panels of all rows are refined together by
     :func:`_refine`, which calls ``f(rows, k)`` once per round, where
     ``rows`` (shape (m, 1)) names each panel's row and k has shape (m, 15).
     f returns shape (m, 15), or (P, m, 15) for P components per row that
@@ -333,14 +334,12 @@ def integrate_rows(f, n_rows, scale, rel_tol, knees=()):
     caller decides whether it is needed.
     """
     _check_mapping(scale, rel_tol)
-    halvings = tuple(
-        max(0, math.ceil(math.log2((k + scale) / (ROW_PANELS * GRADE_FIRST
-                                                  * k)))) if k > 0 else 0
+    if len(knees) > n_rows or not all(0.0 <= k < math.inf for k in knees):
+        raise ValueError("knees must be at most n_rows values, finite, >= 0")
+    halvings = tuple(max(0, math.ceil(math.log2(
+        (k + scale) / (ROW_PANELS * GRADE_FIRST * k)))) if k > 0 else 0
         for k in knees)
-    if any(halvings):
-        seeds, seed_map = _graded_seeds(halvings, n_rows)
-    else:
-        seeds, seed_map = _row_seeds(n_rows)
+    seeds, seed_map = _row_seeds(halvings, n_rows)
 
     def sample(rows, t):
         ratio, jac = seed_map if t is seeds[3] else _unit_map(t)
@@ -357,64 +356,55 @@ def _unit_map(t):
     return t / u, 1.0 / (u * u)
 
 
-@functools.lru_cache(maxsize=128)
-def _row_seeds(n_rows):
-    """Read-only :func:`_panels` of the ROW_PANELS seed panels of n_rows
-    rows, and the :func:`_unit_map` of their nodes.
+def _row_seeds(halvings, n_rows):
+    """Read-only :func:`_panels` of the seed panels of n_rows rows and the
+    :func:`_unit_map` of their nodes (_refine writes to neither), views of
+    a :func:`_row_seed_table` made once per row count: the set-up is a
+    fixed cost of a one-round call.  Trailing zero halvings are dropped, so
+    the calls without a graded row share tables."""
+    while halvings and not halvings[-1]:
+        halvings = halvings[:-1]
+    tables, ends, views = _row_seed_table(
+        halvings, 1 << max(6, (n_rows - 1).bit_length()))
+    if n_rows not in views:
+        m = int(ends[n_rows - 1])
+        views[n_rows] = tuple(tuple(a[:m] for a in t) for t in tables)
+    return views[n_rows]
 
-    Views of the first n_rows rows of :func:`_row_seed_table`, kept per
-    row count: a Matsubara call usually ends in one round, which makes the
-    set-up a fixed cost of the call, and its one round forms k and the
-    Jacobian with one multiply each.  _refine never writes to its input
-    arrays.
+
+@functools.lru_cache(maxsize=16)
+def _row_seed_table(halvings, capacity):
+    """(tables, ends, views) of capacity rows, a power of two: the read-only
+    :func:`_panels` and :func:`_unit_map` of their seed panels, the panel
+    count of rows 0..i at ends[i], and the :func:`_row_seeds` views made.
+
+    Row i has ROW_PANELS equal panels, of which the first is cut at J
+    points spaced evenly in log down to 2^-h/ROW_PANELS, h = halvings[i]
+    (0 past its end) and J the least multiple of ROW_PANELS >= h: cuts lie
+    at most a factor 2 apart, and h = 0 gives the equal edges, exact in
+    binary.  With a multiple of ROW_PANELS panels per row, the BLAS sums of
+    :func:`_gk_panels` take a panel alike wherever it lies in a call, so a
+    row has the same bits in any call.  An entry takes 392 bytes a panel:
+    0.10 MB for 64 equal rows, 0.81 MB for 512, 1.6 MB for 512 graded rows
+    (Drude at 0.1 um and 1 K; the benchmark's graded ones: 0.11-0.12 MB).
     """
-    seeds, seed_map = _row_seed_table(1 << max(6, (n_rows - 1).bit_length()))
-    m = ROW_PANELS * n_rows
-    return (tuple(a[:m] for a in seeds), tuple(a[:m] for a in seed_map))
-
-
-@functools.lru_cache(maxsize=None)
-def _row_seed_table(capacity):
-    """:func:`_row_seeds` of capacity rows, a power of two, built once, GK
-    nodes and their mapping included."""
-    edges = np.linspace(0.0, 1.0, ROW_PANELS + 1)
-    seeds = _panels(np.repeat(np.arange(capacity), ROW_PANELS),
-                    np.tile(edges[:-1], capacity),
-                    np.tile(edges[1:], capacity))
-    seed_map = _unit_map(seeds[3])
-    for a in seeds + seed_map:
-        a.flags.writeable = False
-    return seeds, seed_map
-
-
-@functools.lru_cache(maxsize=32)
-def _graded_seeds(halvings, n_rows):
-    """Read-only :func:`_panels` and :func:`_unit_map` of the seed panels of
-    n_rows rows, of which row i < len(halvings) has its first equal panel
-    [0, 1/ROW_PANELS] cut at J points spaced evenly in log down to
-    2^-h/ROW_PANELS, h = halvings[i] and J the least multiple of
-    ROW_PANELS not below h, so consecutive cuts lie at most a factor 2
-    apart.  Every row keeps a multiple of ROW_PANELS panels, so a call's
-    panel count stays one too: the BLAS sums of :func:`_gk_panels` then
-    take each panel alike wherever it lies in the call, and a row has the
-    same bits in any call."""
-    h = np.zeros(n_rows, dtype=int)
+    h = np.zeros(capacity, dtype=int)
     h[:len(halvings)] = halvings
     cuts = -(-h // ROW_PANELS) * ROW_PANELS
     count = ROW_PANELS + cuts
-    rows = np.repeat(np.arange(n_rows), count)
-    first = np.cumsum(count) - count
-    k = np.arange(count.sum()) - np.repeat(first + cuts, count)
+    ends = np.cumsum(count)
+    first = ends - count
+    k = np.arange(ends[-1]) - np.repeat(first + cuts, count)
     step = np.repeat(h / np.maximum(cuts, 1), count)
     hi = np.where(k < 0, np.exp2(np.minimum(k, 0) * step) / ROW_PANELS,
                   (k + 1.0) / ROW_PANELS)
     lo = np.concatenate([[0.0], hi[:-1]])
     lo[first] = 0.0
-    seeds = _panels(rows, lo, hi)
+    seeds = _panels(np.repeat(np.arange(capacity), count), lo, hi)
     seed_map = _unit_map(seeds[3])
     for a in seeds + seed_map:
         a.flags.writeable = False
-    return seeds, seed_map
+    return (seeds, seed_map), ends, {}
 
 
 def composite_gk(f, edges, rel_tol, floor_frac=0.01):
@@ -582,27 +572,6 @@ def power_law_slopes(x, y):
     if sxx == 0.0:
         raise DegenerateSweep("power-law fit needs distinct x")
     return dy @ dx / sxx, dx, dy
-
-
-def fit_power_law(points):
-    """Least-squares slope of log y versus log x, by
-    :func:`power_law_slopes` on one row.
-
-    points is a sequence of (x, y) pairs or an (n, 2) array.
-
-    Returns
-    -------
-    (exponent, r_squared)
-    """
-    if len(points) < 3:
-        raise DegenerateSweep("power-law fit needs at least 3 points")
-    xs, ys = np.asarray(points, dtype=float).T
-    (slope,), dx, (dy,) = power_law_slopes(xs, ys[None])
-    slope = float(slope)
-    ss_res = float(np.sum((dy - slope * dx) ** 2))
-    ss_tot = float(dy @ dy)
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return slope, r2
 
 
 def integrate_real_frequency(g, omega_cap, rel_tol, seed_panels=16):

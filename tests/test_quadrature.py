@@ -247,27 +247,30 @@ def test_matsubara_sum_validation():
         Q.matsubara_sum(lambda n: 0.0, -1e-6, 300.0, 1e-9)
 
 
-def test_fit_power_law_exact():
+def test_power_law_slopes_exact():
     xs = np.geomspace(0.1, 10.0, 9)
-    exp, r2 = Q.fit_power_law([(x, x**2) for x in xs])
-    assert exp == pytest.approx(2.0, abs=1e-10)
-    assert r2 == pytest.approx(1.0, abs=1e-12)
-    exp, r2 = Q.fit_power_law([(x, 5.0 * x) for x in xs])
-    assert exp == pytest.approx(1.0, abs=1e-10)
+    slopes, dx, dy = Q.power_law_slopes(xs, np.array([xs**2, 5.0 * xs]))
+    assert slopes == pytest.approx([2.0, 1.0], abs=1e-10)
+    # exact power laws leave no residual about the fitted line
+    assert np.abs(dy - slopes[:, None] * dx).max() <= 1e-12
 
 
-def test_fit_power_law_perturbed():
+def test_power_law_slopes_perturbed():
     xs = np.geomspace(0.01, 100.0, 25)
-    pts = [(x, x**2 * (1.0 + 0.01 * math.sin(math.log(x)))) for x in xs]
-    exp, _ = Q.fit_power_law(pts)
-    assert 1.9 <= exp <= 2.1
+    ys = xs**2 * (1.0 + 0.01 * np.sin(np.log(xs)))
+    (slope,), _, _ = Q.power_law_slopes(xs, ys[None])
+    assert 1.9 <= slope <= 2.1
 
 
-def test_fit_power_law_guards():
+def test_power_law_slopes_guards():
     with pytest.raises(Q.DegenerateSweep):
-        Q.fit_power_law([(1.0, 1.0), (2.0, 4.0)])
+        Q.power_law_slopes(np.full(3, 2.0), np.array([[1.0, 4.0, 9.0]]))
     with pytest.raises(Q.NonPositiveData):
-        Q.fit_power_law([(1.0, 1.0), (2.0, -4.0), (3.0, 9.0)])
+        Q.power_law_slopes(np.array([1.0, 2.0, 3.0]),
+                           np.array([[1.0, -4.0, 9.0]]))
+    with pytest.raises(Q.NonPositiveData):
+        Q.power_law_slopes(np.array([0.0, 2.0, 3.0]),
+                           np.array([[1.0, 4.0, 9.0]]))
 
 
 def test_integrate_real_frequency_exponential():
@@ -550,6 +553,50 @@ def test_integrate_rows_grades_rows_toward_their_knees():
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("halvings", [(), (0, 5, 3)])
+def test_row_seeds_are_views_of_one_table(halvings):
+    capacity = 64
+    tables, ends, _ = Q._row_seed_table(halvings, capacity)
+    whole = tables[0] + tables[1]
+    for n_rows in range(1, capacity + 1):
+        seeds, seed_map = Q._row_seeds(halvings + (0, 0), n_rows)
+        assert Q._row_seeds(halvings, n_rows)[0] is seeds
+        assert seeds[0].size == ends[n_rows - 1]
+        assert seeds[0][-1] == n_rows - 1
+        for view, table in zip(seeds + seed_map, whole):
+            assert not view.flags.writeable
+            assert np.shares_memory(view, table)
+            assert np.array_equal(view, table[:view.shape[0]])
+
+
+def test_zero_halving_row_is_an_equal_row():
+    (rows, lo, hi, x, h), (ratio, jac) = Q._row_seeds((0, 6, 0, 9), 5)
+    equal = Q._row_seeds((), 5)
+    edges = np.linspace(0.0, 1.0, Q.ROW_PANELS + 1)
+    assert np.array_equal(equal[0][1][:Q.ROW_PANELS], edges[:-1])
+    assert np.array_equal(equal[0][2][:Q.ROW_PANELS], edges[1:])
+    for i in (0, 2, 4):
+        for got, want in zip((lo, hi, x, h, ratio, jac),
+                             equal[0][1:] + equal[1]):
+            assert np.array_equal(got[rows == i], want[equal[0][0] == i])
+    counts = np.bincount(rows)
+    assert list(counts) == [4, 12, 4, 16, 4]
+
+
+def test_seed_table_cache_stays_bounded():
+    Q._row_seed_table.cache_clear()
+    maxsize = Q._row_seed_table.cache_info().maxsize
+    for j in range(maxsize + 4):
+        # a knee halved j times more: one more halving of the first panel
+        res = Q.integrate_rows(lambda rows, k: np.exp(-k), 2, 1.0, 1e-8,
+                               [1e-3 * 2.0 ** -j])
+        assert not res.failures
+        assert res.values == pytest.approx([1.0, 1.0], rel=1e-8)
+    info = Q._row_seed_table.cache_info()
+    assert info.misses == maxsize + 4
+    assert info.currsize == maxsize
+
+
 def test_integrate_rows_budget_fails_only_its_row():
     w = 1e-9
 
@@ -697,6 +744,11 @@ def test_integrate_rows_validation():
             Q.integrate_rows(lambda rows, k: k, 1, scale, 1e-8)
     with pytest.raises(ValueError):
         Q.integrate_rows(lambda rows, k: k, 1, 1.0, 0.5)
+    # more knees than rows, zero or not, and knees not finite and >= 0
+    for knees in ([0.01, 0.0, 0.0], [0.0, 0.0, 0.0], [0.01, 0.02, 0.03],
+                  [math.inf], [math.nan], [0.01, -0.1]):
+        with pytest.raises(ValueError, match="knees"):
+            Q.integrate_rows(lambda rows, k: np.exp(-k), 2, 1.0, 1e-8, knees)
 
 
 def test_matsubara_sum_ceiling_message_reports_progress():

@@ -2,6 +2,8 @@
 
 import csv
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,3 +53,17 @@ def test_drude_vs_plasma_sweep_exits_0_when_every_gap_converges(capsys):
     assert sweep.main(["--d-min", "1e-6", "--d-max", "1e-5",
                        "--points", "2"]) == 0
     assert "failed" not in capsys.readouterr().out
+
+
+def test_bvl_catalog_passes_only_where_static_r_te_vanishes():
+    # the theorem holds for the insulator and Drude, whose r_TE(0) = 0, and
+    # fails for the plasma-like models and the ideal metal
+    run = subprocess.run([sys.executable, str(SCRIPTS / "bvl_catalog.py")],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    header, *rows = run.stdout.splitlines()
+    assert header.split()[-1] == "verdict"
+    assert [row.split()[-1] for row in rows] == [
+        "Pass", "Pass", "Fail", "Fail", "Fail"]
+    assert [row.split("(")[0].split()[0] for row in rows] == [
+        "insulator", "drude", "plasma", "gplasma", "ideal"]
