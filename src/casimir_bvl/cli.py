@@ -534,12 +534,15 @@ def _parse_args(argv):
     A subcommand's own parser parses its arguments once; the top-level
     parser handles help, a missing or unknown subcommand and the arguments
     that the subcommand's parser leaves, in the words it would use when it
-    hands the arguments on itself.
+    hands the arguments on itself.  ``--config`` takes no subcommand.
     """
     parser, subparsers = _parsers()
     sub = subparsers.get(argv[0]) if argv else None
     if sub is None:
-        return parser.parse_args(argv)
+        args = parser.parse_args(argv)
+        if args.config is not None and args.subcommand is not None:
+            parser.error("--config replaces the subcommand and its flags")
+        return args
     args, extras = sub.parse_known_args(argv[1:])
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
@@ -591,14 +594,14 @@ _DISPATCH = {
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        if argv[:1] == ["--config"] and len(argv) >= 2:
-            with open(argv[1]) as fh:
+        try:
+            args = _parse_args(argv)
+        except SystemExit as exc:   # argparse's help or usage error
+            return exc.code
+        if getattr(args, "config", None) is not None:
+            with open(args.config) as fh:
                 config = RunConfig.from_dict(json.load(fh))
         else:
-            try:
-                args = _parse_args(argv)
-            except SystemExit as exc:   # argparse's help or usage error
-                return exc.code
             config = _config_from_args(args)
         return _DISPATCH[config.subcommand](config)
     except (ConfigParse, ValueError, OSError, json.JSONDecodeError,

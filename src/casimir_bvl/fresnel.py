@@ -1,9 +1,10 @@
 """Fresnel reflection coefficients of a planar half-space.
 
-One kernel holds the formulas: :func:`coefficients` gives (r_te, r_tm) from
-the vacuum and medium normal wavevectors, :func:`real_axis_coefficients`
-and :func:`imag_axis_coefficients` the same pair on either frequency axis
-with r_te in a form free of the cancellation of (k_z - s)/(k_z + s), and
+:func:`real_axis_coefficients` and :func:`imag_axis_coefficients` give
+(r_te, r_tm) on either frequency axis, r_tm as the quotient
+(eps k_z - s)/(eps k_z + s) of the vacuum and medium normal wavevectors
+and r_te in a form free of the cancellation of (k_z - s)/(k_z + s);
+:func:`static_rte` takes the imaginary-axis form at xi = 0, and
 :func:`scalar_coefficient` gives r_bar.  eps None, which :func:`epsilon`
 returns for the ideal metal, stands for (r_te, r_tm, r_bar) = (-1, 1, 1).
 
@@ -72,21 +73,13 @@ def epsilon(model, omega):
     return eps.real if np.all(np.real(omega) == 0.0) else eps
 
 
-def _quotient(a_kz, s):
-    """(a k_z - s)/(a k_z + s) from a*k_z: r_te at a = 1, r_tm at a = eps."""
-    return (a_kz - s) / (a_kz + s)
+#: (r_te, r_tm) of the ideal metal at every frequency.
+_IDEAL = (-1.0, 1.0)
 
 
-def coefficients(eps, k_z, s):
-    """(r_te, r_tm) from the vacuum and medium normal wavevectors k_z and s.
-
-    eps None is the ideal metal, (-1, 1) at every frequency.  On the
-    imaginary axis k_z = i*q and s = i*kappa may be passed as q and kappa,
-    since the common factor i cancels.  Arrays broadcast.
-    """
-    if eps is None:
-        return -1.0, 1.0
-    return _quotient(k_z, s), _quotient(eps * k_z, s)
+def _r_tm(eps_kz, s):
+    """r_tm = (eps k_z - s)/(eps k_z + s) from eps*k_z and s."""
+    return (eps_kz - s) / (eps_kz + s)
 
 
 def real_axis_coefficients(eps, k0sq, k_z, s):
@@ -99,9 +92,9 @@ def real_axis_coefficients(eps, k0sq, k_z, s):
     broadcast.
     """
     if eps is None:
-        return coefficients(None, None, None)
+        return _IDEAL
     t = k_z + s
-    return -(eps - 1.0) * k0sq / (t * t), _quotient(eps * k_z, s)
+    return -(eps - 1.0) * k0sq / (t * t), _r_tm(eps * k_z, s)
 
 
 def scalar_coefficient(eps):
@@ -123,11 +116,11 @@ def imag_axis_coefficients(eps, xi, q):
     columns that broadcast against an ndarray q.
     """
     if eps is None:  # the ideal metal needs no wavevectors
-        return coefficients(None, None, None)
+        return _IDEAL
     nw = (1.0 - eps) * (xi / C) ** 2          # -w, +0 where eps = 1
     kappa = np.sqrt(q * q - nw)
     t = q + kappa
-    return nw / (t * t), _quotient(eps * q, kappa)
+    return nw / (t * t), _r_tm(eps * q, kappa)
 
 
 def _check_kperp(k_perp, positive):
@@ -175,7 +168,7 @@ def reflection(model, omega, k_perp):
     k = _check_kperp(k_perp, positive=False)
     eps = epsilon(model, omega)
     if eps is None:  # the ideal metal needs no wavevectors
-        r_te, r_tm = coefficients(None, None, None)
+        r_te, r_tm = _IDEAL
     elif omega.real == 0.0:
         xi = omega.imag
         r_te, r_tm = imag_axis_coefficients(
@@ -219,13 +212,18 @@ def real_axis_sweep(model, omega, k_perp):
 
 
 def static_rte(model, k_perp):
-    """Zero-frequency TE coefficient; k_perp is a float or an ndarray."""
+    """Zero-frequency TE coefficient; k_perp is a float or an ndarray.
+
+    A plasma-like model gives -k_p^2/(k + kappa)^2, kappa^2 = k^2 + k_p^2
+    and k_p = omega_p,eff/c: the :func:`imag_axis_coefficients` r_te with
+    q = k and w = k_p^2, bit for bit, which keeps its digits at k >> k_p.
+    """
     k = np.asarray(k_perp, dtype=float)
     cls = zero_freq_class(model)
     if cls is ZeroFreqClass.INVERSE_OMEGA_SQUARED:
-        kp2 = (effective_omega_p(model) / C) ** 2
-        kappa = np.sqrt(k * k + kp2)
-        r_te = (k - kappa) / (k + kappa)
+        nw = -(effective_omega_p(model) / C) ** 2
+        t = k + np.sqrt(k * k - nw)
+        r_te = nw / (t * t)
     else:
         r_te = np.full(k.shape, -1.0 if cls is ZeroFreqClass.IDEAL else 0.0)
     return r_te if k.ndim else float(r_te)

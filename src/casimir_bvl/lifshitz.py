@@ -288,19 +288,18 @@ def pressure_matsubara(config):
     """Casimir pressure from the Matsubara representation.
 
     Returns a :class:`PressureResult` whose ``per_n`` list carries the
-    as-summed (half-weighted for n = 0) TE and TM contributions.  The n >= 1
-    terms are computed a chunk of indices at a time by
-    :func:`_matsubara_rows`: a first chunk of at most ROWS_PER_PASS indices
-    sized from the predicted index count plus CHUNK_MARGIN, then chunks of
-    at most MAX_ROWS_PER_PASS sized by :func:`_predicted_stop` from the
-    terms so far; a failed k_perp integral raises only if the sum consumes
-    its index.  Where the n = 0 TE
-    term is an integral (a plasma-like model facing a plasma-like model or
-    the ideal metal), its xi = 0 row leads the first chunk, so it is the
-    same number, bit for bit, as :func:`n0_term`'s; a failure of that row
-    raises.  The other n = 0 terms are closed forms.
-    ``error_estimate`` adds the tail bound and the error estimates of every
-    summed k_perp integral, left to right.
+    as-summed (half-weighted for n = 0) TE and TM contributions.  The n = 0
+    terms and a first chunk of at most ROWS_PER_PASS indices, sized from
+    the predicted index count plus CHUNK_MARGIN, are computed before the
+    sum starts.  Where the n = 0 TE term is an integral (a plasma-like
+    model facing a plasma-like model or the ideal metal), its xi = 0 row
+    leads that chunk, so it equals :func:`n0_term`'s bit for bit, and its
+    failure raises; the other n = 0 terms are closed forms.  As the sum
+    reads past the computed indices, chunks of at most MAX_ROWS_PER_PASS
+    are sized by :func:`_predicted_stop`; a failed k_perp integral raises
+    only if the sum consumes its index.  ``error_estimate`` adds the tail
+    bound and the error estimates of every summed k_perp integral, left to
+    right.
     """
     m1, m2, d, T = config.material_1, config.material_2, config.d, config.T
     xi1 = 2.0 * math.pi * K_B * T / HBAR
@@ -308,79 +307,64 @@ def pressure_matsubara(config):
     ceiling = quadrature.matsubara_ceiling(d, T)
     # terms fall like exp(-n/nu); about nu*ln(1/rel_tol) + 3 are summed
     nu = C / (2.0 * d * xi1)
-    first = min(ROWS_PER_PASS,
-                math.ceil(-nu * math.log(config.rel_tol)) + 3 + CHUNK_MARGIN)
-    static = _static_te_row(m1, m2)
-    tm0, tm0_err = _n0_integral(config, "tm")
-    terms = []      # per index n, the term as summed
-    n0 = []         # the n = 0 TE term and its error
+    terms = [0.0]   # per index n, the term as summed; n = 0 set below
     chunks = []     # per chunk, its (TE, TM) rows and their k_perp errors
-    sums = []       # per chunk, the sum of its terms
     failed = {}     # n -> (polarization, NoConvergence) of a failed row
 
-    def add_n0(te0, te0_err):
-        terms.append(2.0 * (te0 + tm0))
-        n0.extend((te0, te0_err))
-
-    def extend(n):
-        rest = ceiling + 1 - n      # indices up to the ceiling
-        if n == 1:
-            size = first
-        elif rest <= 3 * CHUNK_MARGIN:
-            size = rest     # fewer rows than a prediction costs
-        else:
-            horizon = min(ceiling, n - 1 + MAX_ROWS_PER_PASS)
-            total = 0.5 * terms[0] + math.fsum(sums)
-            size = (_predicted_stop(terms, total, nu, config.rel_tol, horizon)
-                    - n + 1 + CHUNK_MARGIN + math.ceil(nu / 20.0))
-        size = min(size, MAX_ROWS_PER_PASS, rest)
-        head = int(n == 1 and static)   # the xi = 0 row leads chunk one
+    def rows(n, size, head=0):
+        """Append the terms n to n + size - 1 from one :func:`_matsubara_rows`
+        call led by head xi = 0 rows, and return its result."""
         res = _matsubara_rows(m1, m2, d, np.arange(n - head, n + size) * xi1)
-        if head:
-            add_n0(*_static_te(res, T))
         width = head + size
         for j, exc in sorted(res.failures.items()):
             failed.setdefault(n - head + j % width,
                               ("TM" if j >= width else "TE", exc))
         values = pref * res.values.reshape(2, -1)[:, head:]
         chunks.append((values, res.errors.reshape(2, -1)[:, head:]))
-        summed = values[0] + values[1]
-        sums.append(float(summed.sum()))
-        terms.extend(summed.tolist())
+        terms.extend((values[0] + values[1]).tolist())
+        return res
 
-    if not static:
-        add_n0(*_n0_integral(config, "te"))
+    static = _static_te_row(m1, m2)
+    tm0, tm0_err = _n0_integral(config, "tm")
+    first = min(ROWS_PER_PASS,
+                math.ceil(-nu * math.log(config.rel_tol)) + 3 + CHUNK_MARGIN)
+    res = rows(1, first, int(static))
+    te0, te0_err = _static_te(res, T) if static else _n0_integral(config, "te")
+    terms[0] = 2.0 * (te0 + tm0)
 
     def term(n):
-        try:
-            t = terms[n]
-        except IndexError:
-            extend(max(n, 1))   # a xi = 0 row comes with chunk one
-            t = terms[n]
+        if n == len(terms):
+            rest = ceiling + 1 - n      # indices up to the ceiling
+            if rest <= 3 * CHUNK_MARGIN:
+                size = rest     # fewer rows than a prediction costs
+            else:
+                horizon = min(ceiling, n - 1 + MAX_ROWS_PER_PASS)
+                size = (_predicted_stop(terms, nu, config.rel_tol, horizon)
+                        - n + 1 + CHUNK_MARGIN + math.ceil(nu / 20.0))
+            rows(n, min(size, MAX_ROWS_PER_PASS, rest))
         if failed and n in failed:
             pol, exc = failed[n]
             raise _row_failure(n, pol, exc) from exc
-        return t
+        return terms[n]
 
     summed = quadrature.matsubara_sum(term, d, T, config.rel_tol)
     n = summed.n_max
     values, errors = chunks[0] if len(chunks) == 1 else (
         np.concatenate(a, axis=1) for a in zip(*chunks))
     te, tm = values[:, :n].tolist()
-    error = n0[1] + tm0_err     # the k_perp errors, summed left to right
+    error = te0_err + tm0_err   # the k_perp errors, summed left to right
     for e in (abs(pref) * errors[:, :n].sum(axis=0)).tolist():
         error += e
     return PressureResult(
         pressure=summed.value, error_estimate=summed.tail_bound + error,
-        n0_te=n0[0], n0_tm=tm0,
-        per_n=list(zip(range(n + 1), [n0[0]] + te, [tm0] + tm)),
+        n0_te=te0, n0_tm=tm0,
+        per_n=list(zip(range(n + 1), [te0] + te, [tm0] + tm)),
         n_max=n)
 
 
-def _predicted_stop(terms, total, nu, rel_tol, horizon):
+def _predicted_stop(terms, nu, rel_tol, horizon):
     """Index at which :func:`quadrature.matsubara_sum` is predicted to stop
-    on the terms so far, of sum total, and their continuation; horizon if
-    not before it.
+    on the terms so far and their continuation; horizon if not before it.
 
     The continuation takes the last term n times I(k/nu)/I(n/nu), I the
     k-th term of two ideal metals up to a constant,
@@ -394,6 +378,7 @@ def _predicted_stop(terms, total, nu, rel_tol, horizon):
     n_max) above it.  Terms that vanish or underflow predict no stop.
     """
     n = len(terms) - 1
+    total = 0.5 * terms[0] + math.fsum(terms[1:])   # the sum so far
     back = min(8, n // 2)
     x = np.arange(n - back, horizon + 1) / nu
     m = np.arange(1.0, min(64, math.ceil(8.0 / x[0])) + 1)

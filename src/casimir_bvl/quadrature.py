@@ -321,10 +321,11 @@ def integrate_rows(f, n_rows, scale, rel_tol, knees=()):
     panels.  Row i < len(knees) with knees[i] > 0, a row that turns at
     k = knees[i], starts instead from panels graded toward
     t_i = knees[i]/(knees[i] + scale), down to within GRADE_FIRST*t_i.
-    More knees than rows, or a knee that is not finite and >= 0, raise
-    ValueError.  The panels of all rows are refined together by
-    :func:`_refine`, which calls ``f(rows, k)`` once per round, where
-    ``rows`` (shape (m, 1)) names each panel's row and k has shape (m, 15).
+    n_rows that is not an int >= 1, more knees than rows, or a knee that
+    is not finite and >= 0 raise ValueError.  The panels of all rows are
+    refined together by :func:`_refine`, which calls ``f(rows, k)`` once
+    per round, where ``rows`` (shape (m, 1)) names each panel's row and k
+    has shape (m, 15).
     f returns shape (m, 15), or (P, m, 15) for P components per row that
     share its panels; the results then hold component p of row i at
     p*n_rows + i.  Each component is held to the target of
@@ -334,6 +335,8 @@ def integrate_rows(f, n_rows, scale, rel_tol, knees=()):
     caller decides whether it is needed.
     """
     _check_mapping(scale, rel_tol)
+    if not isinstance(n_rows, int) or n_rows < 1:
+        raise ValueError(f"n_rows must be an int >= 1, got {n_rows!r}")
     if len(knees) > n_rows or not all(0.0 <= k < math.inf for k in knees):
         raise ValueError("knees must be at most n_rows values, finite, >= 0")
     halvings = tuple(max(0, math.ceil(math.log2(

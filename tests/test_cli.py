@@ -454,6 +454,37 @@ def test_config_file_invalid_json_exits_2(tmp_path):
     assert proc.returncode == 2
 
 
+def _ideal_pressure_file(tmp_path):
+    """Path of the config file of an ideal-metal pressure run."""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"subcommand": "pressure",
+                                "materials": ["ideal", "ideal"],
+                                "d": 1e-6, "T": 300.0}))
+    return path
+
+
+def test_config_file_given_as_one_argument(tmp_path, capsys):
+    path = _ideal_pressure_file(tmp_path)
+    code, out, err = main_in_process(capsys, "--config", str(path))
+    assert code == 0 and err == ""
+    assert main_in_process(capsys, f"--config={path}") == (code, out, err)
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--d", "5e-6", "bogus"], "invalid choice: '5e-6'"),
+    (["--bogus"], "unrecognized arguments: --bogus"),
+    (["pressure", "--mat1", "ideal", "--mat2", "ideal", "--d", "1e-6",
+      "--T", "300"], "--config replaces the subcommand and its flags")])
+def test_config_file_with_other_arguments_exits_2(extra, message, tmp_path,
+                                                  capsys):
+    path = _ideal_pressure_file(tmp_path)
+    for argv in (["--config", str(path)] + extra,
+                 [f"--config={path}"] + extra):
+        code, out, err = main_in_process(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "usage: casimir-bvl" in err and message in err
+
+
 @pytest.mark.parametrize("config, names", [
     ({"subcommand": "reflect", "materials": [DRUDE],
       "probe": {"axis": "xi", "value": 1e14}}, "probe.kperp"),

@@ -150,6 +150,16 @@ def test_reflection_static_rejects_nonpositive_kperp():
         F.reflection_static(M.plasma(1e16), 0.0)
 
 
+def test_static_rte_is_the_imag_axis_r_te_at_zero_frequency():
+    """The xi = 0 row of the Matsubara kernel takes eps = 2 at
+    xi = omega_p,eff: its r_te is static_rte's, bit for bit."""
+    ks = np.geomspace(1e3, 1e12, 37)
+    for model in (CATALOG[2], CATALOG[3]):
+        wp = M.effective_omega_p(model)
+        r_te, _ = F.imag_axis_coefficients(2.0, wp, ks)
+        assert np.array_equal(F.static_rte(model, ks), r_te)
+
+
 def test_static_rte_vectorized_matches_scalar():
     ks = np.geomspace(1e4, 1e9, 7)
     for model in CATALOG + [M.ideal_metal()]:
@@ -182,10 +192,11 @@ def test_imag_axis_coefficients_match_complex_path():
     full = F.reflection(model, 1j * xi, k)
     assert full.r_te.real == pytest.approx(r_te, rel=1e-14)
     assert full.r_tm.real == pytest.approx(r_tm, rel=1e-14)
-    # the quotient kernel on the complex wavevectors k_z = i q, s = i kappa
+    # the quotients on the complex wavevectors k_z = i q, s = i kappa
     k0sq = (1j * xi / C) ** 2
-    te, tm = F.coefficients(eps, F.branch_sqrt(k0sq - k * k),
-                            F.branch_sqrt(eps * k0sq - k * k))
+    k_z = F.branch_sqrt(k0sq - k * k)
+    s = F.branch_sqrt(eps * k0sq - k * k)
+    te, tm = (k_z - s) / (k_z + s), (eps * k_z - s) / (eps * k_z + s)
     assert te.real == pytest.approx(r_te, rel=1e-14)
     assert tm.real == pytest.approx(r_tm, rel=1e-14)
 

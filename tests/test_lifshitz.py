@@ -500,6 +500,17 @@ def test_failed_static_row_names_itself(monkeypatch):
         assert seen[0] == 0         # the xi = 0 row leads its call
 
 
+def test_failed_static_row_raises_before_the_sum(monkeypatch):
+    pl = M.plasma(1.37e16)
+    cfg = L.CavityConfig(pl, pl, 1e-6, 300.0)
+    _inject_failures(monkeypatch, cfg, lambda n: n == 0)
+    entered = []
+    monkeypatch.setattr(Q, "matsubara_sum", lambda *args: entered.append(1))
+    with pytest.raises(Q.NoConvergence, match=r"\(n=0, TE\): injected"):
+        L.pressure_matsubara(cfg)
+    assert not entered
+
+
 # -------------------------------------------------------- real frequency
 
 def test_real_frequency_rejects_tabulated():

@@ -749,6 +749,12 @@ def test_integrate_rows_validation():
                   [math.inf], [math.nan], [0.01, -0.1]):
         with pytest.raises(ValueError, match="knees"):
             Q.integrate_rows(lambda rows, k: np.exp(-k), 2, 1.0, 1e-8, knees)
+    # row counts that are not an int >= 1, with knees or without
+    for n_rows, knees in ((0, ()), (-2, ()), (-2, [0.01]), (2.0, ()),
+                          (np.int64(2), ()), (None, ())):
+        with pytest.raises(ValueError, match="n_rows"):
+            Q.integrate_rows(lambda rows, k: np.exp(-k), n_rows, 1.0, 1e-8,
+                             knees)
 
 
 def test_matsubara_sum_ceiling_message_reports_progress():
