@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fresnel, lifshitz, materials, quadrature
 from .constants import C
-from .materials import Kind, ZeroFreqClass, zero_freq_class
+from .materials import Kind, zero_freq_class
 from .quadrature import DegenerateSweep
 
 #: Below this, relative residues are implementation noise, not physics.
@@ -72,10 +72,10 @@ def b_correlator_classical(model, point):
     zsum = point.z + point.z_prime
     if zsum < MIN_SURFACE_DISTANCE:
         raise SurfaceContact(f"z + z' below {MIN_SURFACE_DISTANCE:g} m")
-    if zero_freq_class(model) in (ZeroFreqClass.FINITE,
-                                  ZeroFreqClass.INVERSE_OMEGA):
+    nw = fresnel.static_nw(model)
+    if nw == 0.0:
         return np.zeros((3, 3))  # r_te(0, k) vanishes identically
-    if model.kind is Kind.IDEAL_METAL:
+    if nw is None:  # the ideal metal
         bzz = -2.0 / zsum ** 3
     else:
         def f(k):

@@ -322,12 +322,15 @@ def run_pressure(config):
         for n, te, tm in result.per_n:
             lines.append(f"{n},{_fmt(te)},{_fmt(tm)}")
         lines.append("# pressure_pa,error_estimate_pa,n0_te_pa,n0_tm_pa,n_max")
-        lines.append(",".join([_fmt(result.pressure),
-                               _fmt(result.error_estimate),
-                               _fmt(result.n0_te), _fmt(result.n0_tm),
-                               str(result.n_max)]))
+        lines.append(",".join(_summary_fields(result)))
         _emit(lines, config.output)
     return 0
+
+
+def _summary_fields(result):
+    """CSV fields pressure_pa,error_estimate_pa,n0_te_pa,n0_tm_pa,n_max."""
+    return [_fmt(result.pressure), _fmt(result.error_estimate),
+            _fmt(result.n0_te), _fmt(result.n0_tm), str(result.n_max)]
 
 
 def _geometric_ends(lo, hi, what):
@@ -388,9 +391,7 @@ def run_sweep(config):
             if isinstance(r, Exception):
                 lines.append(f"# {param}={_fmt(v)}: {_failure_text(r)}")
             else:
-                lines.append(",".join([_fmt(v), _fmt(r.pressure),
-                                       _fmt(r.error_estimate), _fmt(r.n0_te),
-                                       _fmt(r.n0_tm), str(r.n_max)]))
+                lines.append(",".join([_fmt(v), *_summary_fields(r)]))
         _emit(lines, config.output)
     if failures:
         raise failures[0]
@@ -491,19 +492,17 @@ def _parsers():
         p.add_argument("--d", type=float, required=True, help="gap width, m")
         p.add_argument("--T", type=float, required=True, help="temperature, K")
         p.add_argument("--output", help="output file path (default stdout)")
+        if two_materials:
+            p.add_argument("--method", choices=("matsubara", "realfreq"),
+                           default="matsubara")
+            p.add_argument("--rel-tol", type=float, default=None)
 
     p = sub.add_parser("pressure", help="Casimir pressure for one geometry")
     add_common(p)
-    p.add_argument("--method", choices=("matsubara", "realfreq"),
-                   default="matsubara")
-    p.add_argument("--rel-tol", type=float, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="json")
 
     p = sub.add_parser("sweep", help="pressure along a parameter sweep")
     add_common(p)
-    p.add_argument("--method", choices=("matsubara", "realfreq"),
-                   default="matsubara")
-    p.add_argument("--rel-tol", type=float, default=None)
     p.add_argument("--sweep-param", choices=SWEEP_PARAMS,
                    required=True)
     p.add_argument("--sweep-from", type=float, required=True)
@@ -534,11 +533,16 @@ def _parse_args(argv):
     A subcommand's own parser parses its arguments once; the top-level
     parser handles help, a missing or unknown subcommand and the arguments
     that the subcommand's parser leaves, in the words it would use when it
-    hands the arguments on itself.  ``--config`` takes no subcommand.
+    hands the arguments on itself.  ``--config`` takes no subcommand.  A
+    :func:`_stray_option` is named, not the value argparse takes for the
+    subcommand.
     """
     parser, subparsers = _parsers()
     sub = subparsers.get(argv[0]) if argv else None
     if sub is None:
+        if (stray := _stray_option(argv)) is not None:
+            parser.error(f"unrecognized option before the subcommand: "
+                         f"{stray}")
         args = parser.parse_args(argv)
         if args.config is not None and args.subcommand is not None:
             parser.error("--config replaces the subcommand and its flags")
@@ -550,15 +554,31 @@ def _parse_args(argv):
     return args
 
 
+def _stray_option(argv):
+    """The option right before the first positional of argv but --config,
+    whose value is no positional; None if there is none or argparse meets
+    help or "--" first.  A prefix of an option counts as that option."""
+    prev = ""   # the option before tok; None after --config, for its value
+    for tok in argv:
+        name = tok.partition("=")[0]
+        if tok == "--" or name == "-h" or (
+                len(name) > 2 and "--help".startswith(name)):
+            return None
+        if tok.startswith("-"):
+            config = len(name) > 2 and "--config".startswith(name)
+            prev = (None if name == tok else "") if config else tok
+        elif prev is None:
+            prev = ""
+        else:
+            return prev or None
+    return None
+
+
 def _config_from_args(args):
     sc = args.subcommand
-    output = None
-    if getattr(args, "output", None) or getattr(args, "format", None):
-        output = {}
-        if getattr(args, "output", None):
-            output["path"] = args.output
-        if getattr(args, "format", None):
-            output["format"] = args.format
+    output = {key: value for key, value in (
+        ("path", getattr(args, "output", None)),
+        ("format", getattr(args, "format", None))) if value} or None
     if sc in ("pressure", "sweep"):
         cfg = RunConfig(
             subcommand=sc, materials=[args.mat1, args.mat2],

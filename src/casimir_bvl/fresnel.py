@@ -4,7 +4,7 @@
 (r_te, r_tm) on either frequency axis, r_tm as the quotient
 (eps k_z - s)/(eps k_z + s) of the vacuum and medium normal wavevectors
 and r_te in a form free of the cancellation of (k_z - s)/(k_z + s);
-:func:`static_rte` takes the imaginary-axis form at xi = 0, and
+:func:`static_nw` and :func:`static_rte` give nw and r_te at xi = 0;
 :func:`scalar_coefficient` gives r_bar.  eps None, which :func:`epsilon`
 returns for the ideal metal, stands for (r_te, r_tm, r_bar) = (-1, 1, 1).
 
@@ -104,20 +104,20 @@ def scalar_coefficient(eps):
     return (eps - 1.0) / (eps + 1.0)
 
 
-def imag_axis_coefficients(eps, xi, q):
-    """(r_te, r_tm) at omega = i*xi for a real eps(i xi) or eps None.
+def imag_axis_coefficients(eps, nw, q):
+    """(r_te, r_tm) at omega = i*xi for a real eps(i xi) or eps None, and
+    nw = -w = (1 - eps)(xi/c)^2, :func:`static_nw` at xi = 0.
 
     Pure real arithmetic on the normal wavevectors i*q and i*kappa: q =
-    sqrt(k_perp^2 + (xi/c)^2) is passed in, kappa = sqrt(q^2 + w) with
-    w = (eps - 1)(xi/c)^2.  r_te is taken as -w/(q + kappa)^2, which equals
-    (q - kappa)/(q + kappa) but keeps its digits where eps(i xi) -> 1 and
-    kappa is close to q, and r_tm = (eps q - kappa)/(eps q + kappa).
-    eps = 1 gives w = 0, kappa = q and r = +0 exactly.  eps and xi may be
-    columns that broadcast against an ndarray q.
+    sqrt(k_perp^2 + (xi/c)^2) is passed in, and kappa = sqrt(q^2 + w).
+    r_te is taken as -w/(q + kappa)^2, which equals (q - kappa)/(q + kappa)
+    but keeps its digits where eps(i xi) -> 1 and kappa is close to q, and
+    r_tm = (eps q - kappa)/(eps q + kappa).  eps = 1 gives w = 0, kappa = q
+    and r = +0 exactly.  eps and nw may be columns that broadcast against
+    an ndarray q.
     """
     if eps is None:  # the ideal metal needs no wavevectors
         return _IDEAL
-    nw = (1.0 - eps) * (xi / C) ** 2          # -w, +0 where eps = 1
     kappa = np.sqrt(q * q - nw)
     t = q + kappa
     return nw / (t * t), _r_tm(eps * q, kappa)
@@ -170,9 +170,9 @@ def reflection(model, omega, k_perp):
     if eps is None:  # the ideal metal needs no wavevectors
         r_te, r_tm = _IDEAL
     elif omega.real == 0.0:
-        xi = omega.imag
+        a = omega.imag / C
         r_te, r_tm = imag_axis_coefficients(
-            eps, xi, np.sqrt(k * k + (xi / C) ** 2))
+            eps, (1.0 - eps) * a ** 2, np.sqrt(k * k + a ** 2))
     else:
         k0sq = (omega / C) * (omega / C)
         r_te, r_tm = real_axis_coefficients(
@@ -211,21 +211,34 @@ def real_axis_sweep(model, omega, k_perp):
     return r_te, gap
 
 
+def static_nw(model):
+    """nw = (1 - eps)(xi/c)^2 of :func:`imag_axis_coefficients` at xi = 0:
+    -(omega_p,eff/c)^2 for a plasma-like (1/omega^2) model, and 0, where
+    the static r_te and with it the classical transverse field vanish, for
+    finite and Drude-like (1/omega) ones; None for the ideal metal."""
+    cls = zero_freq_class(model)
+    if cls is ZeroFreqClass.IDEAL:
+        return None
+    if cls is ZeroFreqClass.INVERSE_OMEGA_SQUARED:
+        return -(effective_omega_p(model) / C) ** 2
+    return 0.0
+
+
 def static_rte(model, k_perp):
     """Zero-frequency TE coefficient; k_perp is a float or an ndarray.
 
     A plasma-like model gives -k_p^2/(k + kappa)^2, kappa^2 = k^2 + k_p^2
     and k_p = omega_p,eff/c: the :func:`imag_axis_coefficients` r_te with
-    q = k and w = k_p^2, bit for bit, which keeps its digits at k >> k_p.
+    q = k and nw = :func:`static_nw` = -k_p^2, bit for bit, which keeps its
+    digits at k >> k_p.  Where nw = 0 it is 0, and -1 for the ideal metal.
     """
     k = np.asarray(k_perp, dtype=float)
-    cls = zero_freq_class(model)
-    if cls is ZeroFreqClass.INVERSE_OMEGA_SQUARED:
-        nw = -(effective_omega_p(model) / C) ** 2
+    nw = static_nw(model)
+    if nw:
         t = k + np.sqrt(k * k - nw)
         r_te = nw / (t * t)
     else:
-        r_te = np.full(k.shape, -1.0 if cls is ZeroFreqClass.IDEAL else 0.0)
+        r_te = np.full(k.shape, -1.0 if nw is None else 0.0)
     return r_te if k.ndim else float(r_te)
 
 

@@ -15,8 +15,7 @@ import numpy as np
 
 from . import fresnel, materials, quadrature
 from .constants import C, HBAR, K_B
-from .materials import (Kind, MaterialError, TabulatedOutOfRange,
-                        ZeroFreqClass, zero_freq_class)
+from .materials import Kind, MaterialError, TabulatedOutOfRange
 
 #: Default relative tolerance of the transverse-wavenumber integrals.
 KPERP_REL_TOL = 1e-8
@@ -132,22 +131,40 @@ def n0_term(config, polarization):
     ideal metals) the integral is Li_3(R)/(4 d^3).  polarization is "te"
     or "tm", in any case; anything else raises ValueError.
     """
-    return _n0_integral(config, polarization)[0]
+    pol = str(polarization).lower()
+    if pol not in ("te", "tm"):
+        raise ValueError(f"polarization must be 'te' or 'tm', got "
+                         f"{polarization!r}")
+    return _n0_integral(config, pol == "te", -K_B * config.T / math.pi)[0]
+
+
+def matsubara_ceiling(d, T):
+    """Index ceiling of the Matsubara sum at gap d and temperature T."""
+    return _matsubara_grid(d, T)[2]
+
+
+def _matsubara_grid(d, T):
+    """(xi_1, nu, index ceiling, term prefactor) at gap d and temperature
+    T: 2 pi k_B T/hbar, c/(2 d xi_1), for terms that fall like exp(-n/nu),
+    max(50, ceil(10*nu)) and -k_B T/pi; ValueError unless d, T > 0."""
+    if d <= 0 or T <= 0:
+        raise ValueError("d and T must be positive")
+    xi1 = 2.0 * math.pi * K_B * T / HBAR
+    ceiling = max(50, math.ceil(10.0 * C / (2.0 * d * xi1)))
+    return xi1, C / (2.0 * d * xi1), ceiling, -K_B * T / math.pi
 
 
 #: The frequency array of the one-row static TE integral.
 _STATIC_XI = np.zeros(1)
 _STATIC_XI.flags.writeable = False
-#: Zero-frequency classes whose static r_te does not vanish.
-_STATIC_TE_CLASSES = (ZeroFreqClass.INVERSE_OMEGA_SQUARED, ZeroFreqClass.IDEAL)
 
 
 def _static_te_row(m1, m2):
     """Whether the n = 0 TE term of m1 facing m2 is a k_perp integral: both
-    static r_te survive (plasma-like or ideal) and one is plasma-like."""
-    classes = zero_freq_class(m1), zero_freq_class(m2)
-    return (ZeroFreqClass.INVERSE_OMEGA_SQUARED in classes
-            and all(c in _STATIC_TE_CLASSES for c in classes))
+    static r_te survive (:func:`fresnel.static_nw` is not 0) and one is
+    plasma-like (not the ideal metal's None)."""
+    nw = fresnel.static_nw(m1), fresnel.static_nw(m2)
+    return 0.0 not in nw and nw != (None, None)
 
 
 def _row_failure(n, pol, exc):
@@ -156,39 +173,33 @@ def _row_failure(n, pol, exc):
         f"k_perp integral of Matsubara row (n={n}, {pol}): {exc}")
 
 
-def _static_te(res, T):
-    """(n = 0 TE term, its error estimate), Pa, at temperature T from row 0
-    of a :func:`_matsubara_rows` result whose first frequency is 0.  A
+def _static_te(res, pref):
+    """(n = 0 TE term, its error estimate), Pa, from row 0, at xi = 0, of a
+    :func:`_matsubara_rows` result and half the term prefactor pref; a
     failed row raises NoConvergence naming (n=0, TE)."""
     if 0 in res.failures:
         exc = res.failures[0]
         raise _row_failure(0, "TE", exc) from exc
-    pref = K_B * T / (2.0 * math.pi)
-    return -pref * float(res.values[0]), pref * float(res.errors[0])
+    half = 0.5 * pref
+    return half * float(res.values[0]), -half * float(res.errors[0])
 
 
-def _n0_integral(config, polarization):
-    """(:func:`n0_term`, its error estimate), Pa.
+def _n0_integral(config, te, pref):
+    """(:func:`n0_term`, its error estimate), Pa, of TE or TM, from half
+    the term prefactor pref = -k_B T/pi.
 
     A closed form reports the quadrature.ROUNDING_FLOOR of its value.  The
     TE integral of plasma-like models is the TE row of a one-row
     :func:`_matsubara_rows` call at xi = 0, and reports that row's error:
     its Kronrod-minus-Gauss estimate plus the rounding floor of Int|f|.
     """
-    pol = str(polarization).lower()
-    if pol not in ("te", "tm"):
-        raise ValueError(f"polarization must be 'te' or 'tm', got "
-                         f"{polarization!r}")
     m1, m2, d = config.material_1, config.material_2, config.d
-    te = pol == "te"
     if te and not (m1.kind is m2.kind is Kind.IDEAL_METAL):
         if _static_te_row(m1, m2):
-            return _static_te(_matsubara_rows(m1, m2, d, _STATIC_XI),
-                              config.T)
+            return _static_te(_matsubara_rows(m1, m2, d, _STATIC_XI), pref)
         return 0.0, 0.0
-    pref = K_B * config.T / (2.0 * math.pi)
     R = 1.0 if te else fresnel.static_rtm(m1) * fresnel.static_rtm(m2)
-    value = -pref * quadrature.polylog3(R) / (4.0 * d ** 3)
+    value = 0.5 * pref * quadrature.polylog3(R) / (4.0 * d ** 3)
     return value, quadrature.ROUNDING_FLOOR * abs(value)
 
 
@@ -204,28 +215,22 @@ def classical_transverse_pressure(config):
 
 
 def _coefficient_columns(m, xi):
-    """(eps, xi) per row of m's coefficient call at the frequencies xi,
-    xi[0] = 0 allowed; None for the ideal metal.
+    """(eps, nw) per row of m's :func:`fresnel.imag_axis_coefficients`
+    calls at the frequencies xi; None for the ideal metal.
 
     eps comes from one :func:`materials.eval_imag_axis` call over the
-    nonzero xi.  A xi = 0 row takes (1, 0), w = 0, for a finite or 1/omega
-    model, and the pure plasma's (2, omega_p,eff) for a plasma-like one:
-    w = (eps - 1)(xi/c)^2 of a pure plasma does not depend on xi, so that
-    pair gives the xi -> 0 limit of every plasma-like model,
-    w = (omega_p,eff/c)^2, with the static r_te of :func:`fresnel.static_rte`.
+    nonzero xi, and nw = (1 - eps)(xi/c)^2.  A xi = 0 row, xi[0], takes
+    :func:`fresnel.static_nw` and eps = 1, read only by its masked TM.
     """
     if m.kind is Kind.IDEAL_METAL:
         return None
     if xi[0] != 0.0:
-        return materials.eval_imag_axis(m, xi), xi
-    eps, x = np.empty(xi.shape), xi.copy()
-    if zero_freq_class(m) is ZeroFreqClass.INVERSE_OMEGA_SQUARED:
-        eps[0], x[0] = 2.0, materials.effective_omega_p(m)
-    else:
-        eps[0] = 1.0
+        eps = materials.eval_imag_axis(m, xi)
+        return eps, (1.0 - eps) * (xi / C) ** 2
+    eps, nw = np.ones(xi.shape), np.full(xi.shape, fresnel.static_nw(m))
     if xi.size > 1:
-        eps[1:] = materials.eval_imag_axis(m, xi[1:])
-    return eps, x
+        eps[1:], nw[1:] = _coefficient_columns(m, xi[1:])
+    return eps, nw
 
 
 def _matsubara_rows(m1, m2, d, xi):
@@ -247,9 +252,9 @@ def _matsubara_rows(m1, m2, d, xi):
     no k.
 
     xi[0] may be 0: that row is the static TE integral of the n = 0 term,
-    with the columns of :func:`_coefficient_columns`, and its TM component
-    is 0, with error 0, on every panel (the static TM term is a closed
-    form).
+    an ordinary row with the static nw of :func:`_coefficient_columns`,
+    and its TM component is 0, with error 0, on every panel (the static TM
+    term is a closed form).
     """
     static = xi[0] == 0.0
     c1 = _coefficient_columns(m1, xi)
@@ -301,12 +306,9 @@ def pressure_matsubara(config):
     bound and the error estimates of every summed k_perp integral, left to
     right.
     """
-    m1, m2, d, T = config.material_1, config.material_2, config.d, config.T
-    xi1 = 2.0 * math.pi * K_B * T / HBAR
-    pref = -K_B * T / math.pi
-    ceiling = quadrature.matsubara_ceiling(d, T)
+    m1, m2, d = config.material_1, config.material_2, config.d
     # terms fall like exp(-n/nu); about nu*ln(1/rel_tol) + 3 are summed
-    nu = C / (2.0 * d * xi1)
+    xi1, nu, ceiling, pref = _matsubara_grid(d, config.T)
     terms = [0.0]   # per index n, the term as summed; n = 0 set below
     chunks = []     # per chunk, its (TE, TM) rows and their k_perp errors
     failed = {}     # n -> (polarization, NoConvergence) of a failed row
@@ -325,11 +327,12 @@ def pressure_matsubara(config):
         return res
 
     static = _static_te_row(m1, m2)
-    tm0, tm0_err = _n0_integral(config, "tm")
+    tm0, tm0_err = _n0_integral(config, False, pref)
     first = min(ROWS_PER_PASS,
                 math.ceil(-nu * math.log(config.rel_tol)) + 3 + CHUNK_MARGIN)
     res = rows(1, first, int(static))
-    te0, te0_err = _static_te(res, T) if static else _n0_integral(config, "te")
+    te0, te0_err = (_static_te(res, pref) if static
+                    else _n0_integral(config, True, pref))
     terms[0] = 2.0 * (te0 + tm0)
 
     def term(n):
@@ -347,7 +350,7 @@ def pressure_matsubara(config):
             raise _row_failure(n, pol, exc) from exc
         return terms[n]
 
-    summed = quadrature.matsubara_sum(term, d, T, config.rel_tol)
+    summed = quadrature.matsubara_sum(term, ceiling, config.rel_tol)
     n = summed.n_max
     values, errors = chunks[0] if len(chunks) == 1 else (
         np.concatenate(a, axis=1) for a in zip(*chunks))

@@ -164,22 +164,13 @@ def tabulated(table, extrapolation):
 
 
 def eval_epsilon(model, w):
-    """Evaluate eps(w) on the real axis or the positive imaginary axis.
+    """Complex eps(w), w in rad/s, a scalar or an ndarray (then of w's
+    shape), on the real axis (nonzero for singular models) or the positive
+    imaginary axis, where the imaginary part is exactly zero.
 
-    Parameters
-    ----------
-    model : MaterialModel
-    w : complex or ndarray
-        Frequency in rad/s.  Either purely real (nonzero for singular
-        models) or purely imaginary with positive imaginary part.  An
-        ndarray must lie wholly on one of the two axes.  Either is evaluated
-        in one array pass; a scalar as a one-entry array, so it equals the
-        matching entry of an array call bit for bit.
-
-    Returns
-    -------
-    complex, or a complex ndarray of w's shape for an ndarray w
-        On the imaginary axis the result has exactly zero imaginary part.
+    An ndarray must lie wholly on one axis.  Either is evaluated in one
+    array pass; a scalar as a one-entry array, so it equals the matching
+    entry of an array call bit for bit.
     """
     if model.kind is Kind.IDEAL_METAL:
         raise IdealMetalHasNoEpsilon("ideal metal has no permittivity")
@@ -260,8 +251,7 @@ def eval_epsilon_tabulated(model, xi):
         a = (e1 - e2) / (1.0 / x1 - 1.0 / x2)
         below = e1 + a * (1.0 / x - 1.0 / x1)
     elif tag is Extrapolation.PLASMA_LIKE:
-        b = (e1 - e2) / (1.0 / x1 ** 2 - 1.0 / x2 ** 2)
-        below = e1 + b * (1.0 / x ** 2 - 1.0 / x1 ** 2)
+        below = e1 + _plasma_like_b(model) * (1.0 / x ** 2 - 1.0 / x1 ** 2)
     else:
         below = e1
     above = 1.0 + (en - 1.0) * xn ** 2 / x ** 2
@@ -299,10 +289,14 @@ def effective_omega_p(model):
         return model.omega_p
     if (model.kind is Kind.TABULATED
             and model.extrapolation is Extrapolation.PLASMA_LIKE):
-        (x1, e1), (x2, e2) = model.table[0], model.table[1]
-        b = (e1 - e2) / (1.0 / x1 ** 2 - 1.0 / x2 ** 2)
-        return math.sqrt(b)
+        return math.sqrt(_plasma_like_b(model))
     raise ValueError("model has no inverse-omega-squared singularity")
+
+
+def _plasma_like_b(model):
+    """B of a plasma-like table's B/xi^2, fitted to its two lowest nodes."""
+    (x1, e1), (x2, e2) = model.table[0], model.table[1]
+    return (e1 - e2) / (1.0 / x1 ** 2 - 1.0 / x2 ** 2)
 
 
 def static_epsilon(model):

@@ -27,10 +27,9 @@ import fractions
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-
-from .constants import C, HBAR, K_B
 
 
 class QuadratureError(Exception):
@@ -53,8 +52,7 @@ class DegenerateSweep(QuadratureError):
     """A limit sweep needs more points to be fitted."""
 
 
-@dataclass
-class IntegralResult:
+class IntegralResult(NamedTuple):
     value: float
     error_estimate: float
     evaluations: int
@@ -170,9 +168,9 @@ def adaptive_gk(f, a, b, rel_tol):
     cancelling integrands).  Bounds other than finite a < b raise
     ValueError.  At most DEFAULT_INTERVAL_BUDGET panels are
     used; a non-finite integrand or an exhausted budget raises
-    NoConvergence.  Returns (value, error_estimate, evaluations): the
-    estimate adds ROUNDING_FLOOR times the integral of |f|, and the count
-    takes every point f was called on.
+    NoConvergence.  Returns an IntegralResult whose estimate adds
+    ROUNDING_FLOOR times the integral of |f| and whose count takes every
+    point f was called on.
     """
     return _gk_row(f, _gk_seeds(float(a), float(b)), rel_tol, 0.01,
                    DEFAULT_INTERVAL_BUDGET)
@@ -199,17 +197,9 @@ def _check_mapping(scale, rel_tol):
 
 
 def integrate_semi_infinite(f, scale, rel_tol):
-    """Integrate f over [0, inf) via the substitution k = scale*t/(1-t).
-
-    Parameters
-    ----------
-    f : callable
-        Vectorized integrand, decaying beyond roughly 1/scale.
-    scale : float
-        Positive mapping scale.
-    rel_tol : float
-        Relative tolerance, within (1e-14, 1e-2).
-    """
+    """:func:`adaptive_gk` of a vectorized f, decaying beyond roughly
+    1/scale, over [0, inf) via the substitution k = scale*t/(1-t); scale
+    must be positive and finite and rel_tol within (1e-14, 1e-2)."""
     _check_mapping(scale, rel_tol)
 
     def g(t):
@@ -217,7 +207,7 @@ def integrate_semi_infinite(f, scale, rel_tol):
         k = scale * t / u
         return f(k) * scale / (u * u)
 
-    return IntegralResult(*adaptive_gk(g, 0.0, 1.0, rel_tol))
+    return adaptive_gk(g, 0.0, 1.0, rel_tol)
 
 
 def _panels(rows, lo, hi):
@@ -422,22 +412,15 @@ def composite_gk(f, edges, rel_tol, floor_frac=0.01):
     COMPOSITE_PANEL_BUDGET panels are used; a non-finite integrand or an
     exhausted budget raises NoConvergence.
 
-    Parameters
-    ----------
-    f : callable
-        Vectorized integrand: N points in, N values out, or a (P, N) array
-        for P components that share the panels, each held to its own
-        target; value and error_estimate are then arrays of P entries.
-    edges : array_like
-        Finite, strictly increasing panel edges; the integral runs over
-        [edges[0], edges[-1]].  Other edges raise ValueError.
-    rel_tol : float
-        Relative tolerance.
-    floor_frac : float
-        Weight of the integral-of-|f| term in the tolerance floor.
+    f takes N points to N values, or to a (P, N) array for P components
+    that share the panels, each held to its own target; value and
+    error_estimate are then arrays of P entries.  The integral runs over
+    [edges[0], edges[-1]] on finite, strictly increasing edges; other edges
+    raise ValueError.  floor_frac weights the integral of |f| in the
+    tolerance floor.
     """
-    return IntegralResult(*_gk_row(f, _seed_panels(edges), rel_tol,
-                                   floor_frac, COMPOSITE_PANEL_BUDGET))
+    return _gk_row(f, _seed_panels(edges), rel_tol, floor_frac,
+                   COMPOSITE_PANEL_BUDGET)
 
 
 def _seed_panels(edges):
@@ -453,10 +436,10 @@ def _seed_panels(edges):
 
 
 def _gk_row(f, seeds, rel_tol, floor_frac, budget):
-    """(value, error_estimate, evaluations) of a vectorized f over the
-    :func:`_seed_panels` seeds, refined by :func:`_refine` as one row of
-    at most ``budget`` panels; arrays of P entries for an f of P
-    components.  The first failed component's NoConvergence is raised."""
+    """IntegralResult of a vectorized f over the :func:`_seed_panels`
+    seeds, refined by :func:`_refine` as one row of at most ``budget``
+    panels; arrays of P entries for an f of P components.  The first
+    failed component's NoConvergence is raised."""
 
     def sample(rows, x):
         return np.asarray(f(x.ravel()), dtype=float).reshape((-1,) + x.shape)
@@ -468,31 +451,20 @@ def _gk_row(f, seeds, rel_tol, floor_frac, budget):
     if value.size == 1:
         value, error = float(value[0]), float(error[0])
     # every bisection adds one panel and evaluates two
-    return value, error, _XGK.size * (2 * int(res.panels[0]) - seeds[0].size)
+    return IntegralResult(
+        value, error, _XGK.size * (2 * int(res.panels[0]) - seeds[0].size))
 
 
-def matsubara_ceiling(d, T):
-    """Index ceiling of :func:`matsubara_sum`, max(50, ceil(10*nu)).
-
-    nu = c/(2 d xi_1) with xi_1 = 2 pi k_B T / hbar; terms fall like
-    exp(-n/nu).
-    """
-    xi1 = 2.0 * math.pi * K_B * T / HBAR
-    return max(50, math.ceil(10.0 * C / (2.0 * d * xi1)))
-
-
-def matsubara_sum(term, d, T, rel_tol):
+def matsubara_sum(term, ceiling, rel_tol):
     """Sum term(n) over Matsubara indices with half-weighted n = 0.
 
     Accumulates until three consecutive terms fall below
     ``rel_tol * |partial sum|`` and the geometric tail bound is within
-    tolerance.  The index ceiling is :func:`matsubara_ceiling`.  At the
-    ceiling, NoConvergence reports the last |term|/|sum|, the decay ratio
-    of the last two terms and the tolerance the stopping rule did meet.
+    tolerance, reading no index past ``ceiling`` (the caller's, such as
+    lifshitz.matsubara_ceiling).  At the ceiling, NoConvergence reports the
+    last |term|/|sum|, the decay ratio of the last two terms and the
+    tolerance the stopping rule did meet.
     """
-    if d <= 0 or T <= 0:
-        raise ValueError("d and T must be positive")
-    ceiling = matsubara_ceiling(d, T)
     total = 0.5 * term(0)
     streak = 0
     last = 0.0      # |previous term|
@@ -558,13 +530,9 @@ def power_law_slopes(x, y):
     """Least-squares slope of log y against log x for each row of y.
 
     x holds n positive abscissae and y an (rows, n) array of positive
-    ordinates.  The slope is the centred closed form sum(dx dy)/sum(dx^2),
-    dx and dy the deviations of log x and of each row of log y from their
-    means.
-
-    Returns
-    -------
-    (slopes, dx, dy)
+    ordinates.  Returns (slopes, dx, dy): the slope is the centred closed
+    form sum(dx dy)/sum(dx^2), dx and dy the deviations of log x and of
+    each row of log y from their means.
     """
     if (x <= 0).any() or (y <= 0).any():
         raise NonPositiveData("power-law fit needs positive coordinates")

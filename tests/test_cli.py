@@ -471,7 +471,7 @@ def test_config_file_given_as_one_argument(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("extra, message", [
-    (["--d", "5e-6", "bogus"], "invalid choice: '5e-6'"),
+    (["--d", "5e-6", "bogus"], "before the subcommand: --d"),
     (["--bogus"], "unrecognized arguments: --bogus"),
     (["pressure", "--mat1", "ideal", "--mat2", "ideal", "--d", "1e-6",
       "--T", "300"], "--config replaces the subcommand and its flags")])

@@ -151,13 +151,22 @@ def test_reflection_static_rejects_nonpositive_kperp():
 
 
 def test_static_rte_is_the_imag_axis_r_te_at_zero_frequency():
-    """The xi = 0 row of the Matsubara kernel takes eps = 2 at
-    xi = omega_p,eff: its r_te is static_rte's, bit for bit."""
+    """The xi = 0 row of the Matsubara kernel takes static_nw for nw: its
+    r_te is static_rte's, bit for bit."""
     ks = np.geomspace(1e3, 1e12, 37)
-    for model in (CATALOG[2], CATALOG[3]):
-        wp = M.effective_omega_p(model)
-        r_te, _ = F.imag_axis_coefficients(2.0, wp, ks)
+    for model in CATALOG:
+        r_te, _ = F.imag_axis_coefficients(1.0, F.static_nw(model), ks)
         assert np.array_equal(F.static_rte(model, ks), r_te)
+    assert F.imag_axis_coefficients(None, F.static_nw(M.ideal_metal()),
+                                    ks)[0] == F.static_rte(M.ideal_metal(),
+                                                           1e6) == -1.0
+
+
+def test_static_nw_decides_the_static_r_te():
+    assert F.static_nw(CATALOG[0]) == F.static_nw(CATALOG[1]) == 0.0
+    for model in (CATALOG[2], CATALOG[3]):
+        assert F.static_nw(model) == -(M.effective_omega_p(model) / C) ** 2
+    assert F.static_nw(M.ideal_metal()) is None
 
 
 def test_static_rte_vectorized_matches_scalar():
@@ -188,7 +197,7 @@ def test_imag_axis_coefficients_match_complex_path():
     xi, k = 1e14, 1e6
     eps = M.eval_epsilon(model, 1j * xi).real
     r_te, r_tm = F.imag_axis_coefficients(
-        eps, xi, math.sqrt(k * k + (xi / C) ** 2))
+        eps, (1.0 - eps) * (xi / C) ** 2, math.sqrt(k * k + (xi / C) ** 2))
     full = F.reflection(model, 1j * xi, k)
     assert full.r_te.real == pytest.approx(r_te, rel=1e-14)
     assert full.r_tm.real == pytest.approx(r_tm, rel=1e-14)

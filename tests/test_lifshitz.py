@@ -128,6 +128,19 @@ def test_n0_term_polarization_is_te_or_tm():
             L.n0_term(cfg, bad)
 
 
+def test_matsubara_ceiling():
+    # max(50, ceil(10 nu)), nu = c/(2 d xi_1): 0.61 at 1 um and 300 K
+    assert L.matsubara_ceiling(1e-6, 300.0) == 50
+    assert L.matsubara_ceiling(1e-7, 300.0) == 61
+    assert L.matsubara_ceiling(1e-6, 1.0) == 1823
+
+
+def test_matsubara_ceiling_validation():
+    for d, T in ((-1e-6, 300.0), (1e-6, 0.0)):
+        with pytest.raises(ValueError, match="positive"):
+            L.matsubara_ceiling(d, T)
+
+
 def test_classical_transverse_equals_n0_te():
     pl = M.plasma(1.37e16)
     cfg = L.CavityConfig(pl, pl, 1e-6, 300.0)
@@ -180,6 +193,12 @@ def _drude_table():
     return M.tabulated(table, M.Extrapolation.DRUDE_LIKE)
 
 
+def _nw(eps, xi):
+    """nw = (1 - eps)(xi/c)^2 of fresnel.imag_axis_coefficients; None for
+    the ideal metal's eps None."""
+    return None if eps is None else (1.0 - eps) * (xi / C) ** 2
+
+
 def _scalar_row(cfg, n, pol):
     """One Matsubara row from a scalar k_perp integral, as summed, Pa."""
     xi = n * 2.0 * math.pi * K_B * cfg.T / HBAR
@@ -188,8 +207,8 @@ def _scalar_row(cfg, n, pol):
 
     def f(k):
         q = np.sqrt(k * k + (xi / C) ** 2)
-        r1 = fresnel.imag_axis_coefficients(eps1, xi, q)[pol]
-        r2 = fresnel.imag_axis_coefficients(eps2, xi, q)[pol]
+        r1, r2 = (fresnel.imag_axis_coefficients(eps, _nw(eps, xi), q)[pol]
+                  for eps in (eps1, eps2))
         y = r1 * r2 * np.exp(-2.0 * q * cfg.d)
         return k * q * y / (1.0 - y)
 
@@ -219,9 +238,9 @@ def _one_polarization_rows(m1, m2, d, xi, pol):
     def f(rows, u):
         x = xi[rows]
         q = u + x / C
-        r1, r2 = (fresnel.imag_axis_coefficients(
-            None if eps is None else eps[rows], x, q)[pol]
-            for eps in (eps1, eps2))
+        cols = [None if eps is None else eps[rows] for eps in (eps1, eps2)]
+        r1, r2 = (fresnel.imag_axis_coefficients(e, _nw(e, x), q)[pol]
+                  for e in cols)
         return q * q * L._round_trip(r1, r2, np.exp((-2.0 * d) * q))
 
     return Q.integrate_rows(f, xi.size, L.ROW_SCALE / d, L.KPERP_REL_TOL)
@@ -459,6 +478,21 @@ def test_n0_te_term_is_the_pressure_row(pair):
             res = L.pressure_matsubara(cfg)
             assert L.n0_term(cfg, "te") == res.n0_te == res.per_n[0][1]
             assert res.n0_te < 0.0
+
+
+@pytest.mark.parametrize("d, T", [(1e-6, 300.0), (5e-6, 77.0)])
+def test_plasma_like_table_n0_te_is_its_effective_plasma(d, T):
+    # the xi = 0 row of a plasma-like table reads only the omega_p,eff of
+    # its low-end fit, so it has the bits of that pure plasma's row
+    src = M.plasma(1.37e16)
+    table = M.tabulated([(float(x), M.eval_epsilon(src, 1j * x).real)
+                         for x in np.geomspace(1e12, 1e18, 200)],
+                        M.Extrapolation.PLASMA_LIKE)
+    twin = M.plasma(M.effective_omega_p(table))
+    got, want = (L.CavityConfig(m, m, d, T) for m in (table, twin))
+    assert L.n0_term(got, "te") == L.n0_term(want, "te") < 0.0
+    assert (L.pressure_matsubara(got).n0_te
+            == L.pressure_matsubara(want).n0_te == L.n0_term(want, "te"))
 
 
 @pytest.mark.parametrize("pair", [

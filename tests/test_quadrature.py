@@ -220,7 +220,8 @@ def test_error_honesty_randomized():
 
 def test_matsubara_sum_geometric():
     r = 0.6
-    res = Q.matsubara_sum(lambda n: r**n, 1e-6, 300.0, 1e-9)
+    res = Q.matsubara_sum(lambda n: r**n, L.matsubara_ceiling(1e-6, 300.0),
+                          1e-9)
     assert res.value == pytest.approx(0.5 + r / (1.0 - r), rel=1e-8)
     assert res.tail_bound <= 1e-9 * abs(res.value)
 
@@ -232,19 +233,15 @@ def test_matsubara_sum_survives_vanishing_terms():
     def term(n):
         return 0.0 if n == 2 else r**n
 
-    res = Q.matsubara_sum(term, 1e-6, 300.0, 1e-12)
+    res = Q.matsubara_sum(term, L.matsubara_ceiling(1e-6, 300.0), 1e-12)
     exact = 0.5 + r / (1.0 - r) - r**2
     assert res.value == pytest.approx(exact, rel=1e-10)
 
 
 def test_matsubara_sum_ceiling():
     with pytest.raises(Q.NoConvergence):
-        Q.matsubara_sum(lambda n: 1.0 / (n + 1.0), 1e-4, 300.0, 1e-10)
-
-
-def test_matsubara_sum_validation():
-    with pytest.raises(ValueError):
-        Q.matsubara_sum(lambda n: 0.0, -1e-6, 300.0, 1e-9)
+        Q.matsubara_sum(lambda n: 1.0 / (n + 1.0),
+                        L.matsubara_ceiling(1e-4, 300.0), 1e-10)
 
 
 def test_power_law_slopes_exact():
@@ -758,9 +755,9 @@ def test_integrate_rows_validation():
 
 
 def test_matsubara_sum_ceiling_message_reports_progress():
-    ceiling = Q.matsubara_ceiling(1e-4, 300.0)
+    ceiling = L.matsubara_ceiling(1e-4, 300.0)
     with pytest.raises(Q.NoConvergence) as info:
-        Q.matsubara_sum(lambda n: 0.99 ** n, 1e-4, 300.0, 1e-10)
+        Q.matsubara_sum(lambda n: 0.99 ** n, ceiling, 1e-10)
     msg = str(info.value)
     assert f"n = {ceiling} of the index ceiling {ceiling}" in msg
     assert "decay ratio 0.99" in msg

@@ -67,3 +67,13 @@ def test_bvl_catalog_passes_only_where_static_r_te_vanishes():
         "Pass", "Pass", "Fail", "Fail", "Fail"]
     assert [row.split("(")[0].split()[0] for row in rows] == [
         "insulator", "drude", "plasma", "gplasma", "ideal"]
+
+
+def test_route_digest_prints_its_four_totals():
+    # the hashes depend on the BLAS, so only the lines are checked
+    run = subprocess.run([sys.executable, str(SCRIPTS / "route_digest.py")],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    totals = [line.split()[0] for line in run.stdout.splitlines()
+              if "total " in line]
+    assert totals == ["total", "reflect-total", "cli-total", "scalar-total"]
