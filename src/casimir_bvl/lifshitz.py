@@ -8,7 +8,9 @@ values meaning attraction.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,11 +196,27 @@ def _n0_integral(config, te, pref):
     its Kronrod-minus-Gauss estimate plus the rounding floor of Int|f|.
     """
     m1, m2, d = config.material_1, config.material_2, config.d
-    if te and not (m1.kind is m2.kind is Kind.IDEAL_METAL):
-        if _static_te_row(m1, m2):
-            return _static_te(_matsubara_rows(m1, m2, d, _STATIC_XI), pref)
-        return 0.0, 0.0
-    R = 1.0 if te else fresnel.static_rtm(m1) * fresnel.static_rtm(m2)
+    if not te:
+        return _n0_closed_form(
+            fresnel.static_rtm(m1) * fresnel.static_rtm(m2), d, pref)
+    if _static_te_row(m1, m2):
+        return _static_te(_matsubara_rows(m1, m2, d, _STATIC_XI), pref)
+    return _n0_te_closed_form(m1, m2, d, pref)
+
+
+def _n0_te_closed_form(m1, m2, d, pref):
+    """(n = 0 TE term, its error estimate), Pa, of a pair whose term is not
+    a k_perp integral (:func:`_static_te_row` is False): the R = 1 closed
+    form of two ideal metals, else 0."""
+    if m1.kind is m2.kind is Kind.IDEAL_METAL:
+        return _n0_closed_form(1.0, d, pref)
+    return 0.0, 0.0
+
+
+def _n0_closed_form(R, d, pref):
+    """(half-weighted n = 0 term, its error estimate), Pa, of a term whose
+    r1 r2 = R does not depend on k: pref/2 * Li_3(R)/(4 d^3), with the
+    quadrature.ROUNDING_FLOOR of its value."""
     value = 0.5 * pref * quadrature.polylog3(R) / (4.0 * d ** 3)
     return value, quadrature.ROUNDING_FLOOR * abs(value)
 
@@ -214,23 +232,24 @@ def classical_transverse_pressure(config):
     return n0_term(config, "te")
 
 
-def _coefficient_columns(m, xi):
+def _coefficient_columns(m, xi, a):
     """(eps, nw) per row of m's :func:`fresnel.imag_axis_coefficients`
-    calls at the frequencies xi; None for the ideal metal.
+    calls at the frequencies xi, a = xi/c; None for the ideal metal.
 
     eps comes from one :func:`materials.eval_imag_axis` call over the
-    nonzero xi, and nw = (1 - eps)(xi/c)^2.  A xi = 0 row, xi[0], takes
+    nonzero xi, and nw = (1 - eps) a^2.  A xi = 0 row, xi[0], takes
     :func:`fresnel.static_nw` and eps = 1, read only by its masked TM.
     """
     if m.kind is Kind.IDEAL_METAL:
         return None
     if xi[0] != 0.0:
         eps = materials.eval_imag_axis(m, xi)
-        return eps, (1.0 - eps) * (xi / C) ** 2
-    eps, nw = np.ones(xi.shape), np.full(xi.shape, fresnel.static_nw(m))
-    if xi.size > 1:
-        eps[1:], nw[1:] = _coefficient_columns(m, xi[1:])
-    return eps, nw
+        return eps, (1.0 - eps) * a ** 2
+    if xi.size == 1:
+        return np.ones(1), np.full(1, fresnel.static_nw(m))
+    eps, nw = _coefficient_columns(m, xi[1:], a[1:])
+    return (np.concatenate(([1.0], eps)),
+            np.concatenate(([fresnel.static_nw(m)], nw)))
 
 
 def _matsubara_rows(m1, m2, d, xi):
@@ -249,7 +268,7 @@ def _matsubara_rows(m1, m2, d, xi):
     and bits do not depend on the other rows of its call.  Each point
     takes q = u + xi/c and gets its (r_TE, r_TM) pair from one
     :func:`fresnel.imag_axis_coefficients` call per material, which needs
-    no k.
+    no k, written into a buffer of the call.
 
     xi[0] may be 0: that row is the static TE integral of the n = 0 term,
     an ordinary row with the static nw of :func:`_coefficient_columns`,
@@ -257,34 +276,42 @@ def _matsubara_rows(m1, m2, d, xi):
     term is a closed form).
     """
     static = xi[0] == 0.0
-    c1 = _coefficient_columns(m1, xi)
-    c2 = c1 if m2 is m1 or m2 == m1 else _coefficient_columns(m2, xi)
     a = xi / C
+    c1 = _coefficient_columns(m1, xi, a)
+    c2 = c1 if m2 is m1 or m2 == m1 else _coefficient_columns(m2, xi, a)
 
     def integrand(rows, u):
-        q = u + a[rows]
+        # every array of the call, each shaped like u, in one buffer: the
+        # (TE, TM) pair, a spare pair, q, q^2 and exp(-2 q d).  Separate
+        # temporaries above the malloc mmap threshold let glibc trim and
+        # fault in the heap top on every call of a long chunk.
+        work = np.empty((7,) + u.shape)
+        y, spare, q, q2, e = work[:2], work[2:4], work[4], work[5], work[6]
+        np.add(u, a.take(rows), out=q)
+        np.multiply(q, q, out=q2)
 
-        def pair(c):
+        def pair(c, out):
             if c is None:
-                return fresnel.imag_axis_coefficients(None, None, q)
-            return fresnel.imag_axis_coefficients(c[0][rows], c[1][rows], q)
+                return fresnel.imag_axis_coefficients(None, None, q, q2, out)
+            return fresnel.imag_axis_coefficients(
+                c[0].take(rows), c[1].take(rows), q, q2, out)
 
-        r1 = pair(c1)
-        r2 = r1 if c2 is c1 else pair(c2)
+        r1 = pair(c1, y)
+        r2 = r1 if c2 is c1 else pair(c2, spare)
         # q^2 y/(1 - y), y = r1 r2 exp(-2 q d), for TE and TM at once; the
         # same operations, in the same order, as q^2 * _round_trip(...)
-        y = np.empty((2,) + q.shape)
-        for pol in (0, 1):
-            np.multiply(r1[pol], r2[pol], out=y[pol])
+        np.multiply(r1, r2, out=y)
         if static:
             y[1, rows[:, 0] == 0] = 0.0
-        y *= np.exp((-2.0 * d) * q)
-        out = y / (1.0 - y)
-        out *= q * q
-        return out
+        np.multiply(-2.0 * d, q, out=e)
+        y *= np.exp(e, out=e)
+        np.divide(y, np.subtract(1.0, y, out=spare), out=y)
+        y *= q2
+        return y
 
-    graded = 0 if m1.kind is m2.kind is Kind.IDEAL_METAL else int(
-        np.searchsorted(a, GRADE_BELOW / d))
+    limit = GRADE_BELOW / d
+    graded = 0 if (m1.kind is m2.kind is Kind.IDEAL_METAL
+                   or a[0] >= limit) else int(np.searchsorted(a, limit))
     return quadrature.integrate_rows(integrand, xi.size, ROW_SCALE / d,
                                      KPERP_REL_TOL, a[:graded].tolist())
 
@@ -332,7 +359,7 @@ def pressure_matsubara(config):
                 math.ceil(-nu * math.log(config.rel_tol)) + 3 + CHUNK_MARGIN)
     res = rows(1, first, int(static))
     te0, te0_err = (_static_te(res, pref) if static
-                    else _n0_integral(config, True, pref))
+                    else _n0_te_closed_form(m1, m2, d, pref))
     terms[0] = 2.0 * (te0 + tm0)
 
     def term(n):
@@ -355,9 +382,9 @@ def pressure_matsubara(config):
     values, errors = chunks[0] if len(chunks) == 1 else (
         np.concatenate(a, axis=1) for a in zip(*chunks))
     te, tm = values[:, :n].tolist()
-    error = te0_err + tm0_err   # the k_perp errors, summed left to right
-    for e in (abs(pref) * errors[:, :n].sum(axis=0)).tolist():
-        error += e
+    # the k_perp errors, summed left to right
+    error = functools.reduce(operator.add, (abs(pref) * (
+        errors[0, :n] + errors[1, :n])).tolist(), te0_err + tm0_err)
     return PressureResult(
         pressure=summed.value, error_estimate=summed.tail_bound + error,
         n0_te=te0, n0_tm=tm0,

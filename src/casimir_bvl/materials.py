@@ -236,28 +236,33 @@ def eval_epsilon_tabulated(model, xi):
     Log-log linear inside the table range; below the lowest node the
     continuation follows the extrapolation tag (A/xi, B/xi^2 or constant,
     with A or B fitted to the two lowest nodes); above the range
-    eps -> 1 + C/xi^2 fitted at the top node.
+    eps -> 1 + C/xi^2 fitted at the top node.  Each continuation is
+    evaluated only on the xi it covers.
     """
     if model.kind is not Kind.TABULATED:
         raise ValueError("eval_epsilon_tabulated requires a tabulated model")
-    if len(model.table) < 2:
-        raise EmptyTable("tabulated model needs >= 2 points")
-    x = np.asarray(xi, dtype=float)
+    shape = np.shape(xi)
+    x = np.asarray(xi, dtype=float).ravel()
     if not np.all(x > 0):
         raise ValueError("xi must be positive")
     (x1, e1), (x2, e2), (xn, en) = (model.table[i] for i in (0, 1, -1))
-    tag = model.extrapolation
-    if tag is Extrapolation.DRUDE_LIKE:
-        a = (e1 - e2) / (1.0 / x1 - 1.0 / x2)
-        below = e1 + a * (1.0 / x - 1.0 / x1)
-    elif tag is Extrapolation.PLASMA_LIKE:
-        below = e1 + _plasma_like_b(model) * (1.0 / x ** 2 - 1.0 / x1 ** 2)
-    else:
-        below = e1
-    above = 1.0 + (en - 1.0) * xn ** 2 / x ** 2
-    inside = np.exp(np.interp(np.log(x), *model._log_table))
-    eps = np.where(x < x1, below, np.where(x > xn, above, inside))
-    return eps if isinstance(xi, np.ndarray) else float(eps)
+    eps = np.exp(np.interp(np.log(x), *model._log_table))
+    low = x < x1
+    if np.count_nonzero(low):
+        xl = x[low]
+        tag = model.extrapolation
+        if tag is Extrapolation.DRUDE_LIKE:
+            a = (e1 - e2) / (1.0 / x1 - 1.0 / x2)
+            eps[low] = e1 + a * (1.0 / xl - 1.0 / x1)
+        elif tag is Extrapolation.PLASMA_LIKE:
+            eps[low] = e1 + _plasma_like_b(model) * (1.0 / xl ** 2
+                                                     - 1.0 / x1 ** 2)
+        else:
+            eps[low] = e1
+    high = x > xn
+    if np.count_nonzero(high):
+        eps[high] = 1.0 + (en - 1.0) * xn ** 2 / x[high] ** 2
+    return eps.reshape(shape) if isinstance(xi, np.ndarray) else float(eps[0])
 
 
 def zero_freq_class(model):

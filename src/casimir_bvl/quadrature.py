@@ -71,7 +71,7 @@ class RowsResult:
 
     values: np.ndarray
     errors: np.ndarray
-    panels: np.ndarray     # GK 7/15 panels each row ended with
+    panels: np.ndarray     # GK 7/15 panels each row ended with, read-only
     failures: dict         # row -> NoConvergence, for rows out of budget
 
 
@@ -147,15 +147,22 @@ _LOG_SERIES = tuple(
          "-236364091/2730"), start=1))
 
 
-def _gk_panels(y, h):
-    """(Kronrod value, |Kronrod - Gauss|, Kronrod of |y|) of each panel.
+def _gk_panels(y, h, owned=False):
+    """(Kronrod value, |Kronrod - Gauss|, Kronrod of |y|) of each panel,
+    stacked in one array of shape (3, P, m).
 
-    y holds the integrand at the 15 nodes of each panel, shape (..., m, 15),
-    and h the panels' half-widths, shape (m,).
+    y holds the integrand at the 15 nodes of each panel, shape (P, m, 15),
+    and h the panels' half-widths, shape (m,).  y is overwritten by |y|
+    when ``owned``.
     """
-    kron = h * (y @ _WGK)
-    gauss = h * (y[..., _IG] @ _WG)
-    return kron, abs(kron - gauss), h * (abs(y) @ _WGK)
+    sums = np.empty((3,) + y.shape[:-1])
+    np.matmul(y, _WGK, out=sums[0])
+    np.matmul(y[..., _IG], _WG, out=sums[1])       # the Gauss value
+    np.matmul(np.abs(y, out=y if owned else None), _WGK, out=sums[2])
+    sums *= h
+    err = sums[1]
+    np.abs(np.subtract(sums[0], err, out=err), out=err)
+    return sums
 
 
 def adaptive_gk(f, a, b, rel_tol):
@@ -217,7 +224,8 @@ def _panels(rows, lo, hi):
     return rows, lo, hi, (0.5 * (lo + hi))[:, None] + h[:, None] * _XGK, h
 
 
-def _refine(sample, n_rows, panels, rel_tol, floor_frac, budget):
+def _refine(sample, n_rows, panels, rel_tol, floor_frac, budget, book=None,
+            owned=False):
     """Bisect the flat panel list of :func:`_panels` until every row is done.
 
     ``sample(rows, x)`` returns the integrand at the GK 7/15 nodes x
@@ -233,37 +241,47 @@ def _refine(sample, n_rows, panels, rel_tol, floor_frac, budget):
     component p of row i at p*n_rows + i.  A component whose row would need
     more than ``budget`` panels, or whose error is not finite, stops; its
     NoConvergence is kept in the result's ``failures`` under that key.
+
+    The first round's keys and panel counts (:func:`_bookkeeping`) are
+    read from ``book``, a dict kept with read-only seed panels, under the
+    component count, and stored there the first time; without a book they
+    are built.  ``owned`` says that sample returns arrays _refine may
+    overwrite.
     """
     def evaluate(rows, lo, hi, x, h):
-        # the _gk_panels sums, stacked: shape (3, components, panels)
-        return np.array(_gk_panels(
-            sample(rows[:, None], x).reshape((-1,) + x.shape), h))
+        # the _gk_panels sums: shape (3, components, panels)
+        return _gk_panels(sample(rows[:, None], x).reshape((-1,) + x.shape),
+                          h, owned)
 
     rows, lo, hi, _, _ = panels
     sums = evaluate(*panels)
     n_comp = sums.shape[1]
     size = n_comp * n_rows
-    offsets = _key_offsets(n_rows, n_comp)
+    first = None if book is None else book.get(n_comp)
+    if first is None:
+        first = _bookkeeping(rows, n_rows, n_comp)
+        if book is not None:
+            book[n_comp] = first
+    keys, count = first
     failures = {}
     while True:
-        keys = (rows + offsets).ravel()
-        total, total_err, total_abs = np.bincount(
-            keys, sums.ravel(), 3 * size).reshape(3, -1)
-        keys = keys[:n_comp * rows.size]      # the components' keys
+        totals = np.bincount(keys, sums.ravel(), 3 * size).reshape(3, -1)
+        total, total_err, total_abs = totals[0], totals[1], totals[2]
         target = np.maximum(rel_tol * np.abs(total),
                             floor_frac * rel_tol * total_abs)
-        count = np.bincount(keys, minlength=size)
-        missing = ~(total_err <= target)      # NaN errors refine too
+        met = total_err <= target       # NaN errors refine too
         if failures:
-            missing[list(failures)] = False
-        if not np.count_nonzero(missing):
+            met[list(failures)] = True
+        if np.count_nonzero(met) == size:
             return RowsResult(total, total_err + ROUNDING_FLOOR * total_abs,
                               count, failures)
+        missing = ~met
         err = sums[1]
         share = (target / (2.0 * count)).reshape(n_comp, -1)
         wants = missing.reshape(n_comp, -1)[:, rows] & (err > share[:, rows])
         room = budget - count
-        own = np.bincount(keys[wants.ravel()], minlength=size)
+        # the components' keys come first
+        own = np.bincount(keys[:wants.size][wants.ravel()], minlength=size)
         for j in np.flatnonzero(missing & ((own == 0) | (room <= 0))):
             why = (f"quadrature budget of {budget} panels exhausted"
                    if own[j] else "non-finite integrand")
@@ -291,13 +309,23 @@ def _refine(sample, n_rows, panels, rel_tol, floor_frac, budget):
         sums = np.concatenate([sums[..., keep], evaluate(*new)], axis=2)
         rows, lo, hi = (np.concatenate([a[keep], b])
                         for a, b in zip((rows, lo, hi), new))
+        keys, count = _bookkeeping(rows, n_rows, n_comp)
+
+
+def _bookkeeping(rows, n_rows, n_comp):
+    """(keys, count) of a round of :func:`_refine` on panels of ``rows``:
+    the flat key of each per-panel sum, (s*n_comp + p)*n_rows + i for sum
+    s of component p of row i, and the panel count of each component's
+    key, both read-only."""
+    keys = (rows + _key_offsets(n_rows, n_comp)).ravel()
+    count = np.bincount(keys[:n_comp * rows.size], minlength=n_comp * n_rows)
+    keys.flags.writeable = count.flags.writeable = False
+    return keys, count
 
 
 @functools.lru_cache(maxsize=128)
 def _key_offsets(n_rows, n_comp):
-    """Read-only column of the offsets that key the per-panel sums of
-    :func:`_refine`: sum s of component p of row i has key
-    (s*n_comp + p)*n_rows + i."""
+    """Read-only column of the offsets of :func:`_bookkeeping`'s keys."""
     offsets = n_rows * np.arange(3 * n_comp)[:, None]
     offsets.flags.writeable = False
     return offsets
@@ -315,31 +343,40 @@ def integrate_rows(f, n_rows, scale, rel_tol, knees=()):
     is not finite and >= 0 raise ValueError.  The panels of all rows are
     refined together by :func:`_refine`, which calls ``f(rows, k)`` once
     per round, where ``rows`` (shape (m, 1)) names each panel's row and k
-    has shape (m, 15).
-    f returns shape (m, 15), or (P, m, 15) for P components per row that
-    share its panels; the results then hold component p of row i at
-    p*n_rows + i.  Each component is held to the target of
-    :func:`adaptive_gk` on its own Kronrod-minus-Gauss estimate, within
-    DEFAULT_INTERVAL_BUDGET panels per row.  A component that fails keeps
+    has shape (m, 15).  f returns a new float array of shape (m, 15), or
+    (P, m, 15) for P components per row that share its panels, which is
+    scaled by the mapping's Jacobian and then overwritten in place; the
+    results hold component p of row i at p*n_rows + i.  Each component is
+    held to the target of :func:`adaptive_gk` on its own
+    Kronrod-minus-Gauss estimate, within DEFAULT_INTERVAL_BUDGET panels
+    per row.  Knees of 0 leave their rows equal, and a call without a
+    graded row reads its seed panels and the book of :func:`_refine` from
+    :func:`_equal_row_seeds`.  A component that fails keeps
     its NoConvergence in ``failures`` rather than raising it, so that the
     caller decides whether it is needed.
     """
     _check_mapping(scale, rel_tol)
     if not isinstance(n_rows, int) or n_rows < 1:
         raise ValueError(f"n_rows must be an int >= 1, got {n_rows!r}")
-    if len(knees) > n_rows or not all(0.0 <= k < math.inf for k in knees):
+    if not any(knees) and len(knees) <= n_rows:     # no graded row
+        seeds, seed_map, book = _equal_row_seeds(n_rows)
+    elif len(knees) > n_rows or not all(0.0 <= k < math.inf for k in knees):
         raise ValueError("knees must be at most n_rows values, finite, >= 0")
-    halvings = tuple(max(0, math.ceil(math.log2(
-        (k + scale) / (ROW_PANELS * GRADE_FIRST * k)))) if k > 0 else 0
-        for k in knees)
-    seeds, seed_map = _row_seeds(halvings, n_rows)
+    else:
+        halvings = tuple(max(0, math.ceil(math.log2(
+            (k + scale) / (ROW_PANELS * GRADE_FIRST * k)))) if k > 0 else 0
+            for k in knees)
+        seeds, seed_map = _row_seeds(halvings, n_rows)
+        book = None
 
     def sample(rows, t):
         ratio, jac = seed_map if t is seeds[3] else _unit_map(t)
-        return f(rows, scale * ratio) * (scale * jac)
+        y = f(rows, scale * ratio)
+        y *= scale * jac
+        return y
 
     return _refine(sample, n_rows, seeds, rel_tol, 0.01,
-                   DEFAULT_INTERVAL_BUDGET)
+                   DEFAULT_INTERVAL_BUDGET, book, owned=True)
 
 
 def _unit_map(t):
@@ -363,6 +400,16 @@ def _row_seeds(halvings, n_rows):
         m = int(ends[n_rows - 1])
         views[n_rows] = tuple(tuple(a[:m] for a in t) for t in tables)
     return views[n_rows]
+
+
+@functools.lru_cache(maxsize=16)
+def _equal_row_seeds(n_rows):
+    """(seeds, seed_map, book) of n_rows rows without a knee, keyed by
+    n_rows alone: the :func:`_row_seeds` views and the dict in which
+    :func:`_refine` keeps its first round's bookkeeping on them.  An entry
+    keeps at most one table of :func:`_row_seed_table` alive, and its book
+    takes 8 bytes per key: 0.10 MB for 512 rows of two components."""
+    return _row_seeds((), n_rows) + ({},)
 
 
 @functools.lru_cache(maxsize=16)

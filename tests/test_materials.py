@@ -240,9 +240,14 @@ def test_load_table(tmp_path):
 
 
 def test_imaginary_axis_array_matches_scalar_evaluation():
-    xi = np.geomspace(1e10, 1e19, 41)
     table = [(x, 1.0 + 1e32 / (x * (x + 5e13)))
              for x in np.geomspace(1e12, 1e17, 30)]
+    # the table's end nodes and their neighbours, where the continuations
+    # take over from the interpolation
+    ends = [f(x) for x in (table[0][0], table[-1][0])
+            for f in (float, lambda x: np.nextafter(x, 0.0),
+                      lambda x: np.nextafter(x, np.inf))]
+    xi = np.concatenate([np.geomspace(1e10, 1e19, 41), ends])
     osc = [M.Oscillator(2e31, 3e15, 1e14)]
     models = [M.insulator(3.0), M.insulator(1.0, osc),
               M.drude(1.37e16, 5.32e13), M.plasma(1.37e16),
@@ -391,6 +396,32 @@ def test_tabulated_is_the_textbook_interpolation():
     xi = np.geomspace(1e11, 1e18, 301)
     assert _same_bits(M.eval_imag_axis(model, xi), _table_textbook(xi))
     assert _same_bits(M.eval_epsilon(model, 1j * xi), _table_textbook(xi))
+
+
+@pytest.mark.parametrize("tag", list(M.Extrapolation))
+def test_tabulated_continuations_are_the_three_branch_expression(tag):
+    """Each continuation, evaluated only on the xi it covers, has the bits
+    of the expression that evaluates all three branches at every xi."""
+    table = [(1e13, 5e4), (1e14, 2e3), (1e15, 60.0), (1e16, 3.0)]
+    model = M.tabulated(table, tag)
+    (x1, e1), (x2, e2), (xn, en) = table[0], table[1], table[-1]
+    xi = np.concatenate([np.geomspace(1e10, 1e19, 97),
+                         [x1, np.nextafter(x1, 0.0), np.nextafter(x1, 1e99),
+                          xn, np.nextafter(xn, 0.0), np.nextafter(xn, 1e99)]])
+    if tag is M.Extrapolation.DRUDE_LIKE:
+        a = (e1 - e2) / (1.0 / x1 - 1.0 / x2)
+        below = e1 + a * (1.0 / xi - 1.0 / x1)
+    elif tag is M.Extrapolation.PLASMA_LIKE:
+        b = (e1 - e2) / (1.0 / x1 ** 2 - 1.0 / x2 ** 2)
+        below = e1 + b * (1.0 / xi ** 2 - 1.0 / x1 ** 2)
+    else:
+        below = e1
+    above = 1.0 + (en - 1.0) * xn ** 2 / xi ** 2
+    inside = np.exp(np.interp(np.log(xi), *np.log(np.array(table).T)))
+    want = np.where(xi < x1, below, np.where(xi > xn, above, inside))
+    assert _same_bits(M.eval_epsilon_tabulated(model, xi), want)
+    for x, w in zip(xi, want):
+        assert _same_bits(M.eval_epsilon_tabulated(model, float(x)), w)
 
 
 @pytest.mark.parametrize("make, field", [

@@ -594,6 +594,53 @@ def test_seed_table_cache_stays_bounded():
     assert info.currsize == maxsize
 
 
+def _same_rows_result(got, want):
+    """RowsResults alike bit for bit, failures by key and message."""
+    return (all(getattr(got, a).tobytes() == getattr(want, a).tobytes()
+                for a in ("values", "errors", "panels"))
+            and {j: str(e) for j, e in got.failures.items()}
+            == {j: str(e) for j, e in want.failures.items()})
+
+
+@pytest.mark.parametrize("knees", [(), (2e-3, 0.0, 0.3)],
+                         ids=["equal", "graded"])
+@pytest.mark.parametrize("n_comp", [1, 2, 3])
+def test_first_round_bookkeeping_cold_warm_and_uncached(n_comp, knees):
+    # the first round's keys and panel counts, built on a cold seed cache,
+    # read back from a warm one, or built by _refine on writable copies of
+    # the same seed panels (nothing cached), give the same bits; row 2's
+    # last component carries a narrow peak, so later rounds run too
+    n_rows, scale, rel_tol = 5, 2.0, 1e-8
+
+    def f(rows, k):
+        comps = [np.exp(-(1.0 + p + rows) * k) / (1.0 + k)
+                 for p in range(n_comp)]
+        comps[-1] = np.where(rows == 2, 1e-3 / ((k - 7.0) ** 2 + 1e-6),
+                             comps[-1])
+        return comps[0] if n_comp == 1 else np.stack(comps)
+
+    Q._equal_row_seeds.cache_clear()
+    Q._row_seed_table.cache_clear()
+    cold = Q.integrate_rows(f, n_rows, scale, rel_tol, knees)
+    warm = Q.integrate_rows(f, n_rows, scale, rel_tol, knees)
+    assert cold.panels[n_comp * n_rows - 3] > Q.ROW_PANELS
+    halvings = tuple(max(0, math.ceil(math.log2(
+        (k + scale) / (Q.ROW_PANELS * Q.GRADE_FIRST * k)))) if k else 0
+        for k in knees)
+    seeds = tuple(a.copy() for a in Q._row_seeds(halvings, n_rows)[0])
+
+    def sample(rows, t):
+        ratio, jac = Q._unit_map(t)
+        return f(rows, scale * ratio) * (scale * jac)
+
+    uncached = Q._refine(sample, n_rows, seeds, rel_tol, 0.01,
+                         Q.DEFAULT_INTERVAL_BUDGET)
+    assert _same_rows_result(warm, cold)
+    assert _same_rows_result(uncached, cold)
+    if not knees:
+        assert n_comp in Q._equal_row_seeds(n_rows)[2]
+
+
 def test_integrate_rows_budget_fails_only_its_row():
     w = 1e-9
 
