@@ -107,18 +107,17 @@ def scalar_coefficient(eps):
     return (eps - 1.0) / (eps + 1.0)
 
 
-def imag_axis_coefficients(eps, nw, q, q2=None, out=None):
+def imag_axis_coefficients(eps, nw, q, out=None):
     """(r_te, r_tm) at omega = i*xi for a real eps(i xi) or eps None, and
     nw = -w = (1 - eps)(xi/c)^2, :func:`static_nw` at xi = 0.
 
     Pure real arithmetic on the normal wavevectors i*q and i*kappa: q =
-    sqrt(k_perp^2 + (xi/c)^2) is passed in, with q2 = q*q if the caller
-    has it, and kappa = sqrt(q^2 + w).  r_te is taken as -w/(q + kappa)^2,
-    which equals (q - kappa)/(q + kappa) but keeps its digits where
-    eps(i xi) -> 1 and kappa is close to q, and r_tm =
-    (eps q - kappa)/(eps q + kappa).  eps = 1 gives w = 0, kappa = q and
-    r = +0 exactly.  eps and nw may be columns that broadcast against an
-    ndarray q.  The pair is written into ``out``, an array of shape
+    sqrt(k_perp^2 + (xi/c)^2) is passed in, and kappa = sqrt(q^2 + w).
+    r_te is taken as -w/(q + kappa)^2, which equals (q - kappa)/(q + kappa)
+    but keeps its digits where eps(i xi) -> 1 and kappa is close to q, and
+    r_tm = (eps q - kappa)/(eps q + kappa).  eps = 1 gives w = 0, kappa = q
+    and r = +0 exactly.  eps and nw may be columns that broadcast against
+    an ndarray q.  The pair is written into ``out``, an array of shape
     (2,) + q.shape made if not given, and out is returned; the ideal metal
     writes nothing and gives the constant pair (-1, 1), a read-only array
     of shape (2, 1, ...) if out is given.
@@ -129,8 +128,7 @@ def imag_axis_coefficients(eps, nw, q, q2=None, out=None):
     if out is None:
         out = np.empty((2,) + np.shape(q))
     r_te, kappa = out[:1], out[1:]     # views also for a float q
-    np.sqrt(np.subtract(q * q if q2 is None else q2, nw, out=kappa),
-            out=kappa)
+    np.sqrt(np.subtract(q * q, nw, out=kappa), out=kappa)
     np.add(q, kappa, out=r_te)
     np.divide(nw, np.multiply(r_te, r_te, out=r_te), out=r_te)
     eps_q = eps * q

@@ -8,9 +8,7 @@ values meaning attraction.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -292,9 +290,9 @@ def _matsubara_rows(m1, m2, d, xi):
 
         def pair(c, out):
             if c is None:
-                return fresnel.imag_axis_coefficients(None, None, q, q2, out)
+                return fresnel.imag_axis_coefficients(None, None, q, out)
             return fresnel.imag_axis_coefficients(
-                c[0].take(rows), c[1].take(rows), q, q2, out)
+                c[0].take(rows), c[1].take(rows), q, out)
 
         r1 = pair(c1, y)
         r2 = r1 if c2 is c1 else pair(c2, spare)
@@ -309,9 +307,8 @@ def _matsubara_rows(m1, m2, d, xi):
         y *= q2
         return y
 
-    limit = GRADE_BELOW / d
-    graded = 0 if (m1.kind is m2.kind is Kind.IDEAL_METAL
-                   or a[0] >= limit) else int(np.searchsorted(a, limit))
+    graded = 0 if m1.kind is m2.kind is Kind.IDEAL_METAL else int(
+        np.searchsorted(a, GRADE_BELOW / d))
     return quadrature.integrate_rows(integrand, xi.size, ROW_SCALE / d,
                                      KPERP_REL_TOL, a[:graded].tolist())
 
@@ -382,9 +379,9 @@ def pressure_matsubara(config):
     values, errors = chunks[0] if len(chunks) == 1 else (
         np.concatenate(a, axis=1) for a in zip(*chunks))
     te, tm = values[:, :n].tolist()
-    # the k_perp errors, summed left to right
-    error = functools.reduce(operator.add, (abs(pref) * (
-        errors[0, :n] + errors[1, :n])).tolist(), te0_err + tm0_err)
+    error = te0_err + tm0_err   # the k_perp errors, summed left to right
+    for e in (abs(pref) * errors[:, :n].sum(axis=0)).tolist():
+        error += e
     return PressureResult(
         pressure=summed.value, error_estimate=summed.tail_bound + error,
         n0_te=te0, n0_tm=tm0,

@@ -262,7 +262,8 @@ def eval_epsilon_tabulated(model, xi):
     high = x > xn
     if np.count_nonzero(high):
         eps[high] = 1.0 + (en - 1.0) * xn ** 2 / x[high] ** 2
-    return eps.reshape(shape) if isinstance(xi, np.ndarray) else float(eps[0])
+    eps = eps.reshape(shape)
+    return eps if isinstance(xi, np.ndarray) else float(eps)
 
 
 def zero_freq_class(model):

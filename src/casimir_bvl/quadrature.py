@@ -343,37 +343,32 @@ def integrate_rows(f, n_rows, scale, rel_tol, knees=()):
     is not finite and >= 0 raise ValueError.  The panels of all rows are
     refined together by :func:`_refine`, which calls ``f(rows, k)`` once
     per round, where ``rows`` (shape (m, 1)) names each panel's row and k
-    has shape (m, 15).  f returns a new float array of shape (m, 15), or
-    (P, m, 15) for P components per row that share its panels, which is
-    scaled by the mapping's Jacobian and then overwritten in place; the
-    results hold component p of row i at p*n_rows + i.  Each component is
-    held to the target of :func:`adaptive_gk` on its own
-    Kronrod-minus-Gauss estimate, within DEFAULT_INTERVAL_BUDGET panels
-    per row.  Knees of 0 leave their rows equal, and a call without a
-    graded row reads its seed panels and the book of :func:`_refine` from
-    :func:`_equal_row_seeds`.  A component that fails keeps
-    its NoConvergence in ``failures`` rather than raising it, so that the
-    caller decides whether it is needed.
+    has shape (m, 15).
+    f returns shape (m, 15), or (P, m, 15) for P components per row that
+    share its panels; the results then hold component p of row i at
+    p*n_rows + i.  Each component is held to the target of
+    :func:`adaptive_gk` on its own Kronrod-minus-Gauss estimate, within
+    DEFAULT_INTERVAL_BUDGET panels per row.  Knees of 0 leave their rows
+    equal, and a call without a graded row reaches its seed panels without
+    computing halvings.  A component that fails keeps its NoConvergence in
+    ``failures`` rather than raising it, so that the caller decides
+    whether it is needed.
     """
     _check_mapping(scale, rel_tol)
     if not isinstance(n_rows, int) or n_rows < 1:
         raise ValueError(f"n_rows must be an int >= 1, got {n_rows!r}")
     if not any(knees) and len(knees) <= n_rows:     # no graded row
-        seeds, seed_map, book = _equal_row_seeds(n_rows)
+        seeds, seed_map, book = _row_seeds((), n_rows)
     elif len(knees) > n_rows or not all(0.0 <= k < math.inf for k in knees):
         raise ValueError("knees must be at most n_rows values, finite, >= 0")
     else:
-        halvings = tuple(max(0, math.ceil(math.log2(
+        seeds, seed_map, book = _row_seeds(tuple(max(0, math.ceil(math.log2(
             (k + scale) / (ROW_PANELS * GRADE_FIRST * k)))) if k > 0 else 0
-            for k in knees)
-        seeds, seed_map = _row_seeds(halvings, n_rows)
-        book = None
+            for k in knees), n_rows)
 
-    def sample(rows, t):
+    def sample(rows, t):    # a new array, which _refine may overwrite
         ratio, jac = seed_map if t is seeds[3] else _unit_map(t)
-        y = f(rows, scale * ratio)
-        y *= scale * jac
-        return y
+        return f(rows, scale * ratio) * (scale * jac)
 
     return _refine(sample, n_rows, seeds, rel_tol, 0.01,
                    DEFAULT_INTERVAL_BUDGET, book, owned=True)
@@ -387,29 +382,22 @@ def _unit_map(t):
 
 
 def _row_seeds(halvings, n_rows):
-    """Read-only :func:`_panels` of the seed panels of n_rows rows and the
-    :func:`_unit_map` of their nodes (_refine writes to neither), views of
-    a :func:`_row_seed_table` made once per row count: the set-up is a
-    fixed cost of a one-round call.  Trailing zero halvings are dropped, so
-    the calls without a graded row share tables."""
+    """(seeds, seed_map, book) of n_rows rows: read-only :func:`_panels` of
+    their seed panels and the :func:`_unit_map` of their nodes (_refine
+    writes to neither), views of a :func:`_row_seed_table` made once per
+    row count, and the dict in which :func:`_refine` keeps its first
+    round's bookkeeping on them: the set-up is a fixed cost of a one-round
+    call.  Trailing zero halvings are dropped, so the calls without a
+    graded row share tables."""
     while halvings and not halvings[-1]:
         halvings = halvings[:-1]
     tables, ends, views = _row_seed_table(
         halvings, 1 << max(6, (n_rows - 1).bit_length()))
     if n_rows not in views:
         m = int(ends[n_rows - 1])
-        views[n_rows] = tuple(tuple(a[:m] for a in t) for t in tables)
+        views[n_rows] = tuple(tuple(a[:m] for a in t) for t in tables) + (
+            {},)
     return views[n_rows]
-
-
-@functools.lru_cache(maxsize=16)
-def _equal_row_seeds(n_rows):
-    """(seeds, seed_map, book) of n_rows rows without a knee, keyed by
-    n_rows alone: the :func:`_row_seeds` views and the dict in which
-    :func:`_refine` keeps its first round's bookkeeping on them.  An entry
-    keeps at most one table of :func:`_row_seed_table` alive, and its book
-    takes 8 bytes per key: 0.10 MB for 512 rows of two components."""
-    return _row_seeds((), n_rows) + ({},)
 
 
 @functools.lru_cache(maxsize=16)
@@ -427,6 +415,8 @@ def _row_seed_table(halvings, capacity):
     row has the same bits in any call.  An entry takes 392 bytes a panel:
     0.10 MB for 64 equal rows, 0.81 MB for 512, 1.6 MB for 512 graded rows
     (Drude at 0.1 um and 1 K; the benchmark's graded ones: 0.11-0.12 MB).
+    The book of a view run with P components adds 24*P bytes a panel and
+    8*P a row: 0.11 MB for 512 equal rows of two components.
     """
     h = np.zeros(capacity, dtype=int)
     h[:len(halvings)] = halvings

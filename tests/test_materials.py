@@ -422,6 +422,10 @@ def test_tabulated_continuations_are_the_three_branch_expression(tag):
     assert _same_bits(M.eval_epsilon_tabulated(model, xi), want)
     for x, w in zip(xi, want):
         assert _same_bits(M.eval_epsilon_tabulated(model, float(x)), w)
+    # a sequence is not an array: as for any non-scalar, float() refuses it
+    for seq in (list(xi[:3]), [], (x1,)):
+        with pytest.raises(TypeError):
+            M.eval_epsilon_tabulated(model, seq)
 
 
 @pytest.mark.parametrize("make, field", [
