@@ -48,7 +48,9 @@ package and over |P|, the cases whose n = 0 terms moved, and the largest
 relative move of each verdict's ``b_correlator_norm``, ``e_limit_exponent``
 and ``cavity_classical_te``.  For each package it prints how many
 ``integrate_rows`` calls of the pressures took more than one refinement
-round.  It also compares the entries of the reflect
+round, and over its converging pressures the ``integrate_rows`` calls and
+the Matsubara indices computed past n_max, the cost of the pass sizing.
+It also compares the entries of the reflect
 tables and of the scalar reflection calls one by one, and prints the
 largest relative move of r_te, r_tm and r_bar, apart on the imaginary axis
 and in the static limit.  It runs ``pressure_real_frequency`` on both
@@ -389,11 +391,14 @@ def load(src):
 
 def outcomes(pkg):
     """Label -> outcome of every case of :func:`cases`: the result, or the
-    exception's type and message as a string; and the refinement rounds of
-    every ``integrate_rows`` call they made, one per integrand sample."""
-    Q = pkg.quadrature
-    original = Q.integrate_rows
+    exception's type and message as a string; the refinement rounds of
+    every ``integrate_rows`` call they made, one per integrand sample; and
+    label -> (``integrate_rows`` calls, Matsubara indices n >= 1 of the
+    kernel's rows) of every case."""
+    Q, L = pkg.quadrature, pkg.lifshitz
+    original, kernel = Q.integrate_rows, L._matsubara_rows
     rounds = []
+    indices = [0]
 
     def counted(f, *args):
         rounds.append(0)
@@ -404,17 +409,38 @@ def outcomes(pkg):
 
         return original(sampled, *args)
 
-    out = {}
-    Q.integrate_rows = counted
+    def indexed(m1, m2, d, xi):
+        indices[0] += int(np.count_nonzero(xi))
+        return kernel(m1, m2, d, xi)
+
+    out, work = {}, {}
+    Q.integrate_rows, L._matsubara_rows = counted, indexed
     try:
-        for label, thunk in cases(pkg.lifshitz, pkg.materials, pkg.bvl):
+        for label, thunk in cases(L, pkg.materials, pkg.bvl):
+            calls, indices[0] = len(rounds), 0
             try:
                 out[label] = thunk()
             except Exception as exc:   # a failure is an output too
                 out[label] = f"{type(exc).__name__}: {exc}"
+            work[label] = (len(rounds) - calls, indices[0])
     finally:
-        Q.integrate_rows = original
-    return out, rounds
+        Q.integrate_rows, L._matsubara_rows = original, kernel
+    return out, rounds, work
+
+
+def print_passes(name, side):
+    """Print how many of the ``integrate_rows`` calls of :func:`outcomes`
+    side took more than one round, and the calls and the indices computed
+    past n_max of its converging pressures."""
+    out, rounds, work = side
+    more = sum(r > 1 for r in rounds)
+    done = [(work[label], res.n_max) for label, res in out.items()
+            if label.startswith("pressure") and not isinstance(res, str)]
+    calls = sum(c for (c, _), _ in done)
+    past = sum(n - n_max for (_, n), n_max in done)
+    print(f"{name}: {more} of {len(rounds)} integrate_rows calls took more "
+          f"than one round; its {len(done)} converging pressures took "
+          f"{calls} calls and computed {past} indices past n_max")
 
 
 def compare(new, old):
@@ -480,9 +506,7 @@ def main(argv=None):
         old, old_r, old_c, old_f = (outcomes(pkg), coefficient_entries(pkg),
                                     cli_texts(pkg), real_frequency(pkg))
         for name, side in (("new", new), ("old", old)):
-            more = sum(r > 1 for r in side[1])
-            print(f"{name}: {more} of {len(side[1])} integrate_rows calls "
-                  f"took more than one round")
+            print_passes(name, side)
         bad = compare(new[0], old[0])
         bad += compare_coefficients(new_r, old_r)
         compare_cli(new_c, old_c)

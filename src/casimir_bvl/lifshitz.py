@@ -8,6 +8,7 @@ values meaning attraction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,29 +20,9 @@ from .materials import Kind, MaterialError, TabulatedOutOfRange
 
 #: Default relative tolerance of the transverse-wavenumber integrals.
 KPERP_REL_TOL = 1e-8
-#: Most Matsubara indices, one k_perp row each (TE and TM), of the first
-#: array pass of the kernel.  A pass is one refinement round of fixed
-#: overhead plus work in proportion to its rows.  With rows of 60 points,
-#: in process on 2-vCPU x86-64 (best of 25 per op), the benchmark's
-#: Matsubara ops of seeds 1-10 took 115-119 ms at 48 indices per pass
-#: against 120 ms at 32 and 119-123 ms at 64; the route digest's 646
-#: converging pressures (best of 11) 147 ms against 160 and 152 ms.  A sum
-#: longer than the first pass goes on in passes sized by
-#: :func:`_predicted_stop`: the benchmark's 30 long sums of seeds 1-10
-#: (5-10 K, rel_tol 2e-3) take 2 passes and 166.6 rows for a mean n_max of
-#: 161.3, where passes of 48 took 3.83 passes and 174.7 rows.
-ROWS_PER_PASS = 48
-#: Indices a pass adds to its predicted count: to ceil(nu*ln(1/rel_tol)) + 3
-#: for the first pass and, with ceil(nu/20) more, to :func:`_predicted_stop`
-#: for a later one.  On the benchmark's 300 K and 77 K pressures n_max lies
-#: 1 below to 4 above the first prediction, so one pass computes them all.
-#: Over 250 sums of the benchmark's nine material pairs at 0.5-3 um, 3-12 K
-#: and rel_tol 1e-6 to 1e-2 that outrun their first pass, the second ends 1
-#: to 28 indices past n_max, within max(8, n_max/10) of it, but for three
-#: of 579-993 terms, which MAX_ROWS_PER_PASS cuts short.
-CHUNK_MARGIN = 4
-#: Most indices of a later pass: it bounds the arrays of one pass at 2048
-#: panels per component on equal seed panels.
+#: Most Matsubara indices, one k_perp row each (TE and TM), of one array
+#: pass of the kernel: it bounds the arrays of a pass at 2048 panels per
+#: component on equal seed panels.
 MAX_ROWS_PER_PASS = 512
 #: Mapping scale of every Matsubara row, in units of 1/d.  On the 4 seed
 #: panels of quadrature.ROW_PANELS, scales 3/d, 2.5/d and 4/d end 86%, 87%
@@ -146,12 +127,34 @@ def matsubara_ceiling(d, T):
 def _matsubara_grid(d, T):
     """(xi_1, nu, index ceiling, term prefactor) at gap d and temperature
     T: 2 pi k_B T/hbar, c/(2 d xi_1), for terms that fall like exp(-n/nu),
-    max(50, ceil(10*nu)) and -k_B T/pi; ValueError unless d, T > 0."""
-    if d <= 0 or T <= 0:
-        raise ValueError("d and T must be positive")
+    max(50, ceil(10*nu)) and -k_B T/pi; ValueError unless d and T are
+    positive and finite."""
+    if not (0.0 < d < math.inf and 0.0 < T < math.inf):   # also rejects nan
+        raise ValueError("d and T must be positive and finite")
     xi1 = 2.0 * math.pi * K_B * T / HBAR
     ceiling = max(50, math.ceil(10.0 * C / (2.0 * d * xi1)))
     return xi1, C / (2.0 * d * xi1), ceiling, -K_B * T / math.pi
+
+
+@functools.lru_cache(maxsize=64)
+def _ideal_stop(rel_tol):
+    """x* >= 3 solving exp(-x) (x^2 + 2 x + 2) x/(x - 2) = (pi^4/15) rel_tol:
+    the n/nu at which :func:`quadrature.matsubara_sum`'s tail test stops on
+    the terms of two ideal metals.
+
+    Up to a common factor their term n is exp(-x) (x^2 + 2 x + 2), x = n/nu
+    (the first of their reflection orders), and their sum (pi^4/15) nu.  At
+    large nu the geometric tail bound of a term is about nu times it times
+    (x^2 + 2 x + 2)/x^2, below x/(x - 2), so the test holds from x*.  As
+    |r| <= 1 for every model, their terms bound every other pair's.  A
+    fixed point from x = max(3, ln(15/(pi^4 rel_tol))), to 1e-3.
+    """
+    target = -math.log(math.pi ** 4 / 15.0 * rel_tol)
+    x, last = max(3.0, target), 0.0
+    while abs(x - last) > 1e-3:
+        x, last = max(3.0, target + math.log(
+            (x * x + 2.0 * x + 2.0) * x / (x - 2.0))), x
+    return x
 
 
 #: The frequency array of the one-row static TE integral.
@@ -282,7 +285,7 @@ def _matsubara_rows(m1, m2, d, xi):
         # every array of the call, each shaped like u, in one buffer: the
         # (TE, TM) pair, a spare pair, q, q^2 and exp(-2 q d).  Separate
         # temporaries above the malloc mmap threshold let glibc trim and
-        # fault in the heap top on every call of a long chunk.
+        # fault in the heap top on every call of a long pass.
         work = np.empty((7,) + u.shape)
         y, spare, q, q2, e = work[:2], work[2:4], work[4], work[5], work[6]
         np.add(u, a.take(rows), out=q)
@@ -317,58 +320,55 @@ def pressure_matsubara(config):
     """Casimir pressure from the Matsubara representation.
 
     Returns a :class:`PressureResult` whose ``per_n`` list carries the
-    as-summed (half-weighted for n = 0) TE and TM contributions.  The n = 0
-    terms and a first chunk of at most ROWS_PER_PASS indices, sized from
-    the predicted index count plus CHUNK_MARGIN, are computed before the
-    sum starts.  Where the n = 0 TE term is an integral (a plasma-like
-    model facing a plasma-like model or the ideal metal), its xi = 0 row
-    leads that chunk, so it equals :func:`n0_term`'s bit for bit, and its
-    failure raises; the other n = 0 terms are closed forms.  As the sum
-    reads past the computed indices, chunks of at most MAX_ROWS_PER_PASS
-    are sized by :func:`_predicted_stop`; a failed k_perp integral raises
-    only if the sum consumes its index.  ``error_estimate`` adds the tail
-    bound and the error estimates of every summed k_perp integral, left to
-    right.
+    as-summed (half-weighted for n = 0) TE and TM contributions.  The
+    k_perp integrals come in passes of the kernel, each of which computes
+    the indices up to max(ceil(nu x*) + 3, twice the indices computed so
+    far), at most MAX_ROWS_PER_PASS of them and none past the ceiling:
+    x* is :func:`_ideal_stop`'s, where the sum of two ideal metals stops,
+    whose terms bound every pair's, so one pass usually covers the sum,
+    and a sum that outruns it goes on in passes of doubling reach.  The
+    n = 0 terms and the first pass are computed before the sum starts.
+    Where the n = 0 TE term is an integral (a plasma-like model facing a
+    plasma-like model or the ideal metal), its xi = 0 row leads the first
+    pass, so it equals :func:`n0_term`'s bit for bit, and its failure
+    raises; the other n = 0 terms are closed forms.  A failed k_perp
+    integral of n >= 1 raises only if the sum consumes its index.
+    ``error_estimate`` adds the tail bound and the error estimates of every
+    summed k_perp integral, left to right.
     """
     m1, m2, d = config.material_1, config.material_2, config.d
-    # terms fall like exp(-n/nu); about nu*ln(1/rel_tol) + 3 are summed
     xi1, nu, ceiling, pref = _matsubara_grid(d, config.T)
+    reach = math.ceil(nu * _ideal_stop(config.rel_tol)) + 3
     terms = [0.0]   # per index n, the term as summed; n = 0 set below
-    chunks = []     # per chunk, its (TE, TM) rows and their k_perp errors
+    passes = []     # per pass, its (TE, TM) rows and their k_perp errors
     failed = {}     # n -> (polarization, NoConvergence) of a failed row
 
-    def rows(n, size, head=0):
-        """Append the terms n to n + size - 1 from one :func:`_matsubara_rows`
-        call led by head xi = 0 rows, and return its result."""
-        res = _matsubara_rows(m1, m2, d, np.arange(n - head, n + size) * xi1)
-        width = head + size
+    def rows(n, head=0):
+        """Append the terms of the pass from n, from one
+        :func:`_matsubara_rows` call led by head xi = 0 rows, and return its
+        result."""
+        last = min(max(reach, 2 * (n - 1)), n - 1 + MAX_ROWS_PER_PASS,
+                   ceiling)
+        res = _matsubara_rows(m1, m2, d, np.arange(n - head, last + 1) * xi1)
+        width = head + last + 1 - n
         for j, exc in sorted(res.failures.items()):
             failed.setdefault(n - head + j % width,
                               ("TM" if j >= width else "TE", exc))
         values = pref * res.values.reshape(2, -1)[:, head:]
-        chunks.append((values, res.errors.reshape(2, -1)[:, head:]))
+        passes.append((values, res.errors.reshape(2, -1)[:, head:]))
         terms.extend((values[0] + values[1]).tolist())
         return res
 
     static = _static_te_row(m1, m2)
     tm0, tm0_err = _n0_integral(config, False, pref)
-    first = min(ROWS_PER_PASS,
-                math.ceil(-nu * math.log(config.rel_tol)) + 3 + CHUNK_MARGIN)
-    res = rows(1, first, int(static))
+    res = rows(1, int(static))
     te0, te0_err = (_static_te(res, pref) if static
                     else _n0_te_closed_form(m1, m2, d, pref))
     terms[0] = 2.0 * (te0 + tm0)
 
     def term(n):
         if n == len(terms):
-            rest = ceiling + 1 - n      # indices up to the ceiling
-            if rest <= 3 * CHUNK_MARGIN:
-                size = rest     # fewer rows than a prediction costs
-            else:
-                horizon = min(ceiling, n - 1 + MAX_ROWS_PER_PASS)
-                size = (_predicted_stop(terms, nu, config.rel_tol, horizon)
-                        - n + 1 + CHUNK_MARGIN + math.ceil(nu / 20.0))
-            rows(n, min(size, MAX_ROWS_PER_PASS, rest))
+            rows(n)
         if failed and n in failed:
             pol, exc = failed[n]
             raise _row_failure(n, pol, exc) from exc
@@ -376,8 +376,8 @@ def pressure_matsubara(config):
 
     summed = quadrature.matsubara_sum(term, ceiling, config.rel_tol)
     n = summed.n_max
-    values, errors = chunks[0] if len(chunks) == 1 else (
-        np.concatenate(a, axis=1) for a in zip(*chunks))
+    values, errors = passes[0] if len(passes) == 1 else (
+        np.concatenate(a, axis=1) for a in zip(*passes))
     te, tm = values[:, :n].tolist()
     error = te0_err + tm0_err   # the k_perp errors, summed left to right
     for e in (abs(pref) * errors[:, :n].sum(axis=0)).tolist():
@@ -387,48 +387,6 @@ def pressure_matsubara(config):
         n0_te=te0, n0_tm=tm0,
         per_n=list(zip(range(n + 1), [te0] + te, [tm0] + tm)),
         n_max=n)
-
-
-def _predicted_stop(terms, nu, rel_tol, horizon):
-    """Index at which :func:`quadrature.matsubara_sum` is predicted to stop
-    on the terms so far and their continuation; horizon if not before it.
-
-    The continuation takes the last term n times I(k/nu)/I(n/nu), I the
-    k-th term of two ideal metals up to a constant,
-    I(x) = sum_m exp(-m x) (x^2/m + 2 x/m^2 + 2/m^3), times the power of
-    k/n that the ratio of the terms to I followed over the last 8 indices
-    (the slow drift of the reflection coefficients).  The series in m is
-    cut where exp(-m x) < exp(-8) at the first of those indices.  Over the
-    250 long sums of the CHUNK_MARGIN comment the prediction lies 3
-    indices below to 0.75 nu above the true stop; the last two terms'
-    decay ratio, continued geometrically, lay up to 41 indices (0.14
-    n_max) above it.  Terms that vanish or underflow predict no stop.
-    """
-    n = len(terms) - 1
-    total = 0.5 * terms[0] + math.fsum(terms[1:])   # the sum so far
-    back = min(8, n // 2)
-    x = np.arange(n - back, horizon + 1) / nu
-    m = np.arange(1.0, min(64, math.ceil(8.0 / x[0])) + 1)
-    a = _SHAPE_WEIGHTS[:, :m.size] @ np.exp(np.multiply.outer(-m, x))
-    shape = (a[0] * x + a[1]) * x + a[2]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        drift = np.log(abs(terms[n] * shape[0])
-                       / abs(terms[n - back] * shape[back])) / math.log(
-                           n / (n - back))
-        t = (terms[n] / shape[back]) * shape[back + 1:] * (
-            x[back + 1:] / x[back]) ** drift
-        mag = np.abs(t)
-        ratio = mag[1:] / mag[:-1]
-        done = np.flatnonzero(mag[1:] * ratio / (1.0 - ratio) <= rel_tol
-                              * np.abs(np.cumsum(t) + total)[1:])
-    return n + 2 + int(done[0]) if done.size else horizon
-
-
-#: Rows (1/m, 2/m^2, 2/m^3), m = 1..64, of the series of
-#: :func:`_predicted_stop`.
-_SHAPE_WEIGHTS = np.array([[1.0 / m, 2.0 / m ** 2, 2.0 / m ** 3]
-                           for m in range(1, 65)]).T.copy()
-_SHAPE_WEIGHTS.flags.writeable = False
 
 
 def _im_round_trip(eps1, eps2, omega, d, kz, pols=(0, 1)):

@@ -500,8 +500,11 @@ def matsubara_sum(term, ceiling, rel_tol):
     tolerance, reading no index past ``ceiling`` (the caller's, such as
     lifshitz.matsubara_ceiling).  At the ceiling, NoConvergence reports the
     last |term|/|sum|, the decay ratio of the last two terms and the
-    tolerance the stopping rule did meet.
+    tolerance the stopping rule did meet.  ValueError unless ceiling is an
+    int >= 1.
     """
+    if not isinstance(ceiling, int) or ceiling < 1:
+        raise ValueError(f"ceiling must be an int >= 1, got {ceiling!r}")
     total = 0.5 * term(0)
     streak = 0
     last = 0.0      # |previous term|

@@ -136,9 +136,28 @@ def test_matsubara_ceiling():
 
 
 def test_matsubara_ceiling_validation():
-    for d, T in ((-1e-6, 300.0), (1e-6, 0.0)):
-        with pytest.raises(ValueError, match="positive"):
+    for d, T in ((-1e-6, 300.0), (1e-6, 0.0), (math.inf, 300.0),
+                 (1e-6, math.inf), (math.nan, 300.0), (1e-6, math.nan)):
+        with pytest.raises(ValueError, match="d and T must be positive"):
             L.matsubara_ceiling(d, T)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-9, 1e-6, 2e-3, 1e-2])
+def test_ideal_stop_bounds_the_ideal_metal_sum(rel_tol):
+    # up to a factor, the term n of two ideal metals is I(n/nu) with
+    # I(x) = sum_m exp(-m x) (x^2/m + 2 x/m^2 + 2/m^3); matsubara_sum stops
+    # on it by ceil(nu x*) + 3, and not far before
+    x = L._ideal_stop(rel_tol)
+    assert x >= 3.0 and math.exp(-x) * (x * x + 2.0 * x + 2.0) * x / (
+        x - 2.0) == pytest.approx(math.pi ** 4 / 15.0 * rel_tol, rel=1e-2)
+    m = np.arange(1.0, 4001.0)
+    for nu in (0.5, 1.2, 5.0, 36.4):
+        def term(n):
+            u = n / nu
+            return float(np.sum(np.exp(-m * u) * (u * u / m + 2.0 * u / m ** 2
+                                                  + 2.0 / m ** 3)))
+        n_max = Q.matsubara_sum(term, 10 ** 5, rel_tol).n_max
+        assert n_max <= math.ceil(nu * x) + 3 <= n_max + 3 + nu / 4
 
 
 def test_classical_transverse_equals_n0_te():
@@ -260,7 +279,7 @@ def test_matsubara_rows_are_one_polarization_runs(pair, d, T):
                   1.37e16, (M.Oscillator(2e31, 3e15, 1e14),)),
               "ideal": M.ideal_metal(), "table": _drude_table()}
     m1, m2 = models[pair[0]], models[pair[1]]
-    xi = np.arange(1, L.ROWS_PER_PASS + 1) * (2.0 * math.pi * K_B * T / HBAR)
+    xi = np.arange(1, 49) * (2.0 * math.pi * K_B * T / HBAR)
     res = L._matsubara_rows(m1, m2, d, xi)
     n = xi.size
     for pol in (0, 1):
@@ -326,22 +345,29 @@ def _count_samples(monkeypatch):
 
 
 def test_chunk_schedule_follows_predicted_index_count(monkeypatch):
-    # the first chunk covers the predicted count, so a 300 K pressure takes
-    # one pass and computes few rows past n_max
-    dr = M.drude(1.37e16, 5.32e13)
+    # the first pass computes the indices up to ceil(nu x*) + 3, where x*
+    # is the ideal-metal stop; a sum that reads on, here one made to read
+    # to its ceiling, goes on in passes to twice the indices computed so
+    # far, of at most MAX_ROWS_PER_PASS indices and none past the ceiling
+    original = Q.matsubara_sum
+
+    def to_the_ceiling(term, ceiling, rel_tol):
+        for n in range(ceiling + 1):
+            term(n)
+        return original(term, ceiling, rel_tol)
+
+    monkeypatch.setattr(Q, "matsubara_sum", to_the_ceiling)
     passes = _count_row_passes(monkeypatch)
-    res = L.pressure_matsubara(L.CavityConfig(dr, dr, 1e-6, 300.0))
-    assert len(passes) == 1
-    assert res.n_max <= sum(passes) <= res.n_max + 8
-    # a long sum takes a first chunk of ROWS_PER_PASS indices, then one
-    # chunk sized from the decay of its terms, which ends a few indices
-    # past n_max
     ideal = M.ideal_metal()
+    # nu = 0.607 and x* = 25.49: up to 19, doubled to 38, the ceiling 50
+    L.pressure_matsubara(L.CavityConfig(ideal, ideal, 1e-6, 300.0))
+    assert passes == [19, 19, 12]
+    # nu = 182: the first pass is cut at 512 indices, and so is every
+    # later one up to the ceiling 1823, where this sum stops unconverged
     passes.clear()
-    res = L.pressure_matsubara(
-        L.CavityConfig(ideal, ideal, 1.5e-6, 5.0, rel_tol=2e-3))
-    assert len(passes) == 2 and passes[0] == L.ROWS_PER_PASS
-    assert res.n_max <= sum(passes) <= res.n_max + max(8, res.n_max // 10)
+    with pytest.raises(Q.NoConvergence, match="index ceiling 1823"):
+        L.pressure_matsubara(L.CavityConfig(ideal, ideal, 1e-6, 1.0))
+    assert passes == [512, 512, 512, 287] and L.MAX_ROWS_PER_PASS == 512
 
 
 @pytest.mark.parametrize("pair", [
@@ -354,22 +380,25 @@ def test_chunk_schedule_follows_predicted_index_count(monkeypatch):
     (5e-6, 77.0)])
 def test_matsubara_rows_converge_on_seed_panels(monkeypatch, pair, d, T):
     # every row shares the envelope exp(-2 u d) at mapping scale
-    # ROW_SCALE/d, so each integrate_rows call meets all its targets on the
-    # seed panels and samples the integrand once; at 0.5 um, 300 K the
-    # first chunk holds the most rows of a one-chunk sum
+    # ROW_SCALE/d, so the integrate_rows call meets all its targets on the
+    # seed panels and samples the integrand once; the one pass, up to the
+    # ideal-metal stop, ends 1-3 indices past n_max.  At 0.5 um, 300 K and
+    # at 2 um, 77 K it holds 34 indices, the most of these sums
     models = {"insulator": M.insulator(3.0),
               "drude": M.drude(1.37e16, 5.32e13), "plasma": M.plasma(1.37e16),
               "gplasma": M.generalized_plasma(
                   1.37e16, (M.Oscillator(2e31, 3e15, 1e14),)),
               "ideal": M.ideal_metal(), "table": _drude_table()}
+    m1, m2 = models[pair[0]], models[pair[1]]
     calls = _count_samples(monkeypatch)
-    L.pressure_matsubara(
-        L.CavityConfig(models[pair[0]], models[pair[1]], d, T))
-    assert calls
-    for indices, samples, panels in calls:
-        assert samples == 1
-        assert panels.shape == (2 * indices,)     # TE, then TM, per index
-        assert np.all(panels == Q.ROW_PANELS)
+    res = L.pressure_matsubara(L.CavityConfig(m1, m2, d, T))
+    assert len(calls) == 1
+    indices, samples, panels = calls[0]
+    assert samples == 1
+    assert panels.shape == (2 * indices,)     # TE, then TM, per index
+    assert np.all(panels == Q.ROW_PANELS)
+    computed = indices - L._static_te_row(m1, m2)
+    assert res.n_max <= computed <= res.n_max + 12
 
 
 #: The nine material pairs of the benchmark's matsubara-grid workload.
@@ -403,17 +432,16 @@ def test_rows_do_not_depend_on_the_chunking(pair):
 
 @pytest.mark.parametrize("pair", GRID_PAIRS, ids="/".join)
 @pytest.mark.parametrize("d, T", [(1e-6, 5.0), (2e-6, 10.0)])
-def test_long_sum_is_two_one_round_passes(monkeypatch, pair, d, T):
-    # the first chunk's graded low rows meet their targets on their seed
-    # panels, and the second chunk, sized from the decay of the terms,
-    # reaches n_max and ends a few indices past it
+def test_long_sum_is_one_one_round_pass(monkeypatch, pair, d, T):
+    # the first pass, up to the ideal-metal stop, holds every summed index
+    # of a long sum too, and its graded low rows meet their targets on
+    # their seed panels.  It ends up to 19 indices (0.06 n_max) past n_max
     m1, m2 = (_static_models()[name] for name in pair)
     calls = _count_samples(monkeypatch)
     res = L.pressure_matsubara(L.CavityConfig(m1, m2, d, T, rel_tol=2e-3))
-    assert len(calls) == 2 and calls[0][0] <= L.ROWS_PER_PASS + 1
-    assert all(samples == 1 for _, samples, _ in calls)
-    computed = sum(n for n, _, _ in calls) - L._static_te_row(m1, m2)
-    assert res.n_max <= computed <= res.n_max + max(8, res.n_max // 10)
+    assert len(calls) == 1 and calls[0][1] == 1
+    computed = calls[0][0] - L._static_te_row(m1, m2)
+    assert res.n_max <= computed <= res.n_max + max(12, res.n_max // 16)
 
 
 @pytest.mark.parametrize("pair", [p for p in GRID_PAIRS

@@ -244,6 +244,15 @@ def test_matsubara_sum_ceiling():
                         L.matsubara_ceiling(1e-4, 300.0), 1e-10)
 
 
+def test_matsubara_sum_ceiling_validation():
+    # the ceiling is an int >= 1; a ceiling of 1 reads the one index
+    for ceiling in (0, -3, 2.0, np.int64(50), None):
+        with pytest.raises(ValueError, match="ceiling must be an int"):
+            Q.matsubara_sum(lambda n: 0.5 ** n, ceiling, 1e-9)
+    with pytest.raises(Q.NoConvergence, match="n = 1 of the index ceiling 1"):
+        Q.matsubara_sum(lambda n: 0.5 ** n, 1, 1e-9)
+
+
 def test_power_law_slopes_exact():
     xs = np.geomspace(0.1, 10.0, 9)
     slopes, dx, dy = Q.power_law_slopes(xs, np.array([xs**2, 5.0 * xs]))
