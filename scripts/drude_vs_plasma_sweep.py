@@ -5,10 +5,10 @@ Reproduces the factor-of-two discrepancy between the dissipative and the
 dissipationless descriptions at large separations: the Drude model loses the
 n = 0 TE term, so P_Drude / P_Plasma -> ~1/2 as the gap grows.
 
-A gap whose Matsubara sum raises NoConvergence (at 300 K, gaps below
-about 0.3 um reach the index ceiling) prints its row with the reason and
-is left out of the CSV; the sweep goes on, and the script exits 1 if any
-gap failed.
+A gap whose Matsubara sum raises NoConvergence prints its row with the
+reason and is left out of the CSV; the sweep goes on, and the script exits
+1 if any gap failed.  The default sweep, 0.1-10 um at 300 K, converges at
+every gap.
 
 Usage:
     python3 scripts/drude_vs_plasma_sweep.py [--out sweep.csv]

@@ -26,10 +26,9 @@ the bits of the values and not their Python or numpy types.
 
 A fourth total, ``cli-total``, digests the text of ``cli.main`` (exit code,
 standard output and standard error) on a fixed list of argvs: ``pressure``
-with JSON and with CSV output, ``sweep`` with JSON and with CSV output (the
-CSV one with a gap that fails), ``bvl-check`` on each of the six models, and
-the argvs of ``tests/cli_texts.json``, which cover help, usage and error
-texts.  An argparse exit counts as the exit code its ``SystemExit`` carries,
+with JSON and with CSV output, ``sweep`` with JSON and with CSV output,
+``bvl-check`` on each of the six models, and the argvs of
+``tests/cli_texts.json``, which cover help, usage and error texts.  An argparse exit counts as the exit code its ``SystemExit`` carries,
 and help is formatted 80 columns wide.
 
 Usage:
@@ -48,8 +47,10 @@ package and over |P|, the cases whose n = 0 terms moved, and the largest
 relative move of each verdict's ``b_correlator_norm``, ``e_limit_exponent``
 and ``cavity_classical_te``.  For each package it prints how many
 ``integrate_rows`` calls of the pressures took more than one refinement
-round, and over its converging pressures the ``integrate_rows`` calls and
-the Matsubara indices computed past n_max, the cost of the pass sizing.
+round, and over its converging pressures the ``integrate_rows`` calls,
+the Matsubara indices computed past n_max, the cost of the pass sizing,
+and the largest n_max over the reach ceil(nu x*) + 3, the margin that the
+index ceiling, twice the reach, relies on.
 It also compares the entries of the reflect
 tables and of the scalar reflection calls one by one, and prints the
 largest relative move of r_te, r_tm and r_bar, apart on the imaginary axis
@@ -197,7 +198,6 @@ def cli_argvs(specs):
         ["sweep", "--mat1", drude, "--mat2", drude, "--d", "1e-6", "--T",
          "300", "--sweep-param", "T", "--sweep-from", "77", "--sweep-to",
          "300", "--sweep-points", "3", "--format", "json"],
-        # the sum of the first gap stops at the index ceiling
         ["sweep", "--mat1", "ideal", "--mat2", "ideal", "--d", "1e-6", "--T",
          "300", "--sweep-param", "d", "--sweep-from", "3e-7", "--sweep-to",
          "1e-5", "--sweep-points", "5"],
@@ -389,16 +389,27 @@ def load(src):
         sys.path.remove(path)
 
 
+def reach(L, cfg):
+    """ceil(nu x*) + 3 of cfg, nu = c/(2 d xi_1) and x* the package's
+    ``_ideal_stop``: the index by which the sum of two ideal metals stops,
+    which sizes the first pass of the kernel."""
+    xi1 = 2.0 * math.pi * L.K_B * cfg.T / L.HBAR
+    nu = L.C / (2.0 * cfg.d * xi1)
+    return math.ceil(nu * L._ideal_stop(cfg.rel_tol)) + 3
+
+
 def outcomes(pkg):
     """Label -> outcome of every case of :func:`cases`: the result, or the
     exception's type and message as a string; the refinement rounds of
     every ``integrate_rows`` call they made, one per integrand sample; and
     label -> (``integrate_rows`` calls, Matsubara indices n >= 1 of the
-    kernel's rows) of every case."""
+    kernel's rows, :func:`reach` of a pressure or None) of every case."""
     Q, L = pkg.quadrature, pkg.lifshitz
-    original, kernel = Q.integrate_rows, L._matsubara_rows
+    original, kernel, pressure = (Q.integrate_rows, L._matsubara_rows,
+                                  L.pressure_matsubara)
     rounds = []
     indices = [0]
+    reached = [None]
 
     def counted(f, *args):
         rounds.append(0)
@@ -413,34 +424,43 @@ def outcomes(pkg):
         indices[0] += int(np.count_nonzero(xi))
         return kernel(m1, m2, d, xi)
 
+    def sized(cfg):
+        reached[0] = reach(L, cfg)
+        return pressure(cfg)
+
     out, work = {}, {}
-    Q.integrate_rows, L._matsubara_rows = counted, indexed
+    Q.integrate_rows, L._matsubara_rows, L.pressure_matsubara = (
+        counted, indexed, sized)
     try:
         for label, thunk in cases(L, pkg.materials, pkg.bvl):
-            calls, indices[0] = len(rounds), 0
+            calls, indices[0], reached[0] = len(rounds), 0, None
             try:
                 out[label] = thunk()
             except Exception as exc:   # a failure is an output too
                 out[label] = f"{type(exc).__name__}: {exc}"
-            work[label] = (len(rounds) - calls, indices[0])
+            work[label] = (len(rounds) - calls, indices[0], reached[0])
     finally:
-        Q.integrate_rows, L._matsubara_rows = original, kernel
+        Q.integrate_rows, L._matsubara_rows, L.pressure_matsubara = (
+            original, kernel, pressure)
     return out, rounds, work
 
 
 def print_passes(name, side):
     """Print how many of the ``integrate_rows`` calls of :func:`outcomes`
-    side took more than one round, and the calls and the indices computed
-    past n_max of its converging pressures."""
+    side took more than one round, and the calls, the indices computed
+    past n_max and the largest n_max/:func:`reach` of its converging
+    pressures."""
     out, rounds, work = side
     more = sum(r > 1 for r in rounds)
     done = [(work[label], res.n_max) for label, res in out.items()
             if label.startswith("pressure") and not isinstance(res, str)]
-    calls = sum(c for (c, _), _ in done)
-    past = sum(n - n_max for (_, n), n_max in done)
+    calls = sum(c for (c, _, _), _ in done)
+    past = sum(n - n_max for (_, n, _), n_max in done)
+    margin = max((n_max / r for (_, _, r), n_max in done), default=0.0)
     print(f"{name}: {more} of {len(rounds)} integrate_rows calls took more "
           f"than one round; its {len(done)} converging pressures took "
-          f"{calls} calls and computed {past} indices past n_max")
+          f"{calls} calls and computed {past} indices past n_max; largest "
+          f"n_max/reach {margin:.4f}")
 
 
 def compare(new, old):

@@ -119,23 +119,6 @@ def n0_term(config, polarization):
     return _n0_integral(config, pol == "te", -K_B * config.T / math.pi)[0]
 
 
-def matsubara_ceiling(d, T):
-    """Index ceiling of the Matsubara sum at gap d and temperature T."""
-    return _matsubara_grid(d, T)[2]
-
-
-def _matsubara_grid(d, T):
-    """(xi_1, nu, index ceiling, term prefactor) at gap d and temperature
-    T: 2 pi k_B T/hbar, c/(2 d xi_1), for terms that fall like exp(-n/nu),
-    max(50, ceil(10*nu)) and -k_B T/pi; ValueError unless d and T are
-    positive and finite."""
-    if not (0.0 < d < math.inf and 0.0 < T < math.inf):   # also rejects nan
-        raise ValueError("d and T must be positive and finite")
-    xi1 = 2.0 * math.pi * K_B * T / HBAR
-    ceiling = max(50, math.ceil(10.0 * C / (2.0 * d * xi1)))
-    return xi1, C / (2.0 * d * xi1), ceiling, -K_B * T / math.pi
-
-
 @functools.lru_cache(maxsize=64)
 def _ideal_stop(rel_tol):
     """x* >= 3 solving exp(-x) (x^2 + 2 x + 2) x/(x - 2) = (pi^4/15) rel_tol:
@@ -320,13 +303,13 @@ def pressure_matsubara(config):
     """Casimir pressure from the Matsubara representation.
 
     Returns a :class:`PressureResult` whose ``per_n`` list carries the
-    as-summed (half-weighted for n = 0) TE and TM contributions.  The
-    k_perp integrals come in passes of the kernel, each of which computes
-    the indices up to max(ceil(nu x*) + 3, twice the indices computed so
-    far), at most MAX_ROWS_PER_PASS of them and none past the ceiling:
-    x* is :func:`_ideal_stop`'s, where the sum of two ideal metals stops,
-    whose terms bound every pair's, so one pass usually covers the sum,
-    and a sum that outruns it goes on in passes of doubling reach.  The
+    as-summed (half-weighted for n = 0) TE and TM contributions.  One rule
+    bounds and sizes the sum: the reach ceil(nu x*) + 3, nu = c/(2 d xi_1)
+    and x* :func:`_ideal_stop`'s, is where the sum of two ideal metals
+    stops, whose terms bound every pair's, and the index ceiling is twice
+    the reach.  The k_perp integrals come in passes of the kernel of at
+    most MAX_ROWS_PER_PASS indices: the first runs to the reach, which
+    usually covers the sum, and each later one towards the ceiling.  The
     n = 0 terms and the first pass are computed before the sum starts.
     Where the n = 0 TE term is an integral (a plasma-like model facing a
     plasma-like model or the ideal metal), its xi = 0 row leads the first
@@ -337,8 +320,10 @@ def pressure_matsubara(config):
     summed k_perp integral, left to right.
     """
     m1, m2, d = config.material_1, config.material_2, config.d
-    xi1, nu, ceiling, pref = _matsubara_grid(d, config.T)
-    reach = math.ceil(nu * _ideal_stop(config.rel_tol)) + 3
+    xi1 = 2.0 * math.pi * K_B * config.T / HBAR
+    pref = -K_B * config.T / math.pi
+    reach = math.ceil(C / (2.0 * d * xi1) * _ideal_stop(config.rel_tol)) + 3
+    ceiling = 2 * reach
     terms = [0.0]   # per index n, the term as summed; n = 0 set below
     passes = []     # per pass, its (TE, TM) rows and their k_perp errors
     failed = {}     # n -> (polarization, NoConvergence) of a failed row
@@ -347,8 +332,7 @@ def pressure_matsubara(config):
         """Append the terms of the pass from n, from one
         :func:`_matsubara_rows` call led by head xi = 0 rows, and return its
         result."""
-        last = min(max(reach, 2 * (n - 1)), n - 1 + MAX_ROWS_PER_PASS,
-                   ceiling)
+        last = min(reach if n == 1 else ceiling, n - 1 + MAX_ROWS_PER_PASS)
         res = _matsubara_rows(m1, m2, d, np.arange(n - head, last + 1) * xi1)
         width = head + last + 1 - n
         for j, exc in sorted(res.failures.items()):
@@ -364,7 +348,7 @@ def pressure_matsubara(config):
     res = rows(1, int(static))
     te0, te0_err = (_static_te(res, pref) if static
                     else _n0_te_closed_form(m1, m2, d, pref))
-    terms[0] = 2.0 * (te0 + tm0)
+    terms[0] = te0 + tm0
 
     def term(n):
         if n == len(terms):

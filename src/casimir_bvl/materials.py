@@ -135,6 +135,11 @@ class MaterialModel:
         """(log xi, log eps) of the table nodes, built once per model."""
         return tuple(np.log(np.array(self.table).T))
 
+    @functools.cached_property
+    def _static_epsilon(self):
+        """eps(0) of an insulator, built once per model."""
+        return eval_imag_axis(self, np.zeros(1)).item()
+
 
 def insulator(eps0, oscillators=()):
     return MaterialModel(Kind.INSULATOR, eps0=float(eps0),
@@ -310,7 +315,7 @@ def static_epsilon(model):
     if zero_freq_class(model) is not ZeroFreqClass.FINITE:
         raise ValueError("static permittivity requires a finite-class model")
     if model.kind is Kind.INSULATOR:
-        return eval_imag_axis(model, np.zeros(1)).item()
+        return model._static_epsilon
     return model.table[0][1]
 
 

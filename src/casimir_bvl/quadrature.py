@@ -493,19 +493,19 @@ def _gk_row(f, seeds, rel_tol, floor_frac, budget):
 
 
 def matsubara_sum(term, ceiling, rel_tol):
-    """Sum term(n) over Matsubara indices with half-weighted n = 0.
+    """Sum term(n) over Matsubara indices n = 0, 1, ..., each as given:
+    the half weight of n = 0 is the caller's.
 
     Accumulates until three consecutive terms fall below
     ``rel_tol * |partial sum|`` and the geometric tail bound is within
-    tolerance, reading no index past ``ceiling`` (the caller's, such as
-    lifshitz.matsubara_ceiling).  At the ceiling, NoConvergence reports the
-    last |term|/|sum|, the decay ratio of the last two terms and the
-    tolerance the stopping rule did meet.  ValueError unless ceiling is an
-    int >= 1.
+    tolerance, reading no index past ``ceiling``, the caller's.  At the
+    ceiling, NoConvergence reports the last |term|/|sum|, the decay ratio
+    of the last two terms and the tolerance the stopping rule did meet.
+    ValueError unless ceiling is an int >= 1.
     """
     if not isinstance(ceiling, int) or ceiling < 1:
         raise ValueError(f"ceiling must be an int >= 1, got {ceiling!r}")
-    total = 0.5 * term(0)
+    total = term(0)
     streak = 0
     last = 0.0      # |previous term|
     near = ceiling - 3

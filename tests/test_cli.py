@@ -18,6 +18,7 @@ from casimir_bvl import cli
 from casimir_bvl import fresnel as F
 from casimir_bvl import lifshitz as L
 from casimir_bvl import materials as M
+from casimir_bvl import quadrature as Q
 
 
 def run_cli(*args):
@@ -319,12 +320,20 @@ def test_pressure_ideal_low_temperature():
     assert doc["result"]["pressure_pa"] == pytest.approx(-1.2963e-3, rel=5e-3)
 
 
-def test_pressure_unreachable_tolerance_is_numerical_failure():
-    # at T = 1 K the Matsubara ceiling caps the achievable accuracy
-    proc = run_cli("pressure", "--mat1", "ideal", "--mat2", "ideal",
-                   "--d", "1e-6", "--T", "1", "--rel-tol", "1e-12")
-    assert proc.returncode == 3
-    assert "NoConvergence" in proc.stderr
+def test_pressure_unreachable_tolerance_is_numerical_failure(monkeypatch,
+                                                            capsys):
+    # a sum that reaches its index ceiling before its tolerance: with the
+    # ideal-metal stop cut to x* = 3, the 1 um, 300 K sum of two ideal
+    # metals (nu = 0.607) gets the ceiling 2 (ceil(3 nu) + 3) = 10, and it
+    # needs 18 indices
+    monkeypatch.setattr(L, "_ideal_stop", lambda rel_tol: 3.0)
+    code, out, err = main_in_process(
+        capsys, "pressure", "--mat1", "ideal", "--mat2", "ideal", "--d",
+        "1e-6", "--T", "300")
+    assert code == 3 and out == ""
+    assert err.startswith("casimir-bvl: numerical failure: NoConvergence: "
+                          "Matsubara sum reached n = 10 of the index "
+                          "ceiling 10")
 
 
 @pytest.mark.parametrize("rel_tol", ["0", "-1", "2", "nan", "inf"])
@@ -636,21 +645,33 @@ def test_sweep_rows_are_pressure_runs_at_each_value(param, lo, hi, capsys):
         assert row == f"{cli._fmt(v)},{out.splitlines()[-1]}"
 
 
-#: The README's gap sweep, started at 0.3 um, where the 300 K sum of the
-#: ideal metal stops at the index ceiling.
-FAILING_SWEEP = ("sweep", "--mat1", "ideal", "--mat2", "ideal", "--d",
-                 "1e-6", "--T", "300", "--sweep-param", "d", "--sweep-from",
-                 "3e-7", "--sweep-to", "1e-5", "--sweep-points", "9")
+#: A gap sweep of two ideal metals from 0.3 um at 300 K.
+GAP_SWEEP = ("sweep", "--mat1", "ideal", "--mat2", "ideal", "--d", "1e-6",
+             "--T", "300", "--sweep-param", "d", "--sweep-from", "3e-7",
+             "--sweep-to", "1e-5", "--sweep-points", "9")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_sweep_keeps_the_gaps_that_converge(fmt, capsys):
-    code, out, err = main_in_process(capsys, *FAILING_SWEEP, "--format", fmt)
+def test_sweep_keeps_the_gaps_that_converge(fmt, capsys, monkeypatch):
+    # the first gap's n = 1 TE row is made to fail; the sweep reports that
+    # gap and keeps the other eight
+    gaps = np.geomspace(3e-7, 1e-5, 9).tolist()
+    rows_of = L._matsubara_rows
+
+    def failing_first_gap(m1, m2, d, xi):
+        res = rows_of(m1, m2, d, xi)
+        if d == gaps[0]:
+            res.failures[0] = Q.NoConvergence("injected")
+        return res
+
+    monkeypatch.setattr(L, "_matsubara_rows", failing_first_gap)
+    code, out, err = main_in_process(capsys, *GAP_SWEEP, "--format", fmt)
     assert code == 3
     assert err.count("\n") == 1
     assert err.startswith("casimir-bvl: numerical failure: NoConvergence: ")
     message = err.split("numerical failure: ", 1)[1].strip()
-    gaps = np.geomspace(3e-7, 1e-5, 9).tolist()
+    assert message == ("NoConvergence: k_perp integral of Matsubara row "
+                       "(n=1, TE): injected")
     if fmt == "json":
         entries = json.loads(out)["result"]
         assert entries[0] == {"d": gaps[0], "error": message}

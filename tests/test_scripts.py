@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from casimir_bvl import lifshitz as L
+from casimir_bvl import lifshitz as L, quadrature as Q
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -22,7 +22,17 @@ def _script(name):
 
 
 def test_drude_vs_plasma_sweep_reports_a_failed_gap_and_goes_on(
-        capsys, tmp_path):
+        capsys, tmp_path, monkeypatch):
+    # the n = 1 TE row of the 0.1 um gap is made to fail
+    rows_of = L._matsubara_rows
+
+    def failing_first_gap(m1, m2, d, xi):
+        res = rows_of(m1, m2, d, xi)
+        if d == 1e-7:
+            res.failures[0] = Q.NoConvergence("injected")
+        return res
+
+    monkeypatch.setattr(L, "_matsubara_rows", failing_first_gap)
     sweep = _script("drude_vs_plasma_sweep")
     out = tmp_path / "sweep.csv"
     code = sweep.main(["--d-min", "1e-7", "--d-max", "1e-5", "--points", "3",
@@ -30,10 +40,9 @@ def test_drude_vs_plasma_sweep_reports_a_failed_gap_and_goes_on(
     assert code == 1
     lines = capsys.readouterr().out.splitlines()[1:]
     assert len(lines) == 3
-    # at 0.1 um and 300 K the sum stops at the index ceiling
     assert lines[0].split()[0] == "1.0000e-07"
-    assert "failed: Matsubara sum reached n = 61 of the index ceiling 61" \
-        in lines[0]
+    assert lines[0].endswith("failed: k_perp integral of Matsubara row "
+                             "(n=1, TE): injected")
     ratios = [float(line.split()[-1]) for line in lines[1:]]
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))[1:]
