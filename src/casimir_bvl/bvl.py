@@ -113,7 +113,7 @@ def _vanishing_rate(omega, *pieces):
     live = [piece for piece in pieces if piece.any()]
     if not live:
         return math.inf
-    return min(quadrature.power_law_slopes(omega, np.abs(live))[0].tolist())
+    return min(quadrature.power_law_slopes(omega, np.abs(live)).tolist())
 
 
 #: The default sweep over C*k_perp: 13 frequencies from 1e-2 to 1e-5 in

@@ -21,6 +21,10 @@ from . import bvl, fresnel, lifshitz, materials, quadrature
 
 FLOAT_FMT = "%.17e"
 SWEEP_PARAMS = ("d", "T", "omega_p")
+#: Most points of a geometric list, --sweep-points or the points of a
+#: --kperp lo:hi:points: a reflect table of this many rows takes some
+#: 20 MB of text.
+MAX_POINTS = 100_000
 
 BVL_REPORT_SCHEMA = {
     "type": "object",
@@ -333,19 +337,25 @@ def _summary_fields(result):
             _fmt(result.n0_te), _fmt(result.n0_tm), str(result.n_max)]
 
 
-def _geometric_ends(lo, hi, what):
-    """ConfigParse unless both ends of a geometric list are finite and > 0."""
+def _geometric_list(lo, hi, points, least, what):
+    """np.geomspace(lo, hi, points): the values of a sweep or of a --kperp
+    lo:hi:points; ConfigParse unless both ends are finite and > 0 and
+    least <= points <= MAX_POINTS."""
     if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
         raise ConfigParse(f"{what} needs finite positive ends, "
                           f"got {lo!r} and {hi!r}")
+    if not least <= points <= MAX_POINTS:
+        raise ConfigParse(f"{what} needs {least} to {MAX_POINTS} points, "
+                          f"got {points}")
+    return np.geomspace(lo, hi, points)
 
 
 def _sweep_values(sweep):
-    lo, hi, points = sweep["from"], sweep["to"], sweep["points"]
-    _geometric_ends(lo, hi, "sweep")
-    if not lo < hi or points < 2:
-        raise ConfigParse("sweep needs from < to and points >= 2")
-    return np.geomspace(lo, hi, points)
+    lo, hi = sweep["from"], sweep["to"]
+    values = _geometric_list(lo, hi, sweep["points"], 2, "sweep")
+    if not lo < hi:
+        raise ConfigParse("sweep needs from < to")
+    return values
 
 
 def run_sweep(config):
@@ -419,12 +429,8 @@ def _kperp_list(raw):
     """The --kperp values as an ndarray: a comma list or lo:hi:points."""
     if ":" in raw:
         lo, hi, points = raw.split(":")
-        lo, hi, points = float(lo), float(hi), int(points)
-        if points < 1:
-            raise ConfigParse(
-                f"--kperp {raw!r}: lo:hi:points needs points >= 1")
-        _geometric_ends(lo, hi, f"--kperp {raw!r}: lo:hi:points")
-        return np.geomspace(lo, hi, points)
+        return _geometric_list(float(lo), float(hi), int(points), 1,
+                               f"--kperp {raw!r}: lo:hi:points")
     return np.array([float(tok) for tok in raw.split(",")])
 
 
@@ -465,11 +471,6 @@ def _table_rows(columns):
     if not varying:
         return [template] * n
     return [template % row for row in zip(*varying)]
-
-
-def build_parser():
-    """The argument parser, built once per process; parsing leaves it as is."""
-    return _parsers()[0]
 
 
 @functools.cache

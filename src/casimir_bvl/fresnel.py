@@ -22,6 +22,8 @@ frequencies in one pass.
 from __future__ import annotations
 
 import cmath
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,16 +139,25 @@ def imag_axis_coefficients(eps, nw, q, out=None):
     return out
 
 
-def _check_kperp(k_perp, positive):
+def _check_kperp(k_perp, static):
     """k_perp, a float or an ndarray, as a float array of at least one
     dimension; ValueError naming the first k_perp that is not finite and
-    > 0 (positive) or >= 0."""
+    > 0 (static) or >= 0.  Off the static limit r_te squares a sum of two
+    normal wavevectors, about 2 k_perp, so a k_perp from half of
+    sqrt(float max), some 6.7e153 m^-1, up, where that overflows, raises
+    ValueError naming the bound."""
     k = np.atleast_1d(np.asarray(k_perp, dtype=float))
-    ok = np.isfinite(k) & (k > 0.0 if positive else k >= 0.0)
+    top = math.inf if static else 0.5 * math.sqrt(sys.float_info.max)
+    ok = (k > 0.0 if static else k >= 0.0) & (k < top)  # also rejects nan
     if not ok.all():
+        bad = float(k[~ok][0])
+        if top <= bad < math.inf:
+            raise ValueError(f"k_perp must be below {top:.4g} m^-1, half of "
+                             f"sqrt(float max), off the static limit, where "
+                             f"(2 k_perp)^2 overflows; got {bad!r}")
         raise ValueError(f"k_perp must be finite and "
-                         f"{'positive' if positive else 'non-negative'}, "
-                         f"got {float(k[~ok][0])!r}")
+                         f"{'positive' if static else 'non-negative'}, "
+                         f"got {bad!r}")
     return k
 
 
@@ -171,15 +182,15 @@ def reflection(model, omega, k_perp):
     float or an ndarray; an array gives a set of arrays from one kernel
     pass, and a float runs the same pass as a one-entry array and gives
     complex scalars, equal bit for bit to the matching array entries.
-    Raises ValueError unless omega and every k_perp are finite and
-    k_perp >= 0.
+    Raises ValueError unless omega is finite and every k_perp is in
+    [0, sqrt(float max)/2), where (2 k_perp)^2 is finite.
     """
     omega = complex(omega)
     if omega == 0:
         raise ZeroFrequency("use reflection_static for the omega -> 0 limit")
     if not cmath.isfinite(omega):
         raise ValueError(f"omega must be finite, got {omega!r}")
-    k = _check_kperp(k_perp, positive=False)
+    k = _check_kperp(k_perp, static=False)
     eps = epsilon(model, omega)
     if eps is None:  # the ideal metal needs no wavevectors
         r_te, r_tm = _IDEAL
@@ -204,14 +215,15 @@ def real_axis_sweep(model, omega, k_perp):
     r_tm - r_bar = -2 eps (eps - 1) k0^2/[(k_z + s)(eps k_z + s)(eps + 1)],
     which does not cancel where r_tm is close to r_bar.  The ideal metal
     gives (-1, 0).  Raises ZeroFrequency if any omega is 0 and ValueError
-    unless every omega and k_perp are finite and k_perp >= 0.
+    unless every omega is finite and k_perp is in [0, sqrt(float max)/2),
+    where (2 k_perp)^2 is finite.
     """
     omega = np.asarray(omega, dtype=float)
     if not (omega != 0.0).all():
         raise ZeroFrequency("use reflection_static for the omega -> 0 limit")
     if not np.isfinite(omega).all():
         raise ValueError("omega must be finite")
-    _check_kperp(k_perp, positive=False)
+    _check_kperp(k_perp, static=False)
     if model.kind is Kind.IDEAL_METAL:
         return (np.full(omega.shape, -1.0, dtype=complex),
                 np.zeros(omega.shape, dtype=complex))
@@ -278,7 +290,7 @@ def reflection_static(model, k_perp):
     a set of arrays, equal entry by entry to the scalar calls); ValueError
     unless every k_perp is finite and positive.
     """
-    k = _check_kperp(k_perp, positive=True)
+    k = _check_kperp(k_perp, static=True)
     r_tm = static_rtm(model)
     r = _reflection_set(k, static_rte(model, k), r_tm, r_tm)
     return r if np.ndim(k_perp) else _scalars(r)

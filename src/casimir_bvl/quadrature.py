@@ -239,8 +239,9 @@ def _refine(sample, n_rows, panels, rel_tol, floor_frac, budget, book=None,
     that component's even share of its target are bisected.  A reported
     error adds ROUNDING_FLOOR times Int|f| to that estimate.  Results list
     component p of row i at p*n_rows + i.  A component whose row would need
-    more than ``budget`` panels, or whose error is not finite, stops; its
-    NoConvergence is kept in the result's ``failures`` under that key.
+    more than ``budget`` panels, or whose error or target is not finite,
+    stops; its NoConvergence is kept in the result's ``failures`` under
+    that key.
 
     The first round's keys and panel counts (:func:`_bookkeeping`) are
     read from ``book``, a dict kept with read-only seed panels, under the
@@ -269,7 +270,9 @@ def _refine(sample, n_rows, panels, rel_tol, floor_frac, budget, book=None,
         total, total_err, total_abs = totals[0], totals[1], totals[2]
         target = np.maximum(rel_tol * np.abs(total),
                             floor_frac * rel_tol * total_abs)
-        met = total_err <= target       # NaN errors refine too
+        # NaN errors refine too; an infinite target, whose overflowed
+        # total and error would meet it, is a non-finite integrand
+        met = (total_err <= target) & (target < math.inf)
         if failures:
             met[list(failures)] = True
         if np.count_nonzero(met) == size:
@@ -570,9 +573,9 @@ def power_law_slopes(x, y):
     """Least-squares slope of log y against log x for each row of y.
 
     x holds n positive abscissae and y an (rows, n) array of positive
-    ordinates.  Returns (slopes, dx, dy): the slope is the centred closed
-    form sum(dx dy)/sum(dx^2), dx and dy the deviations of log x and of
-    each row of log y from their means.
+    ordinates.  Each slope is the centred closed form sum(dx dy)/sum(dx^2),
+    dx and dy the deviations of log x and of the row of log y from their
+    means.
     """
     if (x <= 0).any() or (y <= 0).any():
         raise NonPositiveData("power-law fit needs positive coordinates")
@@ -582,7 +585,7 @@ def power_law_slopes(x, y):
     sxx = float(dx @ dx)
     if sxx == 0.0:
         raise DegenerateSweep("power-law fit needs distinct x")
-    return dy @ dx / sxx, dx, dy
+    return dy @ dx / sxx
 
 
 def integrate_real_frequency(g, omega_cap, rel_tol, seed_panels=16):

@@ -157,7 +157,7 @@ def test_reflect_table_is_the_per_k_scalar_table(spec, tmp_path, capsys):
 
 
 def test_main_calls_share_the_parser_and_carry_no_state(capsys):
-    assert cli.build_parser() is cli.build_parser()
+    assert cli._parsers()[0] is cli._parsers()[0]
     pressure = ["pressure", "--mat1", "ideal", "--mat2", "ideal",
                 "--d", "1e-6", "--T", "300"]
     code, out, _ = main_in_process(capsys, *pressure, "--rel-tol", "1e-6")
@@ -211,6 +211,15 @@ def test_main_calls_share_the_parser_and_carry_no_state(capsys):
       "300", "--sweep-points", "3"], "finite positive ends"),
     (["bvl-check", "--mat", "plasma:1e16", "--d", "1e-6", "--T", "300",
       "--z", "4e-13"], "z + z' below 1e-12 m"),
+    # r_te squares about 2 k_perp, which overflows from the bound on
+    (["reflect", "--mat", DRUDE, "--omega", "1e14", "--kperp", "1.35e154"],
+     "half of sqrt(float max)"),
+    (["reflect", "--mat", DRUDE, "--xi", "1e14", "--kperp", "1.35e154"],
+     "half of sqrt(float max)"),
+    (["reflect", "--mat", DRUDE, "--omega", "1e14", "--kperp",
+      "1e6,6.71e153"], "half of sqrt(float max)"),
+    (["reflect", "--mat", DRUDE, "--xi", "1e14", "--kperp", "1e6,1e200"],
+     "half of sqrt(float max)"),
 ])
 def test_non_finite_or_empty_input_exits_2(args, names, capsys):
     # tier-1 turns a RuntimeWarning into an error, so none may be raised
@@ -402,6 +411,54 @@ def test_sweep_invalid_range_exits_2():
                    "--sweep-from", "2e-6", "--sweep-to", "1e-6",
                    "--sweep-points", "2")
     assert proc.returncode == 2
+
+
+SWEEP_D = {"subcommand": "sweep", "materials": ["ideal", "ideal"],
+           "d": 1e-6, "T": 300.0}
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["sweep", "--mat1", "ideal", "--mat2", "ideal", "--d", "1e-6", "--T",
+      "300", "--sweep-param", "d", "--sweep-from", "1e-6", "--sweep-to",
+      "2e-6", "--sweep-points", str(cli.MAX_POINTS + 1)],
+     {**SWEEP_D, "sweep": {"param": "d", "from": 1e-6, "to": 2e-6,
+                           "points": 10 ** 11}}),
+    (["reflect", "--mat", DRUDE, "--xi", "1e14", "--kperp",
+      f"1e3:1e9:{cli.MAX_POINTS + 1}"],
+     {"subcommand": "reflect", "materials": [DRUDE],
+      "probe": {"axis": "xi", "value": 1e14,
+                "kperp": "1e3:1e9:100000000000"}}),
+])
+def test_point_count_above_the_bound_exits_2(argv, config, tmp_path, capsys):
+    # 1e11 points would ask np.geomspace for 745 GiB
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    for args in (argv, ["--config", str(path)]):
+        code, out, err = main_in_process(capsys, *args)
+        assert code == 2 and out == ""
+        assert f"to {cli.MAX_POINTS} points" in err and "config error" in err
+
+
+def test_point_count_at_the_bound_is_accepted():
+    assert cli._kperp_list(f"1:2:{cli.MAX_POINTS}").size == cli.MAX_POINTS
+    values = cli._sweep_values({"from": 1.0, "to": 2.0,
+                                "points": cli.MAX_POINTS})
+    assert values.size == cli.MAX_POINTS
+
+
+def test_reflect_kperp_just_below_the_bound_is_finite(capsys):
+    # tier-1 turns an overflow warning into an error
+    k = math.nextafter(0.5 * math.sqrt(sys.float_info.max), 0.0)
+    for axis in ("--omega", "--xi"):
+        for spec in ("insulator:3.0", DRUDE, "plasma:1.37e16"):
+            code, out, _ = main_in_process(capsys, "reflect", "--mat", spec,
+                                           axis, "1e14", "--kperp", repr(k))
+            assert code == 0
+            row = [float(v) for v in out.splitlines()[-1].split(",")]
+            assert all(map(math.isfinite, row))
+    code, out, _ = main_in_process(capsys, "reflect", "--mat", DRUDE,
+                                   "--static", "--kperp", "1e200")
+    assert code == 0 and "nan" not in out
 
 
 # ---------------------------------------------------------------- bvl-check

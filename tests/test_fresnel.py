@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -289,6 +290,21 @@ def test_array_kperp_raises_as_the_scalar_call():
                 call(np.append(ARRAY_K, bad))
     with pytest.raises(ValueError, match="k_perp"):
         F.reflection_static(drude, np.array([1e6, 0.0]))
+
+
+def test_kperp_whose_square_overflows_raises_off_the_static_limit():
+    bound = 0.5 * math.sqrt(sys.float_info.max)
+    drude = SIX_KINDS[1]
+    calls = [lambda k: F.reflection(drude, 1e14, k),
+             lambda k: F.reflection(drude, 1j * 1e14, k),
+             lambda k: F.real_axis_sweep(drude, np.array([1e12, 1e14]), k)]
+    for bad in (bound, 1.35e154, 1e300):
+        for call in calls:
+            with pytest.raises(ValueError, match="half of sqrt"):
+                call(bad)
+    for k in (bound, 1e300):
+        r = F.reflection_static(drude, np.array([1e6, k]))
+        assert np.isfinite(r.r_te).all() and np.isfinite(r.r_tm).all()
 
 
 @pytest.mark.parametrize("omega", [math.nan, math.inf, complex(0.0, math.nan),
