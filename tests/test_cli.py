@@ -413,16 +413,13 @@ def test_sweep_invalid_range_exits_2():
     assert proc.returncode == 2
 
 
-SWEEP_D = {"subcommand": "sweep", "materials": ["ideal", "ideal"],
-           "d": 1e-6, "T": 300.0}
-
-
 @pytest.mark.parametrize("argv, config", [
     (["sweep", "--mat1", "ideal", "--mat2", "ideal", "--d", "1e-6", "--T",
       "300", "--sweep-param", "d", "--sweep-from", "1e-6", "--sweep-to",
       "2e-6", "--sweep-points", str(cli.MAX_POINTS + 1)],
-     {**SWEEP_D, "sweep": {"param": "d", "from": 1e-6, "to": 2e-6,
-                           "points": 10 ** 11}}),
+     {"subcommand": "sweep", "materials": ["ideal", "ideal"], "d": 1e-6,
+      "T": 300.0, "sweep": {"param": "d", "from": 1e-6, "to": 2e-6,
+                            "points": 10 ** 11}}),
     (["reflect", "--mat", DRUDE, "--xi", "1e14", "--kperp",
       f"1e3:1e9:{cli.MAX_POINTS + 1}"],
      {"subcommand": "reflect", "materials": [DRUDE],
