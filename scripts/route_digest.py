@@ -59,13 +59,14 @@ tables and of the scalar reflection calls one by one, and prints the
 largest relative move of r_te, r_tm and r_bar, apart on the imaginary axis
 and in the static limit.  It runs ``pressure_real_frequency`` on both
 packages for a low-omega_p Drude pair (1e15, 1e13 rad/s) at 1 um and 300 K,
-about 4 s each, and prints |dP| over the ``error_estimate`` of the
-OTHER_SRC package and the relative moves of the pressure, the evanescent
-part and the propagating part.  It lists the ``cli-total`` argvs whose text
-differs, with the first line that differs.  It exits 1 if any n_max,
-failure message or verdict differs, if any static-limit entry or any r_bar
-moves, or if either package's evanescent + propagating misses its
-real-frequency pressure by more than 1e-12 of |evanescent| + |propagating|.
+about 2 s each, and prints |dP| over the ``error_estimate`` of the
+OTHER_SRC package, the relative moves of the pressure, the evanescent part
+and the propagating part, and the wall time of each package's run.  It
+lists the ``cli-total`` argvs whose text differs, with the first line that
+differs.  It exits 1 if any n_max, failure message or verdict differs, if
+any static-limit entry or any r_bar moves, or if either package's
+evanescent + propagating misses its real-frequency pressure by more than
+1e-12 of |evanescent| + |propagating|.
 """
 
 import argparse
@@ -80,6 +81,7 @@ import math
 import os
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -328,11 +330,14 @@ def compare_coefficients(new, old):
 
 
 def real_frequency(pkg):
-    """pkg's ``pressure_real_frequency`` of the REALFREQ_CASE pair."""
+    """(pkg's ``pressure_real_frequency`` of the REALFREQ_CASE pair, its wall
+    time in s)."""
     omega_p, gamma, d, T = REALFREQ_CASE
     m = pkg.materials.drude(omega_p, gamma)
-    return pkg.lifshitz.pressure_real_frequency(
-        pkg.lifshitz.CavityConfig(m, m, d, T))
+    cfg = pkg.lifshitz.CavityConfig(m, m, d, T)
+    start = time.perf_counter()
+    result = pkg.lifshitz.pressure_real_frequency(cfg)
+    return result, time.perf_counter() - start
 
 
 def peak_per_index(pkg):
@@ -352,9 +357,12 @@ def peak_per_index(pkg):
     return peak / indices, indices
 
 
-def compare_real_frequency(new, old):
-    """Print how the real-frequency result ``new`` moved from ``old``; the
-    number of the two whose evanescent + propagating misses the pressure."""
+def compare_real_frequency(new_run, old_run):
+    """Print how the real-frequency result of ``new_run`` moved from that of
+    ``old_run``, and the wall time of each (two :func:`real_frequency`
+    pairs); the number of the two whose evanescent + propagating misses the
+    pressure."""
+    (new, new_s), (old, old_s) = new_run, old_run
     moves = ", ".join(
         f"{f} {relative_move(getattr(new, f), getattr(old, f)):.3g}"
         for f in ("pressure", "evanescent", "propagating"))
@@ -362,7 +370,8 @@ def compare_real_frequency(new, old):
     print(f"real-frequency drude:{omega_p:g},{gamma:g} d={d:g} T={T:g}: "
           f"|dP|/error_estimate "
           f"{abs(new.pressure - old.pressure) / old.error_estimate:.3g}; "
-          f"relative move of {moves}")
+          f"relative move of {moves}; wall time new {new_s:.3g} s, "
+          f"old {old_s:.3g} s")
     broken = 0
     for name, r in (("new", new), ("old", old)):
         e, p = r.evanescent, r.propagating

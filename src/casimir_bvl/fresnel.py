@@ -23,15 +23,14 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import materials
 from .constants import C
-from .materials import (Kind, ZeroFreqClass, effective_omega_p,
-                        static_epsilon, zero_freq_class)
+from .materials import (SQRT_FLOAT_MAX, Kind, ZeroFreqClass,
+                        effective_omega_p, static_epsilon, zero_freq_class)
 
 
 class ZeroFrequency(Exception):
@@ -147,7 +146,7 @@ def _check_kperp(k_perp, static):
     sqrt(float max), some 6.7e153 m^-1, up, where that overflows, raises
     ValueError naming the bound."""
     k = np.atleast_1d(np.asarray(k_perp, dtype=float))
-    top = math.inf if static else 0.5 * math.sqrt(sys.float_info.max)
+    top = math.inf if static else 0.5 * SQRT_FLOAT_MAX
     ok = (k > 0.0 if static else k >= 0.0) & (k < top)  # also rejects nan
     if not ok.all():
         bad = float(k[~ok][0])
@@ -182,14 +181,19 @@ def reflection(model, omega, k_perp):
     float or an ndarray; an array gives a set of arrays from one kernel
     pass, and a float runs the same pass as a one-entry array and gives
     complex scalars, equal bit for bit to the matching array entries.
-    Raises ValueError unless omega is finite and every k_perp is in
-    [0, sqrt(float max)/2), where (2 k_perp)^2 is finite.
+    Raises ValueError unless omega is finite with |omega| below
+    sqrt(float max), some 1.34e154 rad/s, where omega^2 is finite, and
+    every k_perp is in [0, sqrt(float max)/2), where (2 k_perp)^2 is finite.
     """
     omega = complex(omega)
     if omega == 0:
         raise ZeroFrequency("use reflection_static for the omega -> 0 limit")
     if not cmath.isfinite(omega):
         raise ValueError(f"omega must be finite, got {omega!r}")
+    if max(abs(omega.real), abs(omega.imag)) >= SQRT_FLOAT_MAX:
+        raise ValueError(f"|omega| must be below {SQRT_FLOAT_MAX:.4g} rad/s, "
+                         f"sqrt(float max), where omega^2 overflows; got "
+                         f"{omega!r}")
     k = _check_kperp(k_perp, static=False)
     eps = epsilon(model, omega)
     if eps is None:  # the ideal metal needs no wavevectors
@@ -213,16 +217,28 @@ def real_axis_sweep(model, omega, k_perp):
     eps is evaluated once, over the whole array.  r_te is the
     :func:`real_axis_coefficients` form, and
     r_tm - r_bar = -2 eps (eps - 1) k0^2/[(k_z + s)(eps k_z + s)(eps + 1)],
-    which does not cancel where r_tm is close to r_bar.  The ideal metal
-    gives (-1, 0).  Raises ZeroFrequency if any omega is 0 and ValueError
-    unless every omega is finite and k_perp is in [0, sqrt(float max)/2),
+    which does not cancel where r_tm is close to r_bar.  It is taken as
+    -2 k0^2 [(eps - 1)/(eps + 1)] [eps/(eps k_z + s)]/(k_z + s), which
+    multiplies no two large factors, so it stays finite wherever eps k_z
+    is, up to the k_perp bound.  The product of the three denominator
+    factors would overflow from about 1e150 m^-1 for Drude gold, far above
+    the k_perp of bvl, which its MIN_SURFACE_DISTANCE keeps at or below
+    about 2e12 m^-1.  The ideal metal gives (-1, 0).  Raises ZeroFrequency
+    if any omega is 0 and ValueError unless every omega is finite with
+    |omega| below sqrt(float max) and k_perp is in [0, sqrt(float max)/2),
     where (2 k_perp)^2 is finite.
     """
     omega = np.asarray(omega, dtype=float)
     if not (omega != 0.0).all():
         raise ZeroFrequency("use reflection_static for the omega -> 0 limit")
-    if not np.isfinite(omega).all():
-        raise ValueError("omega must be finite")
+    ok = np.abs(omega) < SQRT_FLOAT_MAX     # also rejects nan
+    if not ok.all():
+        bad = float(omega[~ok][0])
+        if not math.isfinite(bad):
+            raise ValueError("omega must be finite")
+        raise ValueError(f"|omega| must be below {SQRT_FLOAT_MAX:.4g} rad/s, "
+                         f"sqrt(float max), where omega^2 overflows; got "
+                         f"{bad!r}")
     _check_kperp(k_perp, static=False)
     if model.kind is Kind.IDEAL_METAL:
         return (np.full(omega.shape, -1.0, dtype=complex),
@@ -232,8 +248,8 @@ def real_axis_sweep(model, omega, k_perp):
     k_z = branch_sqrt(k0sq - k_perp * k_perp)
     s = branch_sqrt(eps * k0sq - k_perp * k_perp)
     r_te, _ = real_axis_coefficients(eps, k0sq, k_z, s)
-    gap = (-2.0 * eps * (eps - 1.0) * k0sq
-           / ((k_z + s) * (eps * k_z + s) * (eps + 1.0)))
+    gap = (-2.0 * k0sq * ((eps - 1.0) / (eps + 1.0))
+           * (eps / (eps * k_z + s)) / (k_z + s))
     return r_te, gap
 
 

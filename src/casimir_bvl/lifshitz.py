@@ -96,12 +96,6 @@ class StressSplit:
     transverse_propagating_tm: float
 
 
-def _round_trip(r1, r2, exp_factor):
-    """(exp/[r1 r2] - 1)^(-1) written as y/(1-y) with y = r1 r2 exp_factor."""
-    y = r1 * r2 * exp_factor
-    return y / (1.0 - y)
-
-
 def n0_term(config, polarization):
     """Half-weighted n = 0 Matsubara pressure for one polarization, Pa.
 
@@ -277,7 +271,8 @@ def _matsubara_rows(m1, m2, d, xi):
         r1 = pair(c1, y)
         r2 = r1 if c2 is c1 else pair(c2, spare)
         # q^2 y/(1 - y), y = r1 r2 exp(-2 q d), for TE and TM at once; the
-        # same operations, in the same order, as q^2 * _round_trip(...)
+        # same operations, in the same order, as q^2 * (y/(1 - y)) with
+        # y = (r1 * r2) * exp(-2 q d)
         np.multiply(r1, r2, out=y)
         if static:
             y[1, rows[:, 0] == 0] = 0.0
@@ -366,23 +361,27 @@ def pressure_matsubara(config):
         n_max=n)
 
 
-def _im_round_trip(eps1, eps2, omega, d, kz, pols=(0, 1)):
-    """Im{q * sum_pol [exp(-2 i k_z d)/(r1 r2) - 1]^(-1)} at real omega, q = -i k_z.
+def _im_round_trip(eps1, eps2, omega, d, kz):
+    """Im{q y/(1 - y)} at real omega, q = -i k_z, y = r1 r2 exp(2 i k_z d),
+    for TE and TM stacked on a leading axis of 2; r2 is r1 if eps2 is eps1.
 
     kz is the vacuum normal wavevector: real in [0, omega/c] for propagating
     waves, positive imaginary for evanescent ones.  Both sectors have
     k_z^2 = (omega/c)^2 - k_perp^2, so the medium wavevector is
-    s = sqrt((eps - 1)(omega/c)^2 + k_z^2).  pols indexes (TE, TM).
+    s = sqrt((eps - 1)(omega/c)^2 + k_z^2).
     """
     k0sq = (omega / C) ** 2
     kz = np.asarray(kz, dtype=complex)
-    r1, r2 = (fresnel.real_axis_coefficients(
-        eps, k0sq, kz,
-        None if eps is None else fresnel.branch_sqrt((eps - 1.0) * k0sq + kz * kz))
-        for eps in (eps1, eps2))
+
+    def pair(eps):
+        s = None if eps is None else fresnel.branch_sqrt(
+            (eps - 1.0) * k0sq + kz * kz)
+        return fresnel.real_axis_coefficients(eps, k0sq, kz, s)
+    r1 = pair(eps1)
+    r2 = r1 if eps2 is eps1 else pair(eps2)
     phase = np.exp(2j * kz * d)
-    total = sum(_round_trip(r1[pol], r2[pol], phase) for pol in pols)
-    return np.imag(-1j * kz * total)
+    y = np.array([a * b * phase for a, b in zip(r1, r2)])
+    return np.imag(-1j * kz * (y / (1.0 - y)))
 
 
 def _energy_per_omega(omega, T):
@@ -442,20 +441,21 @@ def pressure_real_frequency(config):
 
     def inner(omega):
         """(total, evanescent) k_perp integrals at omega."""
-        eps1, eps2 = fresnel.epsilon(m1, omega), fresnel.epsilon(m2, omega)
+        eps1 = fresnel.epsilon(m1, omega)
+        eps2 = eps1 if m2 is m1 or m2 == m1 else fresnel.epsilon(m2, omega)
         kc = omega / C
         # k_perp dk_perp = -k_z dk_z absorbs the grazing-incidence blow-up
         # at k_perp -> omega/c and makes the round-trip phase uniform in
         # the integration variable
         n_seed = max(4, math.ceil(2.0 * d * omega / (math.pi * C) * 4))
         propagating = quadrature.composite_gk(
-            lambda kz: kz * _im_round_trip(eps1, eps2, omega, d, kz),
+            lambda kz: kz * _im_round_trip(eps1, eps2, omega, d, kz).sum(0),
             np.linspace(0.0, kc, n_seed + 1), _INNER_REL_TOL).value
 
         def evanescent(u):
             k = kc + u
             kz = fresnel.branch_sqrt(kc * kc - k * k)
-            return k * _im_round_trip(eps1, eps2, omega, d, kz)
+            return k * _im_round_trip(eps1, eps2, omega, d, kz).sum(0)
         evan = quadrature.integrate_semi_infinite(
             evanescent, 0.5 / d, _INNER_REL_TOL).value
         return propagating + evan, evan
@@ -486,7 +486,8 @@ def stress_split_integrands(config, omega, k_perp):
 
     The longitudinal piece and the scalar part of the transverse piece are
     exact negatives of each other (the cancellation identity); the two
-    propagating pieces are the TE and TM terms of the transverse stress.
+    propagating pieces are the TE and TM terms of the transverse stress,
+    the two rows of one :func:`_im_round_trip` call.
     """
     if omega <= 0 or k_perp <= 0:
         raise ValueError("omega and k_perp must be positive")
@@ -501,6 +502,5 @@ def stress_split_integrands(config, omega, k_perp):
     transverse_scalar = ebw * k_perp ** 2 * scalar_bracket.imag
 
     kz = fresnel.branch_sqrt((omega / C) ** 2 - k_perp * k_perp)
-    te, tm = (-ebw * k_perp * float(_im_round_trip(eps1, eps2, omega, d, kz, (pol,)))
-              for pol in (0, 1))
+    te, tm = (-ebw * k_perp * _im_round_trip(eps1, eps2, omega, d, kz)).tolist()
     return StressSplit(longitudinal, transverse_scalar, te, tm)

@@ -12,9 +12,15 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+#: sqrt(float max), about 1.341e154: a float below it has a finite square.
+#: omega_p, an oscillator center and a frequency of fresnel.reflection
+#: must stay below it, and k_perp off the static limit below half of it.
+SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 
 
 class MaterialError(Exception):
@@ -76,6 +82,10 @@ class Oscillator:
                    for v in (self.strength, self.center, self.width)):
             raise ValueError("oscillator parameters must be finite and "
                              "positive")
+        if self.center >= SQRT_FLOAT_MAX:
+            raise ValueError(f"oscillator center must be below "
+                             f"{SQRT_FLOAT_MAX:.4g} rad/s, sqrt(float max), "
+                             f"where center^2 overflows; got {self.center!r}")
 
 
 @dataclass(frozen=True)
@@ -84,7 +94,10 @@ class MaterialModel:
 
     Use the factory functions :func:`insulator`, :func:`drude`,
     :func:`plasma`, :func:`generalized_plasma`, :func:`ideal_metal` and
-    :func:`tabulated` rather than the constructor.
+    :func:`tabulated` rather than the constructor.  omega_p, like an
+    :class:`Oscillator` center, must lie below SQRT_FLOAT_MAX, some
+    1.34e154 rad/s, where its square, a term of eps, is finite; larger
+    values raise ValueError naming the bound.
     """
 
     kind: Kind
@@ -104,6 +117,10 @@ class MaterialModel:
         metal = k in (Kind.DRUDE, Kind.PLASMA, Kind.GENERALIZED_PLASMA)
         if metal and self.omega_p <= 0:
             raise ValueError("omega_p must be positive")
+        if self.omega_p >= SQRT_FLOAT_MAX:
+            raise ValueError(f"omega_p must be below {SQRT_FLOAT_MAX:.4g} "
+                             f"rad/s, sqrt(float max), where omega_p^2 "
+                             f"overflows; got {self.omega_p!r}")
         if k is Kind.DRUDE and self.gamma <= 0:
             raise ValueError("gamma must be positive")
         # eps is one expression of all fields: a kind leaves its others unset

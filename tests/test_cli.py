@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -456,6 +457,66 @@ def test_reflect_kperp_just_below_the_bound_is_finite(capsys):
     code, out, _ = main_in_process(capsys, "reflect", "--mat", DRUDE,
                                    "--static", "--kperp", "1e200")
     assert code == 0 and "nan" not in out
+
+
+#: The first float whose square overflows, and the float just below it.
+SQUARE_BOUND = math.sqrt(sys.float_info.max)
+BELOW_SQUARE_BOUND = math.nextafter(SQUARE_BOUND, 0.0)
+
+
+def _square_bound_cases():
+    """(id, argv, config, value) of each front door of a square bound:
+    the frequency of reflect on either axis, and omega_p and the oscillator
+    center of a model under pressure, bvl-check and reflect."""
+    for value, side in ((BELOW_SQUARE_BOUND, "below"), (SQUARE_BOUND, "at")):
+        v = repr(value)
+        for axis in ("omega", "xi"):
+            yield (f"reflect-{axis}-{side}",
+                   ["reflect", "--mat", DRUDE, f"--{axis}", v, "--kperp",
+                    "1e3:1e12:4"],
+                   {"subcommand": "reflect", "materials": [DRUDE],
+                    "probe": {"axis": axis, "value": value,
+                              "kperp": "1e3:1e12:4"}}, value)
+        for name, spec in (("omega_p", f"plasma:{v}"),
+                           ("drude-omega_p", f"drude:{v},5.32e13"),
+                           ("center", f"gplasma:1.37e16;2e31,{v},1e14")):
+            yield (f"pressure-{name}-{side}",
+                   ["pressure", "--mat1", spec, "--mat2", spec, "--d", "1e-6",
+                    "--T", "300"],
+                   {"subcommand": "pressure", "materials": [spec, spec],
+                    "d": 1e-6, "T": 300.0}, value)
+            yield (f"bvl-check-{name}-{side}",
+                   ["bvl-check", "--mat", spec, "--d", "1e-6", "--T", "300",
+                    "--z", "1e-7"],
+                   {"subcommand": "bvl-check", "materials": [spec],
+                    "d": 1e-6, "T": 300.0, "z": 1e-7}, value)
+            yield (f"reflect-{name}-{side}",
+                   ["reflect", "--mat", spec, "--xi", "1e14", "--kperp",
+                    "1e3:1e12:4"],
+                   {"subcommand": "reflect", "materials": [spec],
+                    "probe": {"axis": "xi", "value": 1e14,
+                              "kperp": "1e3:1e12:4"}}, value)
+
+
+@pytest.mark.parametrize("argv, config, value", [
+    pytest.param(*case[1:], id=case[0]) for case in _square_bound_cases()])
+def test_square_bounds_accept_below_and_name_the_bound_at(
+        argv, config, value, tmp_path, capsys):
+    # a frequency, omega_p or oscillator center just below sqrt(float max)
+    # runs to finite output and the bound itself exits 2 naming it, given
+    # by flags or by --config; tier-1 turns an overflow warning into an
+    # error, and an OverflowError would escape cli.main
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    for args in (argv, ["--config", str(path)]):
+        code, out, err = main_in_process(capsys, *args)
+        if value < SQUARE_BOUND:
+            assert code == 0 and err == ""
+            assert not re.search("nan|inf", out, re.IGNORECASE)
+        else:
+            assert code == 2 and out == ""
+            assert f"below {SQUARE_BOUND:.4g} rad/s" in err
+            assert "sqrt(float max)" in err and "config error" in err
 
 
 # ---------------------------------------------------------------- bvl-check

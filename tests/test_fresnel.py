@@ -307,6 +307,41 @@ def test_kperp_whose_square_overflows_raises_off_the_static_limit():
         assert np.isfinite(r.r_te).all() and np.isfinite(r.r_tm).all()
 
 
+def test_frequency_whose_square_overflows_raises():
+    bound = math.sqrt(sys.float_info.max)
+    drude = SIX_KINDS[1]
+    for bad in (bound, 1.35e154, 1e200):
+        for omega in (bad, -bad, 1j * bad):
+            with pytest.raises(ValueError, match=r"sqrt\(float max\)"):
+                F.reflection(drude, omega, 1e6)
+        with pytest.raises(ValueError, match=r"sqrt\(float max\)"):
+            F.real_axis_sweep(drude, np.array([1e12, bad]), 1e6)
+    # just below it every coefficient is finite; tier-1 turns an overflow
+    # warning into an error
+    below = math.nextafter(bound, 0.0)
+    for model in SIX_KINDS:
+        axes = (1j * below,) if model.kind is M.Kind.TABULATED else (
+            below, 1j * below)
+        for omega in axes:
+            r = F.reflection(model, omega, ARRAY_K)
+            assert all(np.isfinite(c).all() for c in (r.r_te, r.r_tm, r.r_bar))
+    for model in SIX_KINDS[:5]:
+        assert all(np.isfinite(c).all() for c in F.real_axis_sweep(
+            model, np.array([1e12, below]), 1e6))
+
+
+def test_real_axis_sweep_gap_is_finite_up_to_the_kperp_bound():
+    # r_tm - r_bar is taken factor by factor, so no product of eps, eps + 1
+    # and the wavevectors overflows below the k_perp bound
+    top = math.nextafter(0.5 * math.sqrt(sys.float_info.max), 0.0)
+    omega = np.geomspace(1e-5, 1e100, 12)
+    models = SIX_KINDS[:4] + [M.insulator(80.0)]
+    for model in models:
+        for k in (1e-3, 1e7, 2e12, 1e150, top):
+            r_te, gap = F.real_axis_sweep(model, omega, k)
+            assert np.isfinite(r_te).all() and np.isfinite(gap).all()
+
+
 @pytest.mark.parametrize("omega", [math.nan, math.inf, complex(0.0, math.nan),
                                    complex(0.0, math.inf)])
 def test_reflection_rejects_non_finite_frequency(omega):

@@ -277,7 +277,8 @@ def _one_polarization_rows(m1, m2, d, xi, pol):
         cols = [None if eps is None else eps[rows] for eps in (eps1, eps2)]
         r1, r2 = (fresnel.imag_axis_coefficients(e, _nw(e, x), q)[pol]
                   for e in cols)
-        return q * q * L._round_trip(r1, r2, np.exp((-2.0 * d) * q))
+        y = r1 * r2 * np.exp((-2.0 * d) * q)
+        return q * q * (y / (1.0 - y))
 
     return Q.integrate_rows(f, xi.size, L.ROW_SCALE / d, L.KPERP_REL_TOL)
 

@@ -1,6 +1,7 @@
 """Permittivity models: closures, zero-frequency classes, tabulated data."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -101,6 +102,22 @@ def test_oscillator_parameter_validation():
         M.Oscillator(1e30, 0.0, 1e13)
     with pytest.raises(ValueError):
         M.Oscillator(1e30, 1e15, -1e13)
+
+
+def test_parameters_whose_square_overflows_are_rejected():
+    bound = math.sqrt(sys.float_info.max)
+    below = math.nextafter(bound, 0.0)
+    for bad in (bound, 1e200):
+        for make in (M.plasma, lambda w: M.drude(w, 1e13),
+                     lambda w: M.generalized_plasma(w)):
+            with pytest.raises(ValueError, match=r"omega_p must be below"):
+                make(bad)
+        with pytest.raises(ValueError, match=r"center must be below"):
+            M.Oscillator(1e30, bad, 1e13)
+    model = M.generalized_plasma(below, (M.Oscillator(1e30, below, 1e13),))
+    eps = M.eval_epsilon(model, np.array([1e10, 1e14]))
+    assert np.isfinite(eps).all()
+    assert np.isfinite(M.eval_epsilon(model, 1j * np.array([1e10, 1e14]))).all()
 
 
 @settings(max_examples=60, deadline=None)
