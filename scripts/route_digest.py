@@ -31,6 +31,13 @@ with JSON and with CSV output, ``sweep`` with JSON and with CSV output,
 ``tests/cli_texts.json``, which cover help, usage and error texts.  An argparse exit counts as the exit code its ``SystemExit`` carries,
 and help is formatted 80 columns wide.
 
+A fifth total, ``config-total``, digests the text of ``cli.main`` on
+``--config`` documents: the config echoed by each ``cli-total`` argv that
+exits 0 with a report on standard output (the ``config`` of a JSON report,
+or the ``# key = value`` lines of a CSV one), and the malformed documents
+of MALFORMED_CONFIGS.  Two checkouts that print it alike read their
+echoed configs back alike and reject those documents in the same words.
+
 Usage:
     python3 scripts/route_digest.py [--src DIR] | grep total
     python3 scripts/route_digest.py [--src DIR] --against OTHER_SRC
@@ -63,7 +70,8 @@ about 2 s each, and prints |dP| over the ``error_estimate`` of the
 OTHER_SRC package, the relative moves of the pressure, the evanescent part
 and the propagating part, and the wall time of each package's run.  It
 lists the ``cli-total`` argvs whose text differs, with the first line that
-differs.  It exits 1 if any n_max, failure message or verdict differs, if
+differs, and likewise the ``config-total`` documents whose text differs.
+It exits 1 if any n_max, failure message or verdict differs, if
 any static-limit entry or any r_bar moves, or if either package's
 evanescent + propagating misses its real-frequency pressure by more than
 1e-12 of |evanescent| + |propagating|.
@@ -111,6 +119,14 @@ REFLECT_KPERP = "1e3:1e9:61"
 SCALAR_XI = (1e10, 1e12, 1e14, 1e16, 1e18)
 #: The argv table of tests/test_cli.py, whose argvs ``cli-total`` runs too.
 CLI_TEXTS = Path(__file__).resolve().parents[1] / "tests" / "cli_texts.json"
+_IDEAL_PRESSURE = {"subcommand": "pressure", "materials": ["ideal", "ideal"],
+                   "d": 1e-6, "T": 300.0}
+#: --config documents that ``config-total`` runs besides the echoed ones: no
+#: JSON object, no subcommand, a field no subcommand reads.
+MALFORMED_CONFIGS = ([_IDEAL_PRESSURE],
+                     {k: v for k, v in _IDEAL_PRESSURE.items()
+                      if k != "subcommand"},
+                     {**_IDEAL_PRESSURE, "foo": 1})
 
 
 def models(M):
@@ -166,9 +182,9 @@ def reflect_specs(M, table_path):
     }
 
 
-def cli_text(cli, argv, table_path):
-    """Exit code, standard output and standard error of ``cli.main(argv)``
-    in this process, with the table path written as ``<table>``.
+def cli_run(cli, argv):
+    """(exit code, standard output, standard error) of ``cli.main(argv)``
+    in this process.
 
     An argparse exit gives the code of its ``SystemExit``; help is
     formatted for 80 columns, whatever the terminal.
@@ -180,8 +196,14 @@ def cli_text(cli, argv, table_path):
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    text = f"exit {code}\n{out.getvalue()}{err.getvalue()}"
-    return text.replace(str(table_path), "<table>")
+    return code, out.getvalue(), err.getvalue()
+
+
+def cli_text(cli, argv, table_path):
+    """The :func:`cli_run` of argv as one text, with the table path written
+    as ``<table>``."""
+    code, out, err = cli_run(cli, argv)
+    return f"exit {code}\n{out}{err}".replace(str(table_path), "<table>")
 
 
 def reflect_cases(cli, specs, table_path):
@@ -221,6 +243,41 @@ def cli_cases(cli, specs, table_path):
         label = " ".join(argv).replace(str(table_path), "<table>")
         yield (f"cli {label}",
                lambda argv=argv: cli_text(cli, argv, table_path))
+
+
+def echoed_config(cli, argv):
+    """The config document that ``cli.main(argv)`` echoes on standard
+    output, or None if it exits nonzero or prints no report."""
+    code, out, _ = cli_run(cli, argv)
+    lines = out.splitlines()
+    if code != 0 or not lines:
+        return None
+    if lines[0] == "{":
+        return json.loads(out)["config"]
+    if lines[0] != "# casimir-bvl report":
+        return None
+    fields = itertools.takewhile(lambda line: line.startswith("# "),
+                                 lines[1:])
+    return {key: json.loads(value)
+            for key, value in (line[2:].split(" = ", 1) for line in fields)}
+
+
+def config_cases(cli, specs, table_path):
+    """(label, thunk) of every ``config-total`` document; the thunk returns
+    the text of ``cli.main`` on it, given by ``--config``."""
+    path = table_path.parent / "run.json"
+
+    def run(doc):
+        path.write_text(json.dumps(doc))
+        return cli_text(cli, ["--config", str(path)], table_path)
+
+    for argv in cli_argvs(specs):
+        doc = echoed_config(cli, argv)
+        if doc is not None:
+            label = " ".join(argv).replace(str(table_path), "<table>")
+            yield f"config echoed by {label}", lambda doc=doc: run(doc)
+    for doc in MALFORMED_CONFIGS:
+        yield f"config {json.dumps(doc)}", lambda doc=doc: run(doc)
 
 
 def scalar_cases(F, M):
@@ -285,23 +342,26 @@ def coefficient_entries(pkg):
     return out
 
 
-def cli_texts(pkg):
-    """Label -> text of every ``cli-total`` case of pkg."""
+def cli_texts(pkg, labelled):
+    """Label -> text of every case of pkg that ``labelled(cli, specs,
+    table_path)`` gives, such as :func:`cli_cases`."""
     with tempfile.TemporaryDirectory() as tmp:
         table_path = Path(tmp) / "eps.dat"
         specs = reflect_specs(pkg.materials, table_path)
         return {label: thunk()
-                for label, thunk in cli_cases(pkg.cli, specs, table_path)}
+                for label, thunk in labelled(pkg.cli, specs, table_path)}
 
 
-def compare_cli(new, old):
-    """Print the ``cli-total`` argvs whose text differs, with the first
-    line that differs."""
-    differ = [label for label in old if new[label] != old[label]]
-    print(f"cli: {len(differ)} of {len(old)} argvs print other text")
-    for label in differ:
-        pairs = itertools.zip_longest(new[label].splitlines(),
-                                      old[label].splitlines(), fillvalue="")
+def compare_cli(name, new, old):
+    """Print the cases of two :func:`cli_texts` whose text differs, or
+    that only one of them has, with the first line that differs."""
+    differ = [label for label in old.keys() | new.keys()
+              if new.get(label) != old.get(label)]
+    print(f"{name}: {len(differ)} of {len(old)} cases print other text")
+    for label in sorted(differ):
+        pairs = itertools.zip_longest(new.get(label, "").splitlines(),
+                                      old.get(label, "").splitlines(),
+                                      fillvalue="")
         a, b = next((a, b) for a, b in pairs if a != b)
         print(f"  {label}\n    new {a}\n    old {b}")
 
@@ -553,12 +613,14 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.against is not None:
         pkg = load(args.src)
-        new, new_r, new_c, new_f, new_m = (
-            outcomes(pkg), coefficient_entries(pkg), cli_texts(pkg),
+        new, new_r, new_c, new_g, new_f, new_m = (
+            outcomes(pkg), coefficient_entries(pkg),
+            cli_texts(pkg, cli_cases), cli_texts(pkg, config_cases),
             real_frequency(pkg), peak_per_index(pkg))
         pkg = load(args.against)
-        old, old_r, old_c, old_f, old_m = (
-            outcomes(pkg), coefficient_entries(pkg), cli_texts(pkg),
+        old, old_r, old_c, old_g, old_f, old_m = (
+            outcomes(pkg), coefficient_entries(pkg),
+            cli_texts(pkg, cli_cases), cli_texts(pkg, config_cases),
             real_frequency(pkg), peak_per_index(pkg))
         d, T, tol = MEMORY_CASE
         for name, side, (per_index, indices) in (("new", new, new_m),
@@ -569,7 +631,8 @@ def main(argv=None):
                   f"({indices} indices)")
         bad = compare(new[0], old[0])
         bad += compare_coefficients(new_r, old_r)
-        compare_cli(new_c, old_c)
+        compare_cli("cli", new_c, old_c)
+        compare_cli("config", new_g, old_g)
         bad += compare_real_frequency(new_f, old_f)
         sys.exit(1 if bad else 0)
     pkg = load(args.src)
@@ -583,7 +646,9 @@ def main(argv=None):
         total, n = digest_all(reflect_cases(pkg.cli, specs, table_path))
         print(f"reflect-total {total}  ({n} tables, package at {where})")
         total, n = digest_all(cli_cases(pkg.cli, specs, table_path))
-    print(f"cli-total {total}  ({n} argvs, package at {where})")
+        print(f"cli-total {total}  ({n} argvs, package at {where})")
+        total, n = digest_all(config_cases(pkg.cli, specs, table_path))
+    print(f"config-total {total}  ({n} documents, package at {where})")
     total, n = digest_all(scalar_cases(pkg.fresnel, pkg.materials))
     print(f"scalar-total {total}  ({n} cases, package at {where})")
 

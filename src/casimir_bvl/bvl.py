@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,9 @@ from .quadrature import DegenerateSweep
 PASS_THRESHOLD = 1e-10
 #: z + z' floor; the correlator diverges as (z+z')^-3 at contact.
 MIN_SURFACE_DISTANCE = 1e-12
+#: z + z' ceiling, cbrt(float max), about 5.64e102 m: the ideal-metal
+#: reference divides by (z + z')^3, which overflows from there up.
+MAX_SURFACE_DISTANCE = sys.float_info.max ** (1.0 / 3.0)
 B_REL_TOL = 1e-8
 
 
@@ -67,11 +71,17 @@ def b_correlator_classical(model, point):
     B_xx = B_yy = B_zz / 2 and
     B_zz = Int dk k^2 r_te(0, k) exp(-k (z + z')); the result is the pure
     geometry/material integral with the k_B T prefactor factored out.  For
-    the ideal metal, r_te = -1 and B_zz = -2/(z + z')^3.
+    the ideal metal, r_te = -1 and B_zz = -2/(z + z')^3.  z + z' below
+    MIN_SURFACE_DISTANCE raises SurfaceContact, and from
+    MAX_SURFACE_DISTANCE up ValueError naming the bound.
     """
     zsum = point.z + point.z_prime
     if zsum < MIN_SURFACE_DISTANCE:
         raise SurfaceContact(f"z + z' below {MIN_SURFACE_DISTANCE:g} m")
+    if not zsum < MAX_SURFACE_DISTANCE:
+        raise ValueError(f"z + z' must be below {MAX_SURFACE_DISTANCE:.4g} "
+                         f"m, cbrt(float max), where (z + z')^3 overflows; "
+                         f"got {zsum!r}")
     nw = fresnel.static_nw(model)
     if nw == 0.0:
         return np.zeros((3, 3))  # r_te(0, k) vanishes identically

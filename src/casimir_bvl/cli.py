@@ -13,7 +13,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,36 +42,6 @@ BVL_REPORT_SCHEMA = {
 
 class ConfigParse(Exception):
     """Malformed CLI or config-file input."""
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    materials: list            # material spec strings
-    d: float | None = None
-    T: float | None = None
-    z: float | None = None
-    method: str = "matsubara"
-    rel_tol: float | None = None
-    sweep: dict | None = None  # {param, from, to, points}
-    probe: dict | None = None  # reflect: {axis, value, kperp}
-    output: dict | None = None  # {path, format}
-
-    def to_dict(self):
-        """The fields that are set; lists and dicts are the config's own."""
-        return {f.name: v for f in dataclasses.fields(self)
-                if (v := getattr(self, f.name)) is not None}
-
-    @classmethod
-    def from_dict(cls, data):
-        """The config of a JSON document; ConfigParse unless every field
-        its subcommand reads is present with the right JSON type."""
-        try:
-            config = cls(**data)
-        except TypeError as exc:
-            raise ConfigParse(str(exc)) from None
-        _check_fields(config)
-        return config
 
 
 def _is_number(v):
@@ -113,47 +82,58 @@ def _check_object(value, name, spec):
                               f"mistyped: {value.get(key)!r}")
 
 
-def _check_fields(config):
-    """ConfigParse naming the first field the subcommand reads that is
-    missing or has the wrong JSON type."""
-    sc = config.subcommand
+def _check_fields(data):
+    """The config of a loaded JSON document: its fields that are not null,
+    with the default method.  ConfigParse naming the first field the
+    subcommand reads that is missing or has the wrong JSON type, or a
+    field it does not read."""
+    if not isinstance(data, dict):
+        raise ConfigParse(f"config must be a JSON object, got {data!r}")
+    if "subcommand" not in data:
+        raise ConfigParse("missing subcommand")
+    config = {"method": "matsubara", **data}
+    sc = config["subcommand"]
     if sc not in _READS:
         raise ConfigParse(f"unknown subcommand {sc!r}")
     reads = _READS[sc]
-    for name, value in config.to_dict().items():
+    for name, value in config.items():
         # every output echoes the default method
-        if name not in reads and (name, value) != ("method", "matsubara"):
+        if value is not None and name not in reads and (
+                (name, value) != ("method", "matsubara")):
             raise ConfigParse(f"{sc} does not read config field {name!r}")
     n = 2 if sc in ("pressure", "sweep") else 1
-    if not (isinstance(config.materials, list)
-            and len(config.materials) == n
-            and all(map(_is_str, config.materials))):
+    specs = config.get("materials")
+    if not (isinstance(specs, list) and len(specs) == n
+            and all(map(_is_str, specs))):
         raise ConfigParse(f"{sc} needs 'materials' to be a list of {n} "
-                          f"material spec strings, got {config.materials!r}")
+                          f"material spec strings, got {specs!r}")
     for name in ("d", "T", "z"):
-        if name in reads and not _is_number(getattr(config, name)):
+        if name in reads and not _is_number(config.get(name)):
             raise ConfigParse(f"{sc} needs a number for {name!r}, "
-                              f"got {getattr(config, name)!r}")
-    if not (config.rel_tol is None or _is_number(config.rel_tol)):
-        raise ConfigParse(f"rel_tol must be a number, got {config.rel_tol!r}")
-    if config.method not in ("matsubara", "realfreq"):
-        raise ConfigParse(f"unknown method {config.method!r}")
+                              f"got {config.get(name)!r}")
+    rel_tol = config.get("rel_tol")
+    if not (rel_tol is None or _is_number(rel_tol)):
+        raise ConfigParse(f"rel_tol must be a number, got {rel_tol!r}")
+    if config["method"] not in ("matsubara", "realfreq"):
+        raise ConfigParse(f"unknown method {config['method']!r}")
     if sc == "sweep":
-        _check_object(config.sweep, "sweep",
+        _check_object(config.get("sweep"), "sweep",
                       {"param": lambda v: v in SWEEP_PARAMS,
                        "from": _is_number,
                        "to": _is_number, "points": _is_int})
     if sc == "reflect":
-        probe = config.probe
+        probe = config.get("probe")
         static = isinstance(probe, dict) and probe.get("axis") == "static"
         _check_object(probe, "probe", {
             "axis": lambda v: v in ("xi", "omega", "static"),
             "kperp": _is_str, **({} if static else {"value": _is_number})})
-    if config.output is not None:
+    if config.get("output") is not None:
         output = {"path": lambda v: v is None or _is_str(v)}
         if sc in ("pressure", "sweep"):
             output["format"] = lambda v: v in (None, "csv", "json")
-        _check_object(config.output, "output", output)
+        _check_object(config["output"], "output", output)
+    return {name: value for name, value in config.items()
+            if value is not None}
 
 
 def parse_material(spec):
@@ -259,10 +239,12 @@ def _json_parts(value, pad, parts):
                         f"is not JSON serializable")
 
 
-def _emit(lines, output):
+def _emit(lines, config):
+    """Write lines to the config's output path, or else to stdout."""
     text = "\n".join(lines) + "\n"
-    if output and output.get("path"):
-        with open(output["path"], "w") as fh:
+    path = config.get("output", {}).get("path")
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -276,7 +258,7 @@ def _config_comments(config):
     """The config of a CSV report as "# key = value" lines, each value in
     compact JSON, so the lines give back a ``--config`` document."""
     out = ["# casimir-bvl report"]
-    for key, val in sorted(config.to_dict().items()):
+    for key, val in sorted(config.items()):
         out.append(f"# {key} = {_COMPACT_JSON(val)}")
     return out
 
@@ -307,19 +289,18 @@ def _pressure_payload(result):
 
 def _compute_pressure(config, m1, m2):
     cavity = lifshitz.CavityConfig(
-        m1, m2, config.d, config.T,
-        rel_tol=1e-9 if config.rel_tol is None else config.rel_tol)
-    if config.method == "realfreq":
+        m1, m2, config["d"], config["T"], rel_tol=config.get("rel_tol", 1e-9))
+    if config["method"] == "realfreq":
         return lifshitz.pressure_real_frequency(cavity)
     return lifshitz.pressure_matsubara(cavity)
 
 
 def run_pressure(config):
-    result = _compute_pressure(config, *map(parse_material, config.materials))
-    fmt = (config.output or {}).get("format", "json")
-    if fmt == "json":
-        doc = {"config": config.to_dict(), "result": _pressure_payload(result)}
-        _emit([_json(doc)], config.output)
+    result = _compute_pressure(
+        config, *map(parse_material, config["materials"]))
+    if config.get("output", {}).get("format", "json") == "json":
+        doc = {"config": config, "result": _pressure_payload(result)}
+        _emit([_json(doc)], config)
     else:
         lines = _config_comments(config)
         lines.append("n,te_pa,tm_pa")
@@ -327,7 +308,7 @@ def run_pressure(config):
             lines.append(f"{n},{_fmt(te)},{_fmt(tm)}")
         lines.append("# pressure_pa,error_estimate_pa,n0_te_pa,n0_tm_pa,n_max")
         lines.append(",".join(_summary_fields(result)))
-        _emit(lines, config.output)
+        _emit(lines, config)
     return 0
 
 
@@ -359,10 +340,10 @@ def _sweep_values(sweep):
 
 
 def run_sweep(config):
-    sweep = config.sweep
+    sweep = config["sweep"]
     param = sweep["param"]
     values = _sweep_values(sweep)
-    models = [parse_material(s) for s in config.materials]
+    models = [parse_material(s) for s in config["materials"]]
     if param == "omega_p" and not all(
             m.kind in (materials.Kind.DRUDE, materials.Kind.PLASMA)
             for m in models):
@@ -372,8 +353,7 @@ def run_sweep(config):
         if param == "omega_p":
             return _compute_pressure(config, *(
                 dataclasses.replace(m, omega_p=value) for m in models))
-        return _compute_pressure(
-            dataclasses.replace(config, **{param: value}), *models)
+        return _compute_pressure({**config, param: value}, *models)
 
     rows = []
     for v in map(float, values):
@@ -382,8 +362,7 @@ def run_sweep(config):
         except quadrature.QuadratureError as exc:
             rows.append((v, exc))
     failures = [r for _, r in rows if isinstance(r, Exception)]
-    fmt = (config.output or {}).get("format", "csv")
-    if fmt == "json":
+    if config.get("output", {}).get("format", "csv") == "json":
         result = []
         for v, r in rows:
             if isinstance(r, Exception):
@@ -391,8 +370,8 @@ def run_sweep(config):
             else:
                 result.append({param: v, **_pressure_payload(r)})
                 result[-1].pop("per_n")
-        doc = {"config": config.to_dict(), "result": result}
-        _emit([_json(doc)], config.output)
+        doc = {"config": config, "result": result}
+        _emit([_json(doc)], config)
     else:
         lines = _config_comments(config)
         lines.append(f"{param},pressure_pa,error_estimate_pa,"
@@ -402,18 +381,18 @@ def run_sweep(config):
                 lines.append(f"# {param}={_fmt(v)}: {_failure_text(r)}")
             else:
                 lines.append(",".join([_fmt(v), *_summary_fields(r)]))
-        _emit(lines, config.output)
+        _emit(lines, config)
     if failures:
         raise failures[0]
     return 0
 
 
 def run_bvl_check(config):
-    model = parse_material(config.materials[0])
-    report = bvl.bvl_verdict(model, config.d, config.T, config.z)
+    model = parse_material(config["materials"][0])
+    report = bvl.bvl_verdict(model, config["d"], config["T"], config["z"])
     exponent = report.e_limit_exponent
     doc = {
-        "config": config.to_dict(),
+        "config": config,
         "model_class": report.model_class.value,
         "b_correlator_norm": report.b_correlator_norm,
         "e_limit_exponent": "inf" if math.isinf(exponent) else exponent,
@@ -421,7 +400,7 @@ def run_bvl_check(config):
         "reference_scale": report.reference_scale,
         "verdict": report.verdict.value,
     }
-    _emit([_json(doc)], config.output)
+    _emit([_json(doc)], config)
     return 0
 
 
@@ -435,8 +414,8 @@ def _kperp_list(raw):
 
 
 def run_reflect(config):
-    probe = config.probe
-    model = parse_material(config.materials[0])
+    probe = config["probe"]
+    model = parse_material(config["materials"][0])
     kperps = _kperp_list(probe["kperp"])
     axis = probe["axis"]
     if axis == "static":
@@ -448,7 +427,7 @@ def run_reflect(config):
     lines.append("k_perp,re_r_te,im_r_te,re_r_tm,im_r_tm,re_r_bar,im_r_bar")
     lines += _table_rows((kperps, r.r_te.real, r.r_te.imag, r.r_tm.real,
                           r.r_tm.imag, r.r_bar.real, r.r_bar.imag))
-    _emit(lines, config.output)
+    _emit(lines, config)
     return 0
 
 
@@ -576,32 +555,32 @@ def _stray_option(argv):
 
 
 def _config_from_args(args):
+    """The config of the parsed flags, as ``--config`` reads it."""
     sc = args.subcommand
+    if sc is None:
+        raise ConfigParse("missing subcommand")
     output = {key: value for key, value in (
-        ("path", getattr(args, "output", None)),
-        ("format", getattr(args, "format", None))) if value} or None
+        ("path", args.output), ("format", getattr(args, "format", None)))
+        if value} or None
+    config = {"subcommand": sc, "method": getattr(args, "method", "matsubara"),
+              "rel_tol": getattr(args, "rel_tol", None), "output": output}
     if sc in ("pressure", "sweep"):
-        cfg = RunConfig(
-            subcommand=sc, materials=[args.mat1, args.mat2],
-            d=args.d, T=args.T, method=args.method,
-            rel_tol=args.rel_tol, output=output)
-        if sc == "sweep":
-            cfg.sweep = {"param": args.sweep_param, "from": args.sweep_from,
-                         "to": args.sweep_to, "points": args.sweep_points}
-        return cfg
+        config.update(materials=[args.mat1, args.mat2], d=args.d, T=args.T)
+    if sc == "sweep":
+        config["sweep"] = {"param": args.sweep_param, "from": args.sweep_from,
+                           "to": args.sweep_to, "points": args.sweep_points}
     if sc == "bvl-check":
-        return RunConfig(subcommand=sc, materials=[args.mat],
-                         d=args.d, T=args.T, z=args.z, output=output)
+        config.update(materials=[args.mat], d=args.d, T=args.T, z=args.z)
     if sc == "reflect":
         if args.static:
             probe = {"axis": "static", "kperp": args.kperp}
-        elif args.xi is not None:
-            probe = {"axis": "xi", "value": args.xi, "kperp": args.kperp}
         else:
-            probe = {"axis": "omega", "value": args.omega, "kperp": args.kperp}
-        return RunConfig(subcommand=sc, materials=[args.mat],
-                         probe=probe, output=output)
-    raise ConfigParse("missing subcommand")
+            axis = "xi" if args.xi is not None else "omega"
+            probe = {"axis": axis, "value": getattr(args, axis),
+                     "kperp": args.kperp}
+        config.update(materials=[args.mat], probe=probe)
+    return {name: value for name, value in config.items()
+            if value is not None}
 
 
 _DISPATCH = {
@@ -621,10 +600,10 @@ def main(argv=None):
             return exc.code
         if getattr(args, "config", None) is not None:
             with open(args.config) as fh:
-                config = RunConfig.from_dict(json.load(fh))
+                config = _check_fields(json.load(fh))
         else:
             config = _config_from_args(args)
-        return _DISPATCH[config.subcommand](config)
+        return _DISPATCH[config["subcommand"]](config)
     except (ConfigParse, ValueError, OSError, json.JSONDecodeError,
             materials.MaterialError, fresnel.ZeroFrequency,
             bvl.SurfaceContact) as exc:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +87,20 @@ def _r_tm(eps_kz, s):
     return (eps_kz - s) / (eps_kz + s)
 
 
+def _eps_kz(eps, k_z):
+    """eps k_z, the wavevector of r_tm's numerator (eps q on the imaginary
+    axis, where k_z = i q); ValueError where it overflows float max, which
+    would make r_tm NaN."""
+    with np.errstate(all="ignore"):
+        eps_kz = eps * k_z
+    if not np.isfinite(eps_kz).all():
+        raise ValueError(f"eps k_z of r_tm overflows float max, "
+                         f"{sys.float_info.max:.4g}: |eps| up to "
+                         f"{np.max(np.abs(eps)):.4g} at |k_z| up to "
+                         f"{np.max(np.abs(k_z)):.4g} m^-1")
+    return eps_kz
+
+
 def real_axis_coefficients(eps, k0sq, k_z, s):
     """(r_te, r_tm) at real omega from eps, k0sq = (omega/c)^2, k_z and s.
 
@@ -93,12 +108,12 @@ def real_axis_coefficients(eps, k0sq, k_z, s):
     (k_z - s)/(k_z + s) because s^2 - k_z^2 = (eps - 1) k0^2, but keeps
     its digits where s is close to k_z (deep in the evanescent range,
     |eps - 1| k0^2 << k_perp^2).  eps None is the ideal metal.  Arrays
-    broadcast.
+    broadcast.  ValueError where eps k_z overflows float max.
     """
     if eps is None:
         return _IDEAL
     t = k_z + s
-    return -(eps - 1.0) * k0sq / (t * t), _r_tm(eps * k_z, s)
+    return -(eps - 1.0) * k0sq / (t * t), _r_tm(_eps_kz(eps, k_z), s)
 
 
 def scalar_coefficient(eps):
@@ -200,8 +215,9 @@ def reflection(model, omega, k_perp):
         r_te, r_tm = _IDEAL
     elif omega.real == 0.0:
         a = omega.imag / C
-        r_te, r_tm = imag_axis_coefficients(
-            eps, (1.0 - eps) * a ** 2, np.sqrt(k * k + a ** 2))
+        q = np.sqrt(k * k + a ** 2)
+        _eps_kz(eps, q)   # the kernel's own eps q must not overflow
+        r_te, r_tm = imag_axis_coefficients(eps, (1.0 - eps) * a ** 2, q)
     else:
         k0sq = (omega / C) * (omega / C)
         r_te, r_tm = real_axis_coefficients(

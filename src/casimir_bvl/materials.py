@@ -128,8 +128,16 @@ class MaterialModel:
             raise ValueError(f"omega_p must be 0 for a {k.value} model")
         if self.gamma and k is not Kind.DRUDE:
             raise ValueError(f"gamma must be 0 for a {k.value} model")
-        if self.oscillators and k in (Kind.DRUDE, Kind.PLASMA):
+        if self.eps0 and k is not Kind.INSULATOR:
+            raise ValueError(f"eps0 must be 0 for a {k.value} model")
+        if self.oscillators and k not in (Kind.INSULATOR,
+                                          Kind.GENERALIZED_PLASMA):
             raise ValueError(f"oscillators must be () for a {k.value} model")
+        if self.table and k is not Kind.TABULATED:
+            raise ValueError(f"table must be () for a {k.value} model")
+        if self.extrapolation is not None and k is not Kind.TABULATED:
+            raise ValueError(f"extrapolation must be None for a {k.value} "
+                             f"model")
         if k is Kind.TABULATED:
             if len(self.table) < 2:
                 raise EmptyTable("tabulated model needs >= 2 points")
@@ -192,18 +200,28 @@ def eval_epsilon(model, w):
 
     An ndarray must lie wholly on one axis.  Either is evaluated in one
     array pass; a scalar as a one-entry array, so it equals the matching
-    entry of an array call bit for bit.
+    entry of an array call bit for bit.  ValueError naming the first
+    frequency where eps is not finite: a term of eps, such as
+    omega_p^2/omega^2 at small |omega|, overflows float max there.
     """
     if model.kind is Kind.IDEAL_METAL:
         raise IdealMetalHasNoEpsilon("ideal metal has no permittivity")
     z = np.atleast_1d(np.asarray(w, dtype=complex))
-    if ((z.real == 0.0) & (z.imag > 0.0)).all():
-        eps = eval_imag_axis(model, z.imag)
-    elif (z.imag == 0.0).all():
-        eps = _eval_real_axis(model, z.real)
-    else:
-        raise ValueError("frequency must lie on the real or the positive "
-                         "imaginary axis")
+    imag = ((z.real == 0.0) & (z.imag > 0.0)).all()
+    with np.errstate(all="ignore"):
+        if imag:
+            eps = eval_imag_axis(model, z.imag)
+        elif (z.imag == 0.0).all():
+            eps = _eval_real_axis(model, z.real)
+        else:
+            raise ValueError("frequency must lie on the real or the positive "
+                             "imaginary axis")
+    bad = ~np.isfinite(eps)
+    if bad.any():
+        name, axis = ("xi", z.imag) if imag else ("omega", z.real)
+        raise ValueError(f"eps is not finite at {name} = "
+                         f"{float(axis[bad][0])!r} rad/s: a term of eps "
+                         f"overflows float max, {sys.float_info.max:.4g}")
     eps = np.full(z.shape, eps, dtype=complex)
     return eps if np.ndim(w) else eps.item()
 

@@ -40,6 +40,20 @@ def test_surface_contact_guard():
         B.b_correlator_classical(IDEAL, B.SlabPoint(1e-13, 1e-13))
 
 
+def test_surface_distance_ceiling():
+    # (z + z')^3 of the ideal-metal reference overflows from cbrt(float max)
+    bound = B.MAX_SURFACE_DISTANCE
+    assert math.isfinite(bound ** 3)
+    below = B.SlabPoint(0.5 * math.nextafter(bound, 0.0),
+                        0.5 * math.nextafter(bound, 0.0))
+    for model in (IDEAL, PLASMA, DRUDE):
+        assert np.isfinite(B.b_correlator_classical(model, below)).all()
+        with pytest.raises(ValueError, match=r"cbrt\(float max\)"):
+            B.b_correlator_classical(model, B.SlabPoint(bound, 1.0))
+    with pytest.raises(ValueError, match="5.644e\\+102"):
+        B.bvl_verdict(IDEAL, 1e-6, 300.0, 1e110)
+
+
 def test_b_correlator_zero_for_drude_and_insulator():
     point = B.SlabPoint(1e-7, 1e-7)
     for model in (DRUDE, INSULATOR):

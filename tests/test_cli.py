@@ -1,6 +1,5 @@
 """Command-line interface: material grammar, subcommands, emission formats."""
 
-import dataclasses
 import json
 import math
 import pathlib
@@ -299,15 +298,20 @@ def test_json_writer_is_indented_sorted_json_dumps(doc):
     assert cli._json(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
-def test_config_dict_is_the_asdict_view():
-    cfg = cli.RunConfig(subcommand="sweep", materials=["ideal", "ideal"],
-                        d=1e-6, T=300.0, rel_tol=1e-6,
-                        sweep={"param": "d", "from": 1e-6, "to": 2e-6,
-                               "points": 2},
-                        output={"format": "csv"})
-    want = {k: v for k, v in dataclasses.asdict(cfg).items() if v is not None}
-    assert cfg.to_dict() == want
-    assert list(cfg.to_dict()) == list(want)
+def test_config_of_flags_is_the_document():
+    # the flags give the document --config reads, without unset fields,
+    # and the document reads back to itself
+    args = cli._parse_args([
+        "sweep", "--mat1", "ideal", "--mat2", "ideal", "--d", "1e-6", "--T",
+        "300", "--rel-tol", "1e-6", "--sweep-param", "d", "--sweep-from",
+        "1e-6", "--sweep-to", "2e-6", "--sweep-points", "2"])
+    want = {"subcommand": "sweep", "materials": ["ideal", "ideal"],
+            "d": 1e-6, "T": 300.0, "method": "matsubara", "rel_tol": 1e-6,
+            "sweep": {"param": "d", "from": 1e-6, "to": 2e-6, "points": 2},
+            "output": {"format": "csv"}}
+    config = cli._config_from_args(args)
+    assert config == want
+    assert cli._check_fields(json.loads(json.dumps(config))) == want
 
 
 # ---------------------------------------------------------------- pressure
@@ -519,6 +523,37 @@ def test_square_bounds_accept_below_and_name_the_bound_at(
             assert "sqrt(float max)" in err and "config error" in err
 
 
+@pytest.mark.parametrize("argv, bound", [
+    *[(("bvl-check", "--mat", spec, "--d", "1e-6", "--T", "300", "--z",
+        "1e110"), "cbrt(float max)")
+      for spec in ("insulator:3.0", DRUDE, "plasma:1.37e16",
+                   "gplasma:1.37e16;2e31,3e15,1e14", "ideal")],
+    (("bvl-check", "--mat", "plasma:1.34e154", "--d", "1e-6", "--T", "300",
+      "--z", "1e4"), "a term of eps overflows float max"),
+    (("reflect", "--mat", "plasma:1e10", "--xi", "1e-300", "--kperp", "1"),
+     "a term of eps overflows float max"),
+    *[(("reflect", "--mat", "plasma:1.34e154", f"--{axis}", "1e3", "--kperp",
+        "1e7"), "eps k_z of r_tm overflows float max")
+      for axis in ("omega", "xi")],
+])
+def test_overflowing_probes_exit_2_naming_the_bound(argv, bound, capsys):
+    # tier-1 turns an overflow warning into an error, and an OverflowError
+    # would escape cli.main
+    code, out, err = main_in_process(capsys, *argv)
+    assert code == 2 and out == ""
+    assert bound in err and "config error" in err
+
+
+def test_bvl_check_just_below_the_distance_ceiling_is_finite(capsys):
+    for spec in ("insulator:3.0", DRUDE, "plasma:1.37e16",
+                 "gplasma:1.37e16;2e31,3e15,1e14", "ideal"):
+        code, out, err = main_in_process(capsys, "bvl-check", "--mat", spec,
+                                         "--d", "1e-6", "--T", "300",
+                                         "--z", "2.82e102")
+        assert code == 0 and err == ""
+        assert not re.search("nan|inf", out, re.IGNORECASE)
+
+
 # ---------------------------------------------------------------- bvl-check
 
 def test_bvl_check_json_schema_and_verdicts():
@@ -560,8 +595,8 @@ def test_config_file_round_trip(tmp_path):
     proc = run_cli("--config", str(path))
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
-    reparsed = cli.RunConfig.from_dict(doc["config"])
-    assert reparsed == cli.RunConfig(**config)
+    assert doc["config"] == config
+    assert cli._check_fields(doc["config"]) == config
 
 
 def test_config_file_unknown_key_exits_2(tmp_path):
@@ -578,12 +613,15 @@ def test_config_file_invalid_json_exits_2(tmp_path):
     assert proc.returncode == 2
 
 
+#: The config document of an ideal-metal pressure run.
+_IDEAL_PRESSURE = {"subcommand": "pressure", "materials": ["ideal", "ideal"],
+                   "d": 1e-6, "T": 300.0}
+
+
 def _ideal_pressure_file(tmp_path):
     """Path of the config file of an ideal-metal pressure run."""
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({"subcommand": "pressure",
-                                "materials": ["ideal", "ideal"],
-                                "d": 1e-6, "T": 300.0}))
+    path.write_text(json.dumps(_IDEAL_PRESSURE))
     return path
 
 
@@ -688,11 +726,34 @@ def test_echoed_config_parses_back(argv, tmp_path, capsys):
         echoed = {k: json.loads(v) for k, v in echoed.items()}
     else:
         echoed = json.loads(out)["config"]
-    config = cli.RunConfig.from_dict(echoed)
     path = tmp_path / "run.json"
     path.write_text(json.dumps(echoed))
     assert main_in_process(capsys, "--config", str(path)) == (code, out, "")
-    assert config.to_dict() == echoed
+    assert cli._check_fields(echoed) == echoed
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([_IDEAL_PRESSURE], f"config must be a JSON object, got "
+                        f"[{_IDEAL_PRESSURE!r}]"),
+    ({k: v for k, v in _IDEAL_PRESSURE.items() if k != "subcommand"},
+     "missing subcommand"),
+    ({**_IDEAL_PRESSURE, "foo": 1},
+     "pressure does not read config field 'foo'"),
+    # a null field is an unset one, also where the subcommand reads none
+    ({**_IDEAL_PRESSURE, "rel_tol": None, "z": None, "probe": None,
+      "output": None}, None),
+])
+def test_config_document_messages(doc, message, tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = main_in_process(capsys, "--config", str(path))
+    if message is None:
+        assert code == 0 and err == ""
+        assert json.loads(out)["config"] == {**_IDEAL_PRESSURE,
+                                             "method": "matsubara"}
+    else:
+        assert (code, out) == (2, "")
+        assert err == f"casimir-bvl: config error: {message}\n"
 
 
 def test_output_file(tmp_path):

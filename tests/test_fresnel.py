@@ -399,3 +399,18 @@ def test_static_rtm_is_the_static_tm_and_scalar_coefficient():
         assert np.all(r.r_bar == F.static_rtm(model))
     assert F.static_rtm(M.insulator(3.0)) == 0.5
     assert F.static_rtm(M.ideal_metal()) == 1.0
+
+
+def test_real_axis_eps_kz_overflow_is_rejected():
+    # |eps| ~ 1.8e302 at 1e3 rad/s on either axis is finite, but eps k_z at
+    # k_perp = 1e7 is not: r_tm would be NaN and the r_tm - r_bar gap a
+    # silent 0
+    model = M.plasma(1.34e154)
+    for call in (lambda: F.reflection(model, 1e3, 1e7),
+                 lambda: F.reflection(model, 1e3j, 1e7),
+                 lambda: F.real_axis_sweep(model, np.array([1e3, 2e3]), 1e7)):
+        with pytest.raises(ValueError, match="eps k_z of r_tm overflows "
+                                             "float max"):
+            call()
+    r = F.reflection(model, 1e3, 1e3)
+    assert all(map(cmath.isfinite, (r.r_te, r.r_tm, r.r_bar)))

@@ -464,8 +464,54 @@ def test_tabulated_continuations_are_the_three_branch_expression(tag):
                              oscillators=OSC), "oscillators"),
     (lambda: M.MaterialModel(M.Kind.PLASMA, omega_p=1e16,
                              oscillators=OSC[:1]), "oscillators"),
+    (lambda: M.MaterialModel(M.Kind.DRUDE, eps0=5.0, omega_p=1e16,
+                             gamma=1e13), "eps0"),
+    (lambda: M.MaterialModel(M.Kind.PLASMA, eps0=5.0, omega_p=1e16), "eps0"),
+    (lambda: M.MaterialModel(M.Kind.GENERALIZED_PLASMA, eps0=5.0,
+                             omega_p=1e16, oscillators=OSC), "eps0"),
+    (lambda: M.MaterialModel(M.Kind.IDEAL_METAL, eps0=5.0), "eps0"),
+    (lambda: M.MaterialModel(M.Kind.TABULATED, eps0=5.0, table=tuple(TABLE),
+                             extrapolation=M.Extrapolation.FINITE), "eps0"),
+    (lambda: M.MaterialModel(M.Kind.TABULATED, oscillators=OSC,
+                             table=tuple(TABLE),
+                             extrapolation=M.Extrapolation.FINITE),
+     "oscillators"),
+    (lambda: M.MaterialModel(M.Kind.IDEAL_METAL, oscillators=OSC),
+     "oscillators"),
+    (lambda: M.MaterialModel(M.Kind.DRUDE, omega_p=1e16, gamma=1e13,
+                             table=tuple(TABLE)), "table"),
+    (lambda: M.MaterialModel(M.Kind.INSULATOR, eps0=3.0, table=tuple(TABLE)),
+     "table"),
+    (lambda: M.MaterialModel(M.Kind.IDEAL_METAL, table=tuple(TABLE)),
+     "table"),
+    (lambda: M.MaterialModel(M.Kind.PLASMA, omega_p=1e16,
+                             extrapolation=M.Extrapolation.PLASMA_LIKE),
+     "extrapolation"),
+    (lambda: M.MaterialModel(M.Kind.INSULATOR, eps0=3.0,
+                             extrapolation=M.Extrapolation.FINITE),
+     "extrapolation"),
 ])
 def test_fields_the_kind_does_not_carry_are_rejected(make, field):
     # the one expression reads every field, so a stray one would change eps
     with pytest.raises(ValueError, match=field):
         make()
+
+
+def test_eps_overflow_names_the_frequency_and_float_max():
+    # omega_p^2/omega^2 overflows below about omega_p/sqrt(float max) on
+    # either axis; the frequency above keeps its finite eps, bit for bit
+    model = M.plasma(1.34e154)
+    wp2 = model.omega_p ** 2
+    with pytest.raises(ValueError, match=r"eps is not finite at omega = "
+                                         r"0\.5 rad/s.*float max"):
+        M.eval_epsilon(model, np.array([1e3, 0.5]))
+    with pytest.raises(ValueError, match=r"at xi = 0\.5 rad/s.*float max"):
+        M.eval_epsilon(model, np.array([1e3j, 0.5j]))
+    assert M.eval_epsilon(model, 1e3) == complex(1.0 - wp2 / (1e3 * 1e3))
+    assert M.eval_epsilon(model, 1e3j) == complex(1.0 + wp2 / (1e3 * 1e3))
+    with pytest.raises(ValueError, match="float max"):
+        M.eval_epsilon(M.drude(1.34e154, 1.0), 0.5)
+    # w (w + i gamma) underflows to 0 here: a division by zero, not a NaN
+    for w in (1e-300, 1e-300j):
+        with pytest.raises(ValueError, match="float max"):
+            M.eval_epsilon(M.drude(1e10, 1e-300), w)

@@ -78,11 +78,12 @@ def test_bvl_catalog_passes_only_where_static_r_te_vanishes():
         "insulator", "drude", "plasma", "gplasma", "ideal"]
 
 
-def test_route_digest_prints_its_four_totals():
+def test_route_digest_prints_its_five_totals():
     # the hashes depend on the BLAS, so only the lines are checked
     run = subprocess.run([sys.executable, str(SCRIPTS / "route_digest.py")],
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     totals = [line.split()[0] for line in run.stdout.splitlines()
               if "total " in line]
-    assert totals == ["total", "reflect-total", "cli-total", "scalar-total"]
+    assert totals == ["total", "reflect-total", "cli-total", "config-total",
+                      "scalar-total"]
