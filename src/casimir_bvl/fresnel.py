@@ -22,6 +22,7 @@ frequencies in one pass.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -269,11 +270,41 @@ def real_axis_sweep(model, omega, k_perp):
     return r_te, gap
 
 
+def _per_model(rule):
+    """rule(model), computed once per model instance.
+
+    The value is kept in the frozen instance's ``__dict__``, where
+    ``functools.cached_property`` keeps the model's own memos: the fields
+    it is computed from never change, a model built from other fields
+    (``dataclasses.replace``) computes its own, and ==, hash and repr read
+    only the fields.
+    """
+    key = "_" + rule.__name__
+
+    @functools.wraps(rule)
+    def memo(model):
+        try:
+            return model.__dict__[key]
+        except KeyError:
+            value = model.__dict__[key] = rule(model)
+            return value
+
+    return memo
+
+
+@_per_model
 def static_nw(model):
     """nw = (1 - eps)(xi/c)^2 of :func:`imag_axis_coefficients` at xi = 0:
     -(omega_p,eff/c)^2 for a plasma-like (1/omega^2) model, and 0, where
     the static r_te and with it the classical transverse field vanish, for
-    finite and Drude-like (1/omega) ones; None for the ideal metal."""
+    finite and Drude-like (1/omega) ones; None for the ideal metal.
+
+    The one home of the zero-frequency r_te rule, on which the
+    Bohr-van Leeuwen verdict turns.  It is computed once per model
+    instance (:func:`_per_model`), and every later reader, the Matsubara
+    route's xi = 0 row and n = 0 terms, :func:`static_rte` and ``bvl``,
+    gets the stored value.
+    """
     cls = zero_freq_class(model)
     if cls is ZeroFreqClass.IDEAL:
         return None
@@ -300,11 +331,13 @@ def static_rte(model, k_perp):
     return r_te if k.ndim else float(r_te)
 
 
+@_per_model
 def static_rtm(model):
     """Zero-frequency TM coefficient, the same at every k_perp.
 
     It equals the static r_bar: (eps0 - 1)/(eps0 + 1) for finite-class
-    models and 1 for every conductor, the ideal metal included.
+    models and 1 for every conductor, the ideal metal included.  Computed
+    once per model instance, like :func:`static_nw`.
     """
     if zero_freq_class(model) is ZeroFreqClass.FINITE:
         return scalar_coefficient(static_epsilon(model))

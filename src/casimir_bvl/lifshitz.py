@@ -24,6 +24,13 @@ KPERP_REL_TOL = 1e-8
 #: pass of the kernel: it bounds the arrays of a pass at 2048 panels per
 #: component on equal seed panels.
 MAX_ROWS_PER_PASS = 512
+#: Largest reach ceil(nu x*) + 3 of a Matsubara sum, 2^22: a larger one is
+#: rejected before any row, since the cost grows as 1/(d T) in time and
+#: memory.  The largest sum measured to converge, two ideal metals at
+#: 10 nm, 0.1 K and rel_tol 1e-6, stops at n_max = 3 269 337 (5.7 s,
+#: 983 MB, 2-vCPU x86-64) within it.  The cap rejects d T below about
+#: 1.1e-9 m K at rel_tol 1e-9 (0.11 K at 10 nm) and 7.8e-10 m K at 1e-6.
+MAX_REACH = 1 << 22
 #: Mapping scale of every Matsubara row, in units of 1/d.  On the 4 seed
 #: panels of quadrature.ROW_PANELS, scales 3/d, 2.5/d and 4/d end 86%, 87%
 #: and 81% of the calls of the route digest's 882 pressures in one round
@@ -283,7 +290,7 @@ def _matsubara_rows(m1, m2, d, xi):
         return y
 
     graded = 0 if m1.kind is m2.kind is Kind.IDEAL_METAL else int(
-        np.searchsorted(a, GRADE_BELOW / d))
+        a.searchsorted(GRADE_BELOW / d))
     return quadrature.integrate_rows(integrand, xi.size, ROW_SCALE / d,
                                      KPERP_REL_TOL, a[:graded].tolist())
 
@@ -296,10 +303,12 @@ def pressure_matsubara(config):
     bounds and sizes the sum: the reach ceil(nu x*) + 3, nu = c/(2 d xi_1)
     and x* :func:`_ideal_stop`'s, is where the sum of two ideal metals
     stops, whose terms bound every pair's, and the index ceiling is twice
-    the reach.  The k_perp integrals come in passes of the kernel of at
-    most MAX_ROWS_PER_PASS indices: the first runs to the reach, which
-    usually covers the sum, and each later one towards the ceiling.  Each
-    pass extends three per-index lists, of the TE and TM terms and of their
+    the reach.  A reach above MAX_REACH, a xi_1 that underflows to 0
+    included, raises ValueError naming the cap before any row is computed.
+    The k_perp integrals come in passes of the kernel of at most
+    MAX_ROWS_PER_PASS indices: the first runs to the reach, which usually
+    covers the sum, and each later one towards the ceiling.  Each pass
+    extends three per-index lists, of the TE and TM terms and of their
     summed k_perp errors, which term n (TE + TM), ``per_n`` and
     ``error_estimate`` read.  The n = 0 terms (:func:`_n0_te`,
     :func:`_n0_tm`) and the first pass come before the sum starts.  Where
@@ -309,12 +318,23 @@ def pressure_matsubara(config):
     raises; the other n = 0 terms are closed forms.  A failed k_perp
     integral of n >= 1 raises only if the sum consumes its index.
     ``error_estimate`` adds the tail bound and the error estimates of every
-    summed k_perp integral, left to right.
+    summed k_perp integral, left to right.  Each model's zero-frequency
+    rules, :func:`fresnel.static_nw` and :func:`fresnel.static_rtm`, are
+    computed once per model instance: a call on models used before
+    classifies neither again.
     """
     m1, m2, d = config.material_1, config.material_2, config.d
     xi1 = 2.0 * math.pi * K_B * config.T / HBAR
     pref = -K_B * config.T / math.pi
-    reach = math.ceil(C / (2.0 * d * xi1) * _ideal_stop(config.rel_tol)) + 3
+    span = 2.0 * d * xi1    # 0 where xi_1 underflowed
+    stop = C / span * _ideal_stop(config.rel_tol) if span else math.inf
+    if stop > MAX_REACH - 3:
+        count = math.ceil(stop) + 3 if stop < math.inf else stop
+        raise ValueError(f"the Matsubara sum would need {count:.10g} indices "
+                         f"(ceil(nu x*) + 3), above the cap MAX_REACH = "
+                         f"{MAX_REACH}; its cost grows as 1/(d T): raise d "
+                         f"or T")
+    reach = math.ceil(stop) + 3
     ceiling = 2 * reach
     te, tm, err = [0.0], [0.0], [0.0]   # per index n; n = 0 set below
     failed = {}     # n -> (polarization, NoConvergence) of a failed row
@@ -325,15 +345,16 @@ def pressure_matsubara(config):
         result."""
         last = min(reach if n == 1 else ceiling, n - 1 + MAX_ROWS_PER_PASS)
         res = _matsubara_rows(m1, m2, d, np.arange(n - head, last + 1) * xi1)
-        width = head + last + 1 - n
-        for j, exc in sorted(res.failures.items()):
-            failed.setdefault(n - head + j % width,
-                              ("TM" if j >= width else "TE", exc))
-        values = pref * res.values.reshape(2, -1)[:, head:]
-        te.extend(values[0].tolist())
-        tm.extend(values[1].tolist())
-        err.extend((abs(pref) * res.errors.reshape(2, -1)[:, head:].sum(
-            axis=0)).tolist())
+        if res.failures:
+            width = head + last + 1 - n
+            for j, exc in sorted(res.failures.items()):
+                failed.setdefault(n - head + j % width,
+                                  ("TM" if j >= width else "TE", exc))
+        values = (pref * res.values.reshape(2, -1)[:, head:]).tolist()
+        te.extend(values[0])
+        tm.extend(values[1])
+        e = res.errors.reshape(2, -1)[:, head:]
+        err.extend((abs(pref) * (e[0] + e[1])).tolist())
         return res
 
     static = _static_te_row(m1, m2)

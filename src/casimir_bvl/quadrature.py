@@ -26,7 +26,6 @@ from __future__ import annotations
 import fractions
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -58,15 +57,13 @@ class IntegralResult(NamedTuple):
     evaluations: int
 
 
-@dataclass
-class SumResult:
+class SumResult(NamedTuple):
     value: float
     n_max: int
     tail_bound: float
 
 
-@dataclass
-class RowsResult:
+class RowsResult(NamedTuple):
     """Per-row outcome of :func:`integrate_rows` and :func:`_refine`."""
 
     values: np.ndarray

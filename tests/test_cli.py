@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 
 import jsonschema
 import numpy as np
@@ -348,6 +349,27 @@ def test_pressure_unreachable_tolerance_is_numerical_failure(monkeypatch,
     assert err.startswith("casimir-bvl: numerical failure: NoConvergence: "
                           "Matsubara sum reached n = 10 of the index "
                           "ceiling 10")
+
+
+@pytest.mark.parametrize("mat, T", [("ideal", "1e-300"),
+                                    ("plasma:1e10", "1e-300"),
+                                    ("ideal", "1e-310")])
+def test_pressure_past_the_index_cap_exits_2_at_once(mat, T, capsys):
+    # 1e-300 K asks for some 4.5e303 Matsubara indices, and at 1e-310 K
+    # xi_1 underflows to 0: each is rejected before any row, with no numpy
+    # warning, where the ideal sum ran on and the plasma one warned
+    argv = ("pressure", "--mat1", mat, "--mat2", mat, "--d", "1e-6",
+            "--T", T)
+    proc = subprocess.run([sys.executable, "-W", "error", "-m",
+                           "casimir_bvl.cli", *argv],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("casimir-bvl: config error: the Matsubara "
+                                  "sum would need ")
+    assert f"above the cap MAX_REACH = {L.MAX_REACH}" in proc.stderr
+    t0 = time.perf_counter()
+    assert main_in_process(capsys, *argv)[0] == 2
+    assert time.perf_counter() - t0 < 1.0
 
 
 @pytest.mark.parametrize("rel_tol", ["0", "-1", "2", "nan", "inf"])

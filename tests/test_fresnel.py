@@ -1,6 +1,7 @@
 """Branch rules, the Fresnel kernel and reflection coefficients."""
 
 import cmath
+import dataclasses
 import math
 import sys
 
@@ -168,6 +169,33 @@ def test_static_nw_decides_the_static_r_te():
     for model in (CATALOG[2], CATALOG[3]):
         assert F.static_nw(model) == -(M.effective_omega_p(model) / C) ** 2
     assert F.static_nw(M.ideal_metal()) is None
+
+
+def test_static_rules_are_kept_per_model_instance():
+    # a model built from a filled one by dataclasses.replace has a fresh
+    # __dict__ and computes its own nw, here 4x the original
+    p = M.plasma(1e16)
+    nw = F.static_nw(p)
+    assert F.static_nw(p) is nw and p.__dict__["_static_nw"] is nw
+    q = dataclasses.replace(p, omega_p=2e16)
+    assert "_static_nw" not in q.__dict__
+    assert F.static_nw(q) == 4.0 * nw
+    ins = M.insulator(3.0)
+    assert F.static_rtm(ins) == 0.5
+    assert F.static_rtm(dataclasses.replace(ins, eps0=5.0)) == 4.0 / 6.0
+
+
+def test_filled_memo_leaves_equality_hash_and_repr():
+    for make in (lambda: M.plasma(1e16), M.ideal_metal,
+                 lambda: M.insulator(3.0),
+                 lambda: M.drude(1.37e16, 5.32e13)):
+        filled, fresh = make(), make()
+        F.static_nw(filled), F.static_rtm(filled)
+        F.reflection_static(filled, 1e6)
+        assert {"_static_nw", "_static_rtm"} <= filled.__dict__.keys()
+        assert "_static_nw" not in fresh.__dict__
+        assert filled == fresh and hash(filled) == hash(fresh)
+        assert repr(filled) == repr(fresh)
 
 
 def test_static_rte_vectorized_matches_scalar():

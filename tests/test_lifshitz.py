@@ -1,5 +1,6 @@
 """Cavity pressure routes: Matsubara production path and stress split."""
 
+import dataclasses
 import itertools
 import math
 
@@ -145,6 +146,70 @@ def test_matsubara_ceiling(monkeypatch):
                           (1e-6, 5.0, 2e-3), (1e-6, 1.0, 1e-9)):
         L.pressure_matsubara(L.CavityConfig(ideal, ideal, d, T, rel_tol))
     assert ceilings == [38, 316, 682, 9296]
+
+
+def test_reach_cap_accepts_at_the_cap_and_rejects_one_past(monkeypatch):
+    # nu = 0.607 at 1 um and 300 K and x* = 25.49 at rel_tol 1e-9: the
+    # reach is ceil(nu x*) + 3 = 19
+    ideal = M.ideal_metal()
+    cfg = L.CavityConfig(ideal, ideal, 1e-6, 300.0)
+    monkeypatch.setattr(L, "MAX_REACH", 19)
+    want = L.pressure_matsubara(cfg)
+    monkeypatch.setattr(L, "MAX_REACH", 18)
+    rows = []
+    monkeypatch.setattr(L, "_matsubara_rows",
+                        lambda *args: rows.append(args))
+    with pytest.raises(ValueError, match=r"^the Matsubara sum would need 19 "
+                       r"indices \(ceil\(nu x\*\) \+ 3\), above the cap "
+                       r"MAX_REACH = 18;"):
+        L.pressure_matsubara(cfg)
+    assert rows == []
+    monkeypatch.undo()
+    assert repr(L.pressure_matsubara(cfg)) == repr(want)
+
+
+@pytest.mark.parametrize("T", [1e-300, 1e-310])
+def test_reach_cap_rejects_tiny_temperatures_before_any_row(monkeypatch, T):
+    # at 1e-310 K xi_1 underflows to 0 and the reach is not divided out;
+    # the plasma model's eps would overflow at such xi
+    rows = []
+    monkeypatch.setattr(L, "_matsubara_rows",
+                        lambda *args: rows.append(args))
+    for m in (M.ideal_metal(), M.plasma(1e10), M.drude(1.37e16, 5.32e13)):
+        with pytest.raises(ValueError, match=r"above the cap MAX_REACH = "
+                           r"4194304; its cost grows as 1/\(d T\)"):
+            with np.errstate(all="raise"):
+                L.pressure_matsubara(L.CavityConfig(m, m, 1e-6, T))
+    assert rows == []
+    assert L.MAX_REACH == 1 << 22
+
+
+@pytest.mark.parametrize("pair", [
+    (M.plasma(1e16), M.plasma(1e16)),
+    (M.insulator(3.0), M.ideal_metal()),
+    (M.drude(1.37e16, 5.32e13), M.plasma(1.37e16)),
+], ids=["plasma-plasma", "insulator-ideal", "drude-plasma"])
+def test_second_pressure_on_the_same_models_classifies_neither(
+        monkeypatch, pair):
+    # fresnel.static_nw and static_rtm keep their value per model
+    # instance, so only the first call on fresh models classifies them
+    m1, m2 = (dataclasses.replace(m) for m in pair)     # fresh instances
+    calls = []
+    for module in (M, fresnel):
+        original = module.zero_freq_class
+
+        def spy(model, original=original):
+            calls.append(model)
+            return original(model)
+
+        monkeypatch.setattr(module, "zero_freq_class", spy)
+    cfg = L.CavityConfig(m1, m2, 1e-6, 300.0)
+    first = L.pressure_matsubara(cfg)
+    assert calls
+    calls.clear()
+    again = L.pressure_matsubara(cfg)
+    assert calls == []
+    assert repr(again) == repr(first)
 
 
 def test_matsubara_ceiling_validation():

@@ -1,6 +1,7 @@
 """The scripts under ``scripts/`` run end to end."""
 
 import csv
+import json
 import importlib.util
 import subprocess
 import sys
@@ -87,3 +88,61 @@ def test_route_digest_prints_its_five_totals():
               if "total " in line]
     assert totals == ["total", "reflect-total", "cli-total", "config-total",
                       "scalar-total"]
+
+
+def test_bench_pairs_runs_one_pair_against_this_checkout():
+    run = subprocess.run(
+        [sys.executable, str(SCRIPTS / "bench_pairs.py"), "--against",
+         str(SCRIPTS.parent), "--workload", "matsubara-grid", "--pairs", "1",
+         "--seconds", "0", "--max-ops", "1"],
+        capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    pair, header, *rows = run.stdout.splitlines()
+    assert pair.startswith("pair 1 (seed 1, this first): setup_s ")
+    assert header.split()[:4] == ["metric", "better", "this", "other"]
+    assert [row.split()[:2] for row in rows] == [
+        ["setup_s", "lower"], ["ok_per_s", "higher"], ["op_p50_ms", "lower"],
+        ["op_p90_ms", "lower"], ["peak_rss_mb", "lower"]]
+
+
+_FAKE_RUN = '''
+import json, sys
+from pathlib import Path
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+side = Path.cwd().name
+with open(Path.cwd().parent / "order.txt", "a") as fh:
+    fh.write(f"{side}{seed} ")
+value = {"this": 10.0 + seed, "other": 10.0}[side]
+print("# a readable table")
+print(json.dumps({"correct": not (side == "other" and seed == 3),
+                  "metrics": {"ok_per_s": {"value": value},
+                              "op_p50_ms": {"value": value}}}))
+'''
+
+
+def test_bench_pairs_alternates_counts_wins_and_flags_a_wrong_run(
+        tmp_path, capsys):
+    # two fake checkouts whose run.py logs its turn: "this" is faster on
+    # every seed in ok_per_s and slower in op_p50_ms, and OTHER's third
+    # run reads "correct": false
+    for side in ("this", "other"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(_FAKE_RUN)
+    (tmp_path / "this" / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "ok_per_s", "better": "higher"},
+                        {"name": "op_p50_ms", "better": "lower"}]}))
+    pairs = _script("bench_pairs")
+    pairs.ROOT = tmp_path / "this"
+    code = pairs.main(["--against", str(tmp_path / "other"), "--workload",
+                       "w", "--pairs", "4", "--seconds", "0"])
+    assert code == 1
+    assert (tmp_path / "order.txt").read_text().split() == [
+        "this1", "other1", "other2", "this2", "this3", "other3", "other4",
+        "this4"]
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == "pair 2 (seed 2, other first): ok_per_s 12/10  " \
+                     "op_p50_ms 12/10"
+    ok, p50 = out[-2].split(), out[-1].split()
+    assert ok[:6] == ["ok_per_s", "higher", "12.5", "10", "1.2500", "4/4"]
+    assert p50[:6] == ["op_p50_ms", "lower", "12.5", "10", "1.2500", "0/4"]
+    assert ok[6] == p50[6] == "10-10"
