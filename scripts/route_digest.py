@@ -513,9 +513,12 @@ def outcomes(pkg):
 
         return original(sampled, *args)
 
-    def indexed(m1, m2, d, xi):
-        indices[0] += int(np.count_nonzero(xi))
-        return kernel(m1, m2, d, xi)
+    def indexed(*args):
+        # the frequencies: xi of kernel(m1, m2, d, xi), or a = xi/c of
+        # kernel(d, a, c1, c2), where the caller passes the columns
+        freq = args[1] if isinstance(args[1], np.ndarray) else args[3]
+        indices[0] += int(np.count_nonzero(freq))
+        return kernel(*args)
 
     def sized(cfg):
         reached[0] = reach(L, cfg)

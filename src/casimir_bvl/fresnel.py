@@ -88,18 +88,19 @@ def _r_tm(eps_kz, s):
     return (eps_kz - s) / (eps_kz + s)
 
 
-def _eps_kz(eps, k_z):
-    """eps k_z, the wavevector of r_tm's numerator (eps q on the imaginary
-    axis, where k_z = i q); ValueError where it overflows float max, which
-    would make r_tm NaN."""
+def _eps_times(eps, k, name, unit, role):
+    """eps * k, for k the wavevector k_z of r_tm's numerator (eps q on the
+    imaginary axis) or the k0^2 of the medium's s^2 = eps k0^2 - k_perp^2;
+    ValueError naming eps ``name`` of ``role`` and float max where it
+    overflows, which would make r_tm or s NaN."""
     with np.errstate(all="ignore"):
-        eps_kz = eps * k_z
-    if not np.isfinite(eps_kz).all():
-        raise ValueError(f"eps k_z of r_tm overflows float max, "
+        product = eps * k
+    if not np.isfinite(product).all():
+        raise ValueError(f"eps {name} of {role} overflows float max, "
                          f"{sys.float_info.max:.4g}: |eps| up to "
-                         f"{np.max(np.abs(eps)):.4g} at |k_z| up to "
-                         f"{np.max(np.abs(k_z)):.4g} m^-1")
-    return eps_kz
+                         f"{np.max(np.abs(eps)):.4g} at |{name}| up to "
+                         f"{np.max(np.abs(k)):.4g} {unit}")
+    return product
 
 
 def real_axis_coefficients(eps, k0sq, k_z, s):
@@ -114,7 +115,8 @@ def real_axis_coefficients(eps, k0sq, k_z, s):
     if eps is None:
         return _IDEAL
     t = k_z + s
-    return -(eps - 1.0) * k0sq / (t * t), _r_tm(_eps_kz(eps, k_z), s)
+    return -(eps - 1.0) * k0sq / (t * t), _r_tm(
+        _eps_times(eps, k_z, "k_z", "m^-1", "r_tm"), s)
 
 
 def scalar_coefficient(eps):
@@ -217,13 +219,14 @@ def reflection(model, omega, k_perp):
     elif omega.real == 0.0:
         a = omega.imag / C
         q = np.sqrt(k * k + a ** 2)
-        _eps_kz(eps, q)   # the kernel's own eps q must not overflow
+        # the kernel's own eps q must not overflow
+        _eps_times(eps, q, "k_z", "m^-1", "r_tm")
         r_te, r_tm = imag_axis_coefficients(eps, (1.0 - eps) * a ** 2, q)
     else:
         k0sq = (omega / C) * (omega / C)
         r_te, r_tm = real_axis_coefficients(
-            eps, k0sq, branch_sqrt(k0sq - k * k),
-            branch_sqrt(eps * k0sq - k * k))
+            eps, k0sq, branch_sqrt(k0sq - k * k), branch_sqrt(_eps_times(
+                eps, k0sq, "k0^2", "m^-2", "the medium wavevector") - k * k))
     r = _reflection_set(k, r_te, r_tm, scalar_coefficient(eps))
     return r if np.ndim(k_perp) else _scalars(r)
 
@@ -263,7 +266,8 @@ def real_axis_sweep(model, omega, k_perp):
     eps = materials.eval_epsilon(model, omega)
     k0sq = (omega / C) ** 2
     k_z = branch_sqrt(k0sq - k_perp * k_perp)
-    s = branch_sqrt(eps * k0sq - k_perp * k_perp)
+    s = branch_sqrt(_eps_times(eps, k0sq, "k0^2", "m^-2",
+                               "the medium wavevector") - k_perp * k_perp)
     r_te, _ = real_axis_coefficients(eps, k0sq, k_z, s)
     gap = (-2.0 * k0sq * ((eps - 1.0) / (eps + 1.0))
            * (eps / (eps * k_z + s)) / (k_z + s))
@@ -271,14 +275,8 @@ def real_axis_sweep(model, omega, k_perp):
 
 
 def _per_model(rule):
-    """rule(model), computed once per model instance.
-
-    The value is kept in the frozen instance's ``__dict__``, where
-    ``functools.cached_property`` keeps the model's own memos: the fields
-    it is computed from never change, a model built from other fields
-    (``dataclasses.replace``) computes its own, and ==, hash and repr read
-    only the fields.
-    """
+    """rule(model), computed once per model instance and kept in it by
+    :func:`materials.keep`."""
     key = "_" + rule.__name__
 
     @functools.wraps(rule)
@@ -286,8 +284,7 @@ def _per_model(rule):
         try:
             return model.__dict__[key]
         except KeyError:
-            value = model.__dict__[key] = rule(model)
-            return value
+            return materials.keep(model, key, rule(model))
 
     return memo
 

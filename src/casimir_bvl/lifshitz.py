@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,10 @@ KPERP_REL_TOL = 1e-8
 #: pass of the kernel: it bounds the arrays of a pass at 2048 panels per
 #: component on equal seed panels.
 MAX_ROWS_PER_PASS = 512
+#: Temperatures (values of xi_1) whose Matsubara columns a model keeps
+#: (:func:`_kept_columns`); a model used at one more drops the one it met
+#: first.  The benchmark's matsubara-grid meets at most three per model.
+KEPT_TEMPERATURES = 4
 #: Largest reach ceil(nu x*) + 3 of a Matsubara sum, 2^22: a larger one is
 #: rejected before any row, since the cost grows as 1/(d T) in time and
 #: memory.  The largest sum measured to converge, two ideal metals at
@@ -123,8 +128,10 @@ def n0_term(config, polarization):
     pref = -K_B * config.T / math.pi
     if pol == "tm":
         return _n0_tm(m1, m2, d, pref)[0]
-    row = (_matsubara_rows(m1, m2, d, _STATIC_XI)
-           if _static_te_row(m1, m2) else None)
+    row = None
+    if _static_te_row(m1, m2):
+        xi1 = 2.0 * math.pi * K_B * config.T / HBAR
+        row = _matsubara_rows(d, *_pass_columns(m1, m2, xi1, 0, 0, 0))
     return _n0_te(m1, m2, d, pref, row)[0]
 
 
@@ -147,11 +154,6 @@ def _ideal_stop(rel_tol):
         x, last = max(3.0, target + math.log(
             (x * x + 2.0 * x + 2.0) * x / (x - 2.0))), x
     return x
-
-
-#: The frequency array of the one-row static TE integral.
-_STATIC_XI = np.zeros(1)
-_STATIC_XI.flags.writeable = False
 
 
 def _static_te_row(m1, m2):
@@ -211,30 +213,134 @@ def classical_transverse_pressure(config):
     return n0_term(config, "te")
 
 
-def _coefficient_columns(m, xi, a):
-    """(eps, nw) per row of m's :func:`fresnel.imag_axis_coefficients`
-    calls at the frequencies xi, a = xi/c; None for the ideal metal.
+def _frequencies(xi1, lo, stop):
+    """(xi, a, a^2) at xi_n = n xi1 for n = lo up to stop - 1, a = xi/c."""
+    xi = np.arange(lo, stop) * xi1
+    a = xi / C
+    return xi, a, a ** 2
 
-    eps comes from one :func:`materials.eval_imag_axis` call over the
-    nonzero xi, and nw = (1 - eps) a^2.  A xi = 0 row, xi[0], takes
-    :func:`fresnel.static_nw` and eps = 1, read only by its masked TM.
+
+@functools.lru_cache(maxsize=16)
+def _xi_grid(xi1):
+    """Read-only :func:`_frequencies` for n = 0 up to MAX_ROWS_PER_PASS,
+    built once per xi_1, that is per temperature, and shared by every
+    model's :func:`_kept_columns` and the kernel's rows at it.  xi[0] is
+    xi_1, which stands in for the static xi = 0 in the one permittivity
+    call over all indices; a[0] and a^2[0] are 0."""
+    grid = _frequencies(xi1, 0, MAX_ROWS_PER_PASS + 1)
+    grid[0][0] = xi1
+    for arr in grid:
+        arr.setflags(write=False)
+    return grid
+
+
+def _coefficient_columns(m, xi, a2):
+    """(eps, nw) of m's :func:`fresnel.imag_axis_coefficients` calls at
+    the ascending frequencies xi > 0, a2 = (xi/c)^2; None for the ideal
+    metal.
+
+    eps comes from one :func:`materials.eval_imag_axis` call, and
+    nw = (1 - eps) a2.  The columns stop before the first xi whose nw
+    overflows float max.
     """
     if m.kind is Kind.IDEAL_METAL:
         return None
-    if xi[0] != 0.0:
-        eps = materials.eval_imag_axis(m, xi)
-        return eps, (1.0 - eps) * a ** 2
-    if xi.size == 1:
-        return np.ones(1), np.full(1, fresnel.static_nw(m))
-    eps, nw = _coefficient_columns(m, xi[1:], a[1:])
-    return (np.concatenate(([1.0], eps)),
-            np.concatenate(([fresnel.static_nw(m)], nw)))
+    eps = materials.eval_imag_axis(m, xi)
+    # |nw| <= eps a2, as eps >= 1, is at most eps.max() a2[-1]; an analytic
+    # eps(i xi) does not increase with xi, so its max is eps[0]
+    top = (float(np.maximum.reduce(eps)) if m.kind is Kind.TABULATED
+           else eps.item(0))
+    if top * a2.item(-1) >= 0.5 * sys.float_info.max:
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite((1.0 - eps) * a2)
+        if not finite.all():
+            cut = int(finite.argmin())
+            eps, a2 = eps[:cut], a2[:cut]
+    return eps, (1.0 - eps) * a2
 
 
-def _matsubara_rows(m1, m2, d, xi):
-    """k_perp integrals of the Matsubara terms at the frequencies xi, at once.
+def _kept_columns(m, xi1, grid, lo, stop):
+    """Indices lo up to stop - 1 <= MAX_ROWS_PER_PASS of m's read-only
+    columns (eps, nw) at xi_n = n xi1, n = 0, 1, ..., fewer only where an
+    nw overflows; None for the ideal metal.  grid is :func:`_xi_grid`'s.
 
-    Row i integrates, for TE and for TM at xi[i] as two components on the
+    Index 0 is the static column, eps = 1 and nw = :func:`fresnel.static_nw`
+    (eps is read only by the masked TM of the xi = 0 row), and the others
+    are :func:`_coefficient_columns`.  The columns are kept per model
+    instance (:func:`materials.keep`) and per xi_1, that is per
+    temperature, for up to KEPT_TEMPERATURES of them, so pressures at one
+    temperature, whatever their gap, evaluate each model's eps once.
+    Columns too short for a later call are computed again, to the larger
+    of stop and twice their length, at most MAX_ROWS_PER_PASS + 1 indices.
+    Every store replaces the model's whole map of temperatures, so threads
+    that race lose at most a stored column, never read a half-built one.
+    """
+    if m.kind is Kind.IDEAL_METAL:
+        return None
+    kept = m.__dict__.get("_kept_columns", {})
+    cols = kept.get(xi1)
+    if cols is not None and len(cols[0]) >= stop:
+        return cols[0][lo:stop], cols[1][lo:stop]
+    size = stop if cols is None else min(MAX_ROWS_PER_PASS + 1,
+                                         max(stop, 2 * len(cols[0])))
+    eps, nw = cols = _coefficient_columns(m, grid[0][:size], grid[2][:size])
+    if len(eps):    # empty only where eps(i xi_1) itself overflowed
+        eps[0], nw[0] = 1.0, fresnel.static_nw(m)
+    eps.setflags(write=False)
+    nw.setflags(write=False)
+    kept = {**kept, xi1: cols}
+    if len(kept) > KEPT_TEMPERATURES:
+        del kept[next(iter(kept))]
+    materials.keep(m, "_kept_columns", kept)
+    return eps[lo:stop], nw[lo:stop]
+
+
+def _pass_columns(m1, m2, xi1, n, last, head):
+    """(a, c1, c2): the columns of the kernel's rows of m1 facing m2 at
+    xi_k = k xi1 for k = n - head up to last: a = xi_k/c and each model's
+    (eps, nw), c2 c1 where the models are equal.
+
+    To MAX_ROWS_PER_PASS they are slices of :func:`_xi_grid` and
+    :func:`_kept_columns`; a pass past it computes its own
+    :func:`_coefficient_columns`.  The rows stop before the first k whose
+    nw overflows float max, and where that k is n, the first index of the
+    pass after its head xi = 0 rows, ValueError names xi_n and float max.
+    """
+    lo, stop = n - head, last + 1
+    same = m2 is m1 or m2 == m1
+    if stop > MAX_ROWS_PER_PASS + 1:
+        xi, a, a2 = _frequencies(xi1, lo, stop)
+        c1 = _coefficient_columns(m1, xi, a2)
+        c2 = c1 if same else _coefficient_columns(m2, xi, a2)
+    else:
+        grid = _xi_grid(xi1)
+        a = grid[1][lo:stop]
+        c1 = _kept_columns(m1, xi1, grid, lo, stop)
+        c2 = c1 if same else _kept_columns(m2, xi1, grid, lo, stop)
+    width = a.size
+    for m, c in (m1, c1), (m2, c2):
+        if c and len(c[0]) < width:     # an nw overflows
+            if len(c[0]) <= head:
+                raise ValueError(
+                    f"nw = (1 - eps)(xi/c)^2 of the {m.kind.value} model "
+                    f"overflows float max, {sys.float_info.max:.4g}, at the "
+                    f"Matsubara frequency xi_{n} = {n * xi1:.6g} rad/s")
+            width = len(c[0])
+    if width < a.size:
+        a = a[:width]
+        c1, c2 = (None if c is None else (c[0][:width], c[1][:width])
+                  for c in (c1, c2))
+    return a, c1, c2
+
+
+def _matsubara_rows(d, a, c1, c2):
+    """k_perp integrals of the Matsubara terms at the frequencies xi = c a,
+    at once, from the columns c1 and c2 of the two materials.
+
+    a is ascending, and c1 and c2 are the columns (eps, nw) of
+    :func:`_coefficient_columns` at those xi, any of them, or None for the
+    ideal metal, c2 c1 where the materials are equal.  Row i
+    integrates, for TE and for TM at xi[i] as two components on the
     same panels, k * q * [exp(2 q d)/(r1 r2) - 1]^(-1),
     q = sqrt(k^2 + xi^2/c^2), to KPERP_REL_TOL; the results hold TE at i
     and TM at len(xi) + i.  Each is written over u = q - xi/c in [0, inf)
@@ -250,14 +356,11 @@ def _matsubara_rows(m1, m2, d, xi):
     no k, written into a buffer of the call.
 
     xi[0] may be 0: that row is the static TE integral of the n = 0 term,
-    an ordinary row with the static nw of :func:`_coefficient_columns`,
-    and its TM component is 0, with error 0, on every panel (the static TM
+    an ordinary row with the static nw of :func:`_kept_columns`, and its
+    TM component is 0, with error 0, on every panel (the static TM
     term is a closed form).
     """
-    static = xi[0] == 0.0
-    a = xi / C
-    c1 = _coefficient_columns(m1, xi, a)
-    c2 = c1 if m2 is m1 or m2 == m1 else _coefficient_columns(m2, xi, a)
+    static = a[0] == 0.0
 
     def integrand(rows, u):
         # every array of the call, each shaped like u, in one buffer: the
@@ -289,9 +392,8 @@ def _matsubara_rows(m1, m2, d, xi):
         y *= q2
         return y
 
-    graded = 0 if m1.kind is m2.kind is Kind.IDEAL_METAL else int(
-        a.searchsorted(GRADE_BELOW / d))
-    return quadrature.integrate_rows(integrand, xi.size, ROW_SCALE / d,
+    graded = 0 if c1 is c2 is None else int(a.searchsorted(GRADE_BELOW / d))
+    return quadrature.integrate_rows(integrand, a.size, ROW_SCALE / d,
                                      KPERP_REL_TOL, a[:graded].tolist())
 
 
@@ -321,7 +423,11 @@ def pressure_matsubara(config):
     summed k_perp integral, left to right.  Each model's zero-frequency
     rules, :func:`fresnel.static_nw` and :func:`fresnel.static_rtm`, are
     computed once per model instance: a call on models used before
-    classifies neither again.
+    classifies neither again.  The passes up to MAX_ROWS_PER_PASS read
+    each model's columns kept at this temperature (:func:`_kept_columns`),
+    so a call on models used before at this T, at any gap, evaluates no
+    eps.  Where the sum needs an index whose nw = (1 - eps)(xi/c)^2
+    overflows float max, ValueError names it (:func:`_pass_columns`).
     """
     m1, m2, d = config.material_1, config.material_2, config.d
     xi1 = 2.0 * math.pi * K_B * config.T / HBAR
@@ -344,17 +450,17 @@ def pressure_matsubara(config):
         :func:`_matsubara_rows` call led by head xi = 0 rows, and return its
         result."""
         last = min(reach if n == 1 else ceiling, n - 1 + MAX_ROWS_PER_PASS)
-        res = _matsubara_rows(m1, m2, d, np.arange(n - head, last + 1) * xi1)
-        if res.failures:
-            width = head + last + 1 - n
-            for j, exc in sorted(res.failures.items()):
-                failed.setdefault(n - head + j % width,
-                                  ("TM" if j >= width else "TE", exc))
-        values = (pref * res.values.reshape(2, -1)[:, head:]).tolist()
-        te.extend(values[0])
-        tm.extend(values[1])
-        e = res.errors.reshape(2, -1)[:, head:]
-        err.extend((abs(pref) * (e[0] + e[1])).tolist())
+        a, c1, c2 = _pass_columns(m1, m2, xi1, n, last, head)
+        res = _matsubara_rows(d, a, c1, c2)
+        width = a.size      # TE of row i at i, TM at width + i
+        for j, exc in sorted(res.failures.items()):
+            failed.setdefault(n - head + j % width,
+                              ("TM" if j >= width else "TE", exc))
+        values = (pref * res.values).tolist()
+        te.extend(values[head:width])
+        tm.extend(values[width + head:])
+        e = res.errors
+        err.extend((abs(pref) * (e[head:width] + e[width + head:])).tolist())
         return res
 
     static = _static_te_row(m1, m2)

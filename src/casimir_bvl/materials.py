@@ -166,6 +166,21 @@ class MaterialModel:
         return eval_imag_axis(self, np.zeros(1)).item()
 
 
+def keep(model, key, value):
+    """Store value, derived from model's fields, in the frozen model's
+    ``__dict__`` under key and return it: the one write into a model,
+    beside its own ``functools.cached_property`` memos.
+
+    The fields a stored value is computed from never change, a model built
+    from other fields (``dataclasses.replace``) computes its own, and ==,
+    hash and repr read only the fields.  Threads may race to store the
+    same key; each store replaces the value whole, so a reader sees one
+    value or the other, never a half-built one.
+    """
+    model.__dict__[key] = value
+    return value
+
+
 def insulator(eps0, oscillators=()):
     return MaterialModel(Kind.INSULATOR, eps0=float(eps0),
                          oscillators=tuple(oscillators))

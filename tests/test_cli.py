@@ -566,6 +566,28 @@ def test_overflowing_probes_exit_2_naming_the_bound(argv, bound, capsys):
     assert bound in err and "config error" in err
 
 
+@pytest.mark.parametrize("argv, bound", [
+    *[(("pressure", "--mat1", f"insulator:{eps}", "--mat2",
+        f"insulator:{eps}", "--d", d, "--T", "300"),
+       f"nw = (1 - eps)(xi/c)^2 of the insulator model overflows float max, "
+       f"1.798e+308, at the Matsubara frequency xi_{n} = ")
+      for eps, d, n in (("1e300", "1e-6", 1), ("1e296", "1e-6", 2),
+                        ("1e290", "1e-9", 1629))],
+    (("bvl-check", "--mat", "insulator:1e300", "--d", "1e-6", "--T", "300",
+      "--z", "1e-7"), "eps k0^2 of the medium wavevector overflows float "
+     "max, 1.798e+308"),
+])
+def test_huge_eps_exits_2_without_a_numpy_warning(argv, bound):
+    # nw overflows at an index the Matsubara sum needs, or eps k0^2 on the
+    # real axis of bvl-check; either would print NaN or warn
+    proc = subprocess.run([sys.executable, "-W", "error", "-m",
+                           "casimir_bvl.cli", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("casimir-bvl: config error: " + bound)
+
+
 def test_bvl_check_just_below_the_distance_ceiling_is_finite(capsys):
     for spec in ("insulator:3.0", DRUDE, "plasma:1.37e16",
                  "gplasma:1.37e16;2e31,3e15,1e14", "ideal"):
@@ -856,8 +878,8 @@ def test_sweep_keeps_the_gaps_that_converge(fmt, capsys, monkeypatch):
     gaps = np.geomspace(3e-7, 1e-5, 9).tolist()
     rows_of = L._matsubara_rows
 
-    def failing_first_gap(m1, m2, d, xi):
-        res = rows_of(m1, m2, d, xi)
+    def failing_first_gap(d, *columns):
+        res = rows_of(d, *columns)
         if d == gaps[0]:
             res.failures[0] = Q.NoConvergence("injected")
         return res

@@ -429,6 +429,23 @@ def test_static_rtm_is_the_static_tm_and_scalar_coefficient():
     assert F.static_rtm(M.ideal_metal()) == 1.0
 
 
+def test_real_axis_eps_k0sq_overflow_is_rejected():
+    # eps = 1e300 is finite, but eps k0^2 above some 1.3e12 rad/s is not:
+    # the medium wavevector s would be infinite and r_te NaN
+    model = M.insulator(1e300)
+    omega = np.geomspace(1e9, 1e14, 6)
+    for call in (lambda: F.real_axis_sweep(model, omega, 1e7),
+                 lambda: F.reflection(model, 1e14, 1e7)):
+        with np.errstate(all="raise"), pytest.raises(
+                ValueError, match=r"^eps k0\^2 of the medium wavevector "
+                r"overflows float max, 1\.798e\+308: \|eps\| up to 1e\+300 "
+                r"at \|k0\^2\| up to 1\.11[0-9]*e\+11 m\^-2$"):
+            call()
+    with np.errstate(all="raise"):
+        r_te, gap = F.real_axis_sweep(model, omega[:4], 1e7)
+    assert np.isfinite(r_te).all() and np.isfinite(gap).all()
+
+
 def test_real_axis_eps_kz_overflow_is_rejected():
     # |eps| ~ 1.8e302 at 1e3 rad/s on either axis is finite, but eps k_z at
     # k_perp = 1e7 is not: r_tm would be NaN and the r_tm - r_bar gap a

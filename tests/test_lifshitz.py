@@ -3,6 +3,9 @@
 import dataclasses
 import itertools
 import math
+import os
+import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -332,6 +335,27 @@ def test_batched_rows_match_scalar_integrals(pair):
         assert tm == pytest.approx(_scalar_row(cfg, n, 1), rel=1e-8)
 
 
+def _columns(m, xi):
+    """m's (eps, nw) at the ascending frequencies xi as the route builds
+    them; xi[0] = 0 takes the static column, eps = 1 and static nw."""
+    a2 = (xi / C) ** 2
+    if m.kind is M.Kind.IDEAL_METAL:
+        return None
+    if xi[0] != 0.0:
+        return L._coefficient_columns(m, xi, a2)
+    eps, nw = (L._coefficient_columns(m, xi[1:], a2[1:]) if xi.size > 1
+               else ((), ()))
+    return (np.concatenate(([1.0], eps)),
+            np.concatenate(([fresnel.static_nw(m)], nw)))
+
+
+def _rows(m1, m2, d, xi):
+    """L._matsubara_rows of m1 facing m2 at the frequencies xi."""
+    c1 = _columns(m1, xi)
+    return L._matsubara_rows(d, xi / C, c1,
+                             c1 if m2 is m1 else _columns(m2, xi))
+
+
 def _one_polarization_rows(m1, m2, d, xi, pol):
     """integrate_rows of one polarization of the Matsubara rows at xi."""
     eps1, eps2 = (fresnel.epsilon(m, 1j * xi) for m in (m1, m2))
@@ -363,7 +387,7 @@ def test_matsubara_rows_are_one_polarization_runs(pair, d, T):
               "ideal": M.ideal_metal(), "table": _drude_table()}
     m1, m2 = models[pair[0]], models[pair[1]]
     xi = np.arange(1, 49) * (2.0 * math.pi * K_B * T / HBAR)
-    res = L._matsubara_rows(m1, m2, d, xi)
+    res = _rows(m1, m2, d, xi)
     n = xi.size
     for pol in (0, 1):
         alone = _one_polarization_rows(m1, m2, d, xi, pol)
@@ -381,9 +405,9 @@ def _inject_failures(monkeypatch, cfg, fails):
     seen = []
     original = L._matsubara_rows
 
-    def rows(m1, m2, d, xi):
-        res = original(m1, m2, d, xi)
-        for i, n in enumerate(np.rint(xi / xi1).astype(int)):
+    def rows(d, a, c1, c2):
+        res = original(d, a, c1, c2)
+        for i, n in enumerate(np.rint(a * C / xi1).astype(int)):
             seen.append(n)
             if fails(n):
                 res.failures[i] = Q.NoConvergence("injected")
@@ -501,9 +525,9 @@ def test_rows_do_not_depend_on_the_chunking(pair):
     d, T = 1.03e-6, 7.2
     start = 0 if L._static_te_row(m1, m2) else 1
     xi = np.arange(start, 241) * (2.0 * math.pi * K_B * T / HBAR)
-    whole = L._matsubara_rows(m1, m2, d, xi)
+    whole = _rows(m1, m2, d, xi)
     cuts = [0, 49 - start, 97 - start, 180 - start, xi.size]
-    pieces = [L._matsubara_rows(m1, m2, d, xi[a:b])
+    pieces = [_rows(m1, m2, d, xi[a:b])
               for a, b in zip(cuts, cuts[1:])]
     assert not whole.failures
     if pair != ("ideal", "ideal"):
@@ -561,11 +585,11 @@ def test_graded_rows_agree_with_tightly_refined_rows(monkeypatch, pair):
     xi1 = 2.0 * math.pi * K_B * T / HBAR
     xi = np.arange(1, math.ceil(L.GRADE_BELOW * C / (d * xi1))) * xi1
     calls = _count_samples(monkeypatch)
-    res = L._matsubara_rows(m1, m2, d, xi)
+    res = _rows(m1, m2, d, xi)
     assert np.all(res.panels > Q.ROW_PANELS)
     monkeypatch.setattr(L, "KPERP_REL_TOL", 1e-12)
     monkeypatch.setattr(L, "GRADE_BELOW", 0.0)
-    ref = L._matsubara_rows(m1, m2, d, xi)
+    ref = _rows(m1, m2, d, xi)
     assert calls[0][1] == 1
     assert calls[1][1] > 1 and not ref.failures
     assert np.all(np.abs(res.values - ref.values) <= res.errors)
@@ -639,8 +663,8 @@ def test_static_row_is_te_only_and_equals_the_standalone_row(pair):
     d, T = 1e-6, 300.0
     xi = np.arange(0, 21) * (2.0 * math.pi * K_B * T / HBAR)
     n = xi.size
-    res = L._matsubara_rows(m1, m2, d, xi)
-    alone = L._matsubara_rows(m1, m2, d, np.zeros(1))
+    res = _rows(m1, m2, d, xi)
+    alone = _rows(m1, m2, d, np.zeros(1))
     assert not res.failures and not alone.failures
     # TM of the xi = 0 row is identically 0, with error 0
     assert (res.values[n], res.errors[n]) == (0.0, 0.0)
@@ -652,7 +676,7 @@ def test_static_row_is_te_only_and_equals_the_standalone_row(pair):
     else:   # a finite or 1/omega static r_te is 0
         assert (alone.values[0], alone.errors[0]) == (0.0, 0.0)
     # the static row leaves the other rows of its chunk as they were
-    rest = L._matsubara_rows(m1, m2, d, xi[1:])
+    rest = _rows(m1, m2, d, xi[1:])
     assert np.array_equal(np.delete(res.values, [0, n]), rest.values)
     assert np.array_equal(np.delete(res.errors, [0, n]), rest.errors)
 
@@ -760,3 +784,164 @@ def test_stress_split_guards():
         L.stress_split_integrands(cfg, 0.0, 1e6)
     with pytest.raises(ValueError):
         L.stress_split_integrands(cfg, 1e15, -1.0)
+
+
+def _xi1(T):
+    return 2.0 * math.pi * K_B * T / HBAR
+
+
+#: (d, T, rel_tol) of the matsubara-grid strata, 300 K, 77 K and a long
+#: sum: in this order the first pressure of each temperature reaches the
+#: furthest, in the reverse one each reaches past the last.
+KEPT_CASES = [(5e-7, 300.0, 1e-9), (1e-6, 300.0, 1e-9), (4e-6, 300.0, 1e-9),
+              (1e-5, 300.0, 1e-9), (2e-6, 77.0, 1e-9), (5e-6, 77.0, 1e-9),
+              (1e-5, 77.0, 1e-9), (1.3e-6, 7.0, 2e-3)]
+
+
+def _fresh_pair(pair):
+    """New instances of the models named by pair, one model for a like
+    pair, as the benchmark shares them."""
+    models = _static_models()
+    m1 = dataclasses.replace(models[pair[0]])
+    return m1, (m1 if pair[0] == pair[1]
+                else dataclasses.replace(models[pair[1]]))
+
+
+@pytest.mark.parametrize("pair", GRID_PAIRS, ids="/".join)
+def test_kept_columns_leave_every_pressure_bit_for_bit(pair):
+    # pressures on models used before at their temperature, whichever gap
+    # came first, equal those on new models
+    cold = [repr(L.pressure_matsubara(L.CavityConfig(*_fresh_pair(pair),
+                                                     d, T, tol)))
+            for d, T, tol in KEPT_CASES]
+    for order in (KEPT_CASES, KEPT_CASES[::-1]):
+        m1, m2 = _fresh_pair(pair)
+        warm = {case: repr(L.pressure_matsubara(L.CavityConfig(m1, m2,
+                                                               *case)))
+                for case in order}
+        assert [warm[case] for case in KEPT_CASES] == cold
+
+
+@pytest.mark.parametrize("pair", GRID_PAIRS, ids="/".join)
+def test_pressure_at_a_kept_temperature_evaluates_no_eps(monkeypatch, pair):
+    m1, m2 = _fresh_pair(pair)
+    L.pressure_matsubara(L.CavityConfig(m1, m2, 5e-7, 300.0))
+    calls = []
+    original = M.eval_imag_axis
+
+    def spy(model, xi):
+        calls.append(model)
+        return original(model, xi)
+
+    monkeypatch.setattr(M, "eval_imag_axis", spy)
+    for d in (1e-6, 3e-6, 1e-5):
+        L.pressure_matsubara(L.CavityConfig(m1, m2, d, 300.0))
+    assert calls == []
+    L.pressure_matsubara(L.CavityConfig(m1, m2, 1e-6, 77.0))
+    # one eps call per model that has a permittivity
+    assert len(calls) == len({name for name in pair if name != "ideal"})
+
+
+def test_kept_columns_are_the_instances_own():
+    # a model built from other fields keeps its own columns, and the kept
+    # ones move none of ==, hash and repr
+    wp = 1.37e16
+    pl = M.plasma(wp)
+    before = hash(pl), repr(pl)
+    L.pressure_matsubara(L.CavityConfig(pl, pl, 1e-6, 300.0))
+    assert (hash(pl), repr(pl)) == before and pl == M.plasma(wp)
+    eps, nw = pl.__dict__["_kept_columns"][_xi1(300.0)]
+    assert not eps.flags.writeable and not nw.flags.writeable
+    assert (eps[0], nw[0]) == (1.0, fresnel.static_nw(pl))
+    assert "_kept_columns" not in dataclasses.replace(pl).__dict__
+    double = dataclasses.replace(pl, omega_p=2.0 * wp)
+    L.pressure_matsubara(L.CavityConfig(double, double, 1e-6, 300.0))
+    eps2, nw2 = double.__dict__["_kept_columns"][_xi1(300.0)]
+    assert nw2[0] == 4.0 * nw[0]
+    assert nw2[1:] == pytest.approx(4.0 * nw[1:], rel=1e-12)
+
+
+def test_kept_columns_are_bounded():
+    # a 10 nm, 1 K sum takes 127 649 indices, of which a model keeps
+    # MAX_ROWS_PER_PASS + 1; past KEPT_TEMPERATURES temperatures the
+    # first kept is dropped first
+    ins = M.insulator(3.0)
+    res = L.pressure_matsubara(L.CavityConfig(ins, ins, 1e-8, 1.0, 1e-2))
+    assert res.n_max > 100 * L.MAX_ROWS_PER_PASS
+    kept = ins.__dict__["_kept_columns"]
+    assert [(len(eps), len(nw)) for eps, nw in kept.values()] == [
+        (L.MAX_ROWS_PER_PASS + 1,) * 2]
+    temps = [1.0, 300.0, 77.0, 30.0, 10.0, 5.0]
+    for T in temps[1:]:
+        L.pressure_matsubara(L.CavityConfig(ins, ins, 1e-6, T))
+    kept = ins.__dict__["_kept_columns"]
+    assert list(kept) == [_xi1(T) for T in temps[-L.KEPT_TEMPERATURES:]]
+    assert all(len(eps) == len(nw) <= L.MAX_ROWS_PER_PASS + 1
+               for eps, nw in kept.values())
+
+
+def test_kept_columns_under_threads():
+    # more threads than cores, switching often, share new models at three
+    # temperatures in each round, each thread in its own order of gaps;
+    # every pressure equals the one computed alone on new models
+    cases = [(pair, d, T) for pair in (("drude", "drude"), ("plasma", "table"),
+                                       ("insulator", "ideal"),
+                                       ("gplasma", "drude"))
+             for T in (300.0, 77.0, 20.0) for d in (4e-6, 1.5e-6, 6e-7)]
+    want = {case: repr(L.pressure_matsubara(L.CavityConfig(
+        *_fresh_pair(case[0]), case[1], case[2]))) for case in cases}
+    cores = len(os.sched_getaffinity(0)) if hasattr(
+        os, "sched_getaffinity") else os.cpu_count() or 1
+    n_threads, rounds = cores + 2, 10
+    start = threading.Barrier(n_threads, timeout=60)
+    got, errors = [], []
+
+    def work(k, models):
+        try:
+            start.wait()
+            for case in cases[::-1] if k % 2 else cases:
+                (a, b), d, T = case
+                got.append((case, repr(L.pressure_matsubara(
+                    L.CavityConfig(models[a], models[b], d, T)))))
+        except Exception as exc:    # reported by the asserts below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(rounds):
+            models = {name: dataclasses.replace(m)
+                      for name, m in _static_models().items()}
+            threads = [threading.Thread(target=work, args=(k, models))
+                       for k in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert len(got) == rounds * n_threads * len(cases)
+    assert all(r == want[case] for case, r in got)
+
+
+@pytest.mark.parametrize("model, d, n", [
+    (M.insulator(1e300), 1e-6, 1), (M.insulator(1e296), 1e-6, 2),
+    (M.insulator(1e290), 1e-9, 1629),
+    # eps rises with xi: the largest is not the first
+    (M.tabulated([(1e12, 2.0), (1e17, 1e300)], M.Extrapolation.FINITE),
+     1e-8, 293)],
+    ids=["insulator-1e300", "insulator-1e296", "insulator-1e290", "table"])
+def test_overflowing_nw_is_rejected_naming_its_frequency(model, d, n):
+    # nw = (1 - eps)(xi/c)^2 overflows at index n, which the sum needs;
+    # the later of two calls finds the same from the kept columns
+    cfg = L.CavityConfig(model, model, d, 300.0)
+    for _ in range(2):
+        with np.errstate(over="raise", divide="raise",
+                         invalid="raise"), pytest.raises(
+                ValueError, match=rf"^nw = \(1 - eps\)\(xi/c\)\^2 of the "
+                rf"{model.kind.value} model overflows float max, "
+                rf"1\.798e\+308, at the Matsubara frequency xi_{n} = "):
+            L.pressure_matsubara(cfg)
+    assert L.n0_term(cfg, "te") == 0.0

@@ -27,8 +27,8 @@ def test_drude_vs_plasma_sweep_reports_a_failed_gap_and_goes_on(
     # the n = 1 TE row of the 0.1 um gap is made to fail
     rows_of = L._matsubara_rows
 
-    def failing_first_gap(m1, m2, d, xi):
-        res = rows_of(m1, m2, d, xi)
+    def failing_first_gap(d, *columns):
+        res = rows_of(d, *columns)
         if d == 1e-7:
             res.failures[0] = Q.NoConvergence("injected")
         return res
@@ -103,6 +103,30 @@ def test_bench_pairs_runs_one_pair_against_this_checkout():
     assert [row.split()[:2] for row in rows] == [
         ["setup_s", "lower"], ["ok_per_s", "higher"], ["op_p50_ms", "lower"],
         ["op_p90_ms", "lower"], ["peak_rss_mb", "lower"]]
+
+
+@pytest.mark.parametrize("workload", ["matsubara-grid", "cli-mixed"])
+def test_interleave_ops_times_a_few_ops_against_this_checkout(workload):
+    perfbench = SCRIPTS.parent / "perfbench"
+    before = sorted(perfbench.rglob("*"))
+    run = subprocess.run(
+        [sys.executable, str(SCRIPTS / "interleave_ops.py"), "--against",
+         str(SCRIPTS.parent), "--workload", workload, "--seeds", "1", "2",
+         "--passes", "2", "--max-ops", "3"],
+        capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "shared seed 1", "shared seed 2", "shared total", "fresh seed 1",
+        "fresh seed 2", "fresh total"]
+    for line in lines:
+        words = line.split()
+        assert words[words.index("this") + 2] == "ok/s,"
+        assert float(words[words.index("this") + 1]) > 0.0
+        assert words[words.index("ratio") + 1].startswith("x")
+        if "seed" in line:      # one package against itself
+            assert line.endswith("; 0 of 3 outputs differ")
+    assert sorted(perfbench.rglob("*")) == before
 
 
 _FAKE_RUN = '''
